@@ -12,13 +12,14 @@ from .bma import (
     PosteriorDraws,
     PosteriorTrend,
     WaicConfig,
+    bag_weights,
     bic_weights,
     extract_trend,
+    fit_bag,
     hpd_interval,
     kde_mode,
     sample_posterior,
     waic_elpd,
-    waic_weights,
 )
 from .decay import (
     CompositeDecay,
@@ -66,9 +67,7 @@ from .stats import (
     StatisticKind,
     TriadPairs,
     build_triad_pairs,
-    compute_continuous_stats,
     compute_stepwise_stats,
-    stat_tensor_to_csv,
 )
 
 __version__ = "0.1.0"

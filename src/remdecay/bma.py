@@ -1,4 +1,5 @@
-"""Model averaging over a bag of stepwise fits: weights, draws, trends.
+"""Model averaging over a bag of stepwise models: the bag runner, weights,
+draws, trends.
 
 Two weighting systems are provided. BIC weights approximate posterior model
 probabilities under a uniform model prior and concentrate on the single
@@ -9,27 +10,36 @@ turns a bag of step functions into a smooth decay estimate.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
-import json
 import math
+import time
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .events import EventSequence
-from .intervals import locate_intervals
-from .likelihood import ModelFit
-from .stats import StatTensor, StatisticKind
+from .events import EventSequence, RiskSet
+from .intervals import IntervalSpec, locate_intervals
+from .likelihood import FitOptions, ModelFit, fit_mle
+from .stats import (
+    SECOND_ORDER,
+    StatTensor,
+    StatisticKind,
+    TriadPairs,
+    build_triad_pairs,
+    compute_stepwise_stats,
+)
 
 __all__ = [
     "ModelBag",
     "PosteriorDraws",
     "PosteriorTrend",
     "WaicConfig",
+    "bag_weights",
     "bic_weights",
-    "waic_weights",
+    "fit_bag",
     "waic_elpd",
     "waic_model_rng",
     "weights_from_elpds",
@@ -197,28 +207,87 @@ def weights_from_elpds(fits: Sequence[ModelFit], elpds: np.ndarray) -> np.ndarra
     return _softmax(_converged_scores(fits, np.asarray(elpds, dtype=np.float64)))
 
 
-def waic_weights(
-    fits: Sequence[ModelFit],
-    seq: EventSequence,
-    stats_per_fit: Iterable[StatTensor],
-    cfg: WaicConfig,
-) -> np.ndarray:
-    """Softmax of per-model elpd estimates; also stores elpd on fit.waic.
+def bag_weights(fits: Sequence[ModelFit], weighting: str) -> np.ndarray:
+    """Bag weights by ``"bic"``, or by ``"waic"`` from the elpd stored on each
+    fit's ``waic`` (models without one get zero weight)."""
+    if weighting == "bic":
+        return bic_weights(fits)
+    if weighting == "waic":
+        elpds = [f.waic if f.waic is not None else -np.inf for f in fits]
+        return weights_from_elpds(fits, np.array(elpds))
+    raise ValueError(f"unknown weighting {weighting!r}")
 
-    Each model gets its own deterministic draw stream derived from
-    (cfg.seed, model index), so results do not depend on evaluation order.
+
+class _BagRunner:
+    """Builds, fits and optionally WAIC-scores one model of a bag at a time.
+
+    The closure precompute depends only on the sequence and the horizon, so it
+    is cached per horizon for the runner's lifetime; each design is dropped as
+    soon as its model is scored.
     """
-    fits = list(fits)
-    if not fits:
-        raise ValueError("empty model bag")
-    elpds = np.full(len(fits), -np.inf)
-    for q, (fit, stats) in enumerate(zip(fits, stats_per_fit)):
-        if not fit.converged:
-            continue
-        elpd, _, _ = waic_elpd(fit, stats, seq, cfg, rng=waic_model_rng(cfg.seed, q))
-        fit.waic = elpd
-        elpds[q] = elpd
-    return weights_from_elpds(fits, elpds)
+
+    def __init__(self, seq: EventSequence, kinds: tuple[StatisticKind, ...],
+                 waic: WaicConfig | None, ridge: float):
+        self.seq = seq
+        self.rs = RiskSet(seq.n_actors)
+        self.kinds = kinds
+        self.waic = waic
+        self.opts = FitOptions(ridge=ridge)
+        self.pairs: dict[float, TriadPairs] = {}
+
+    def __call__(self, task: tuple[int, IntervalSpec]) -> tuple[int, ModelFit, float]:
+        q, spec = task
+        t_start = time.perf_counter()
+        pairs = None
+        if any(k in SECOND_ORDER for k in self.kinds):
+            if spec.horizon not in self.pairs:
+                self.pairs[spec.horizon] = build_triad_pairs(self.seq, self.rs, spec.horizon)
+            pairs = self.pairs[spec.horizon]
+        stats = compute_stepwise_stats(self.seq, self.rs, self.kinds, spec, triad_pairs=pairs)
+        fit = fit_mle(stats, self.seq, self.opts)
+        if self.waic is not None and fit.converged:
+            fit.waic, _, _ = waic_elpd(fit, stats, self.seq, self.waic,
+                                       rng=waic_model_rng(self.waic.seed, q))
+        return q, fit, time.perf_counter() - t_start
+
+
+_worker_runner: _BagRunner | None = None  # set in each pool worker by _start_worker
+
+
+def _start_worker(*args) -> None:
+    global _worker_runner
+    _worker_runner = _BagRunner(*args)
+
+
+def _run_in_worker(task: tuple[int, IntervalSpec]) -> tuple[int, ModelFit, float]:
+    return _worker_runner(task)
+
+
+def fit_bag(
+    seq: EventSequence,
+    specs: Sequence[IntervalSpec],
+    kinds: Iterable[StatisticKind],
+    waic: WaicConfig | None = None,
+    ridge: float = 0.0,
+    jobs: int = 1,
+) -> Iterator[tuple[int, ModelFit, float]]:
+    """Fit every model of a bag; yield ``(q, fit, seconds)`` in bag order.
+
+    Model q is the stepwise model of ``kinds`` on ``specs[q]``. With ``waic``
+    set, each converged fit is scored and its elpd stored on ``fit.waic``,
+    using the draw stream ``waic_model_rng(waic.seed, q)``, so the results do
+    not depend on ``jobs``. ``jobs > 1`` spreads the models over that many
+    worker processes. Only one design per process is alive at a time.
+    """
+    args = (seq, tuple(StatisticKind(k) for k in kinds), waic, ridge)
+    tasks = list(enumerate(specs))
+    if jobs <= 1:
+        yield from map(_BagRunner(*args), tasks)
+        return
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=jobs, initializer=_start_worker, initargs=args
+    ) as pool:
+        yield from pool.map(_run_in_worker, tasks, chunksize=max(1, len(tasks) // (8 * jobs)))
 
 
 @dataclass
@@ -249,10 +318,6 @@ class PosteriorDraws:
     @property
     def n_draws(self) -> int:
         return self.model_indices.size
-
-    @property
-    def draws(self) -> list[tuple[int, np.ndarray]]:
-        return [(int(q), b) for q, b in zip(self.model_indices, self.betas)]
 
 
 def sample_posterior(bag: ModelBag, n_draws: int, seed: int = 0) -> PosteriorDraws:

@@ -9,31 +9,20 @@ any field can be overridden by the flag of the same name.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bma import (
-    ModelBag,
-    WaicConfig,
-    bic_weights,
-    extract_trend,
-    sample_posterior,
-    waic_elpd,
-    waic_model_rng,
-    weights_from_elpds,
-)
+from .bma import ModelBag, WaicConfig, bag_weights, extract_trend, fit_bag, sample_posterior
 from .decay import decay_from_json
-from .events import EventSequence, RiskSet, load_events
+from .events import EventSequence, load_events
 from .intervals import IntervalSpec, bag_from_json, bag_to_json, generate_interval_bag
-from .likelihood import FitOptions, ModelFit, fit_mle
+from .likelihood import ModelFit
 from .sim import SimConfig, simulate
-from .stats import SECOND_ORDER, StatisticKind, build_triad_pairs, compute_stepwise_stats
+from .stats import StatisticKind
 
 __all__ = ["main", "cmd_simulate", "cmd_gen_intervals", "cmd_fit_bag", "cmd_trend", "cmd_report"]
 
@@ -116,11 +105,7 @@ def cmd_simulate(cfg: dict) -> dict:
 # gen-intervals
 
 
-def cmd_gen_intervals(cfg: dict) -> dict:
-    out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "intervals.json")
-    _ensure_outputs([path], cfg.get("force", False))
+def _write_interval_bag(cfg: dict, path: str) -> list[IntervalSpec]:
     bag = generate_interval_bag(
         K_values=cfg.get("k_values", [3, 4, 5]),
         per_kind_count=cfg.get("per_kind_count", 250),
@@ -129,58 +114,21 @@ def cmd_gen_intervals(cfg: dict) -> dict:
         rng_seed=cfg.get("seed", 0),
     )
     _write_json(path, {"gamma_max": cfg["gamma_max"], "specs": bag_to_json(bag)})
+    return bag
+
+
+def cmd_gen_intervals(cfg: dict) -> dict:
+    out = cfg["out"]
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, "intervals.json")
+    _ensure_outputs([path], cfg.get("force", False))
+    bag = _write_interval_bag(cfg, path)
     _echo_config(out, cfg)
     return {"intervals": path, "n_specs": len(bag)}
 
 
 # ---------------------------------------------------------------------------
 # fit-bag
-
-_WORKER: dict = {}
-
-
-def _init_worker(payload: dict) -> None:
-    seq = EventSequence(
-        payload["times"],
-        payload["senders"],
-        payload["receivers"],
-        payload["n_actors"],
-        t0=payload["t0"],
-    )
-    rs = RiskSet(payload["n_actors"])
-    _WORKER.clear()
-    _WORKER.update(payload)
-    _WORKER["seq"] = seq
-    _WORKER["rs"] = rs
-    _WORKER["pairs"] = {}
-
-
-def _fit_one(task: tuple[int, dict]) -> dict:
-    q, spec_dict = task
-    seq: EventSequence = _WORKER["seq"]
-    rs: RiskSet = _WORKER["rs"]
-    kinds = tuple(StatisticKind(k) for k in _WORKER["kinds"])
-    spec = IntervalSpec.from_json_dict(spec_dict)
-    t_start = time.perf_counter()
-    pairs = None
-    if any(k in SECOND_ORDER for k in kinds):
-        cache = _WORKER["pairs"]
-        if spec.horizon not in cache:
-            cache[spec.horizon] = build_triad_pairs(seq, rs, spec.horizon)
-        pairs = cache[spec.horizon]
-    stats = compute_stepwise_stats(seq, rs, kinds, spec, triad_pairs=pairs)
-    fit = fit_mle(stats, seq, FitOptions(ridge=_WORKER["ridge"]))
-    elpd = None
-    if _WORKER["waic"] is not None and fit.converged:
-        cfg = WaicConfig(**_WORKER["waic"])
-        elpd, _, _ = waic_elpd(fit, stats, seq, cfg, rng=waic_model_rng(cfg.seed, q))
-        fit.waic = elpd
-    return {
-        "model": q,
-        "fit": fit.to_json_dict(),
-        "elpd": elpd,
-        "seconds": time.perf_counter() - t_start,
-    }
 
 
 def cmd_fit_bag(cfg: dict) -> dict:
@@ -203,75 +151,35 @@ def cmd_fit_bag(cfg: dict) -> dict:
     else:
         if cfg.get("gamma_max") is None:
             raise CliError("need --intervals-file or --gamma-max to build a bag")
-        bag = generate_interval_bag(
-            K_values=cfg.get("k_values", [3, 4, 5]),
-            per_kind_count=cfg.get("per_kind_count", 250),
-            min_size=cfg.get("min_size", 0.05),
-            gamma_K=cfg["gamma_max"],
-            rng_seed=cfg.get("seed", 0),
-        )
-        _write_json(
-            os.path.join(out, "intervals.json"),
-            {"gamma_max": cfg["gamma_max"], "specs": bag_to_json(bag)},
-        )
+        bag = _write_interval_bag(cfg, os.path.join(out, "intervals.json"))
 
     waic_cfg = None
     if weighting == "waic":
-        waic_cfg = {
-            "burn_in": cfg.get("waic_burn_in")
-            or WaicConfig.default_for(len(seq), seed=cfg.get("seed", 0)).burn_in,
-            "ahead": cfg.get("waic_ahead", 1),
-            "n_draws": cfg.get("waic_draws", 500),
-            "seed": cfg.get("seed", 0),
-        }
+        seed = cfg.get("seed", 0)
+        waic_cfg = WaicConfig(
+            burn_in=cfg.get("waic_burn_in") or WaicConfig.default_for(len(seq), seed=seed).burn_in,
+            ahead=cfg.get("waic_ahead", 1),
+            n_draws=cfg.get("waic_draws", 500),
+            seed=seed,
+        )
 
-    payload = {
-        "times": np.asarray(seq.times),
-        "senders": np.asarray(seq.senders),
-        "receivers": np.asarray(seq.receivers),
-        "n_actors": seq.n_actors,
-        "t0": seq.t0,
-        "kinds": [k.value for k in kinds],
-        "ridge": cfg.get("ridge", 0.0),
-        "waic": waic_cfg,
-    }
-    tasks = [(q, spec.to_json_dict()) for q, spec in enumerate(bag)]
     jobs = int(cfg.get("jobs", 1))
     log = _NdjsonLog(log_path)
     log.write(event="start", n_models=len(bag), weighting=weighting, jobs=jobs)
     t0 = time.perf_counter()
-    results: list[dict | None] = [None] * len(bag)
-    if jobs <= 1:
-        _init_worker(payload)
-        for task in tasks:
-            res = _fit_one(task)
-            results[res["model"]] = res
-            log.write(event="fit", model=res["model"], seconds=res["seconds"],
-                      loglik=res["fit"]["loglik"], converged=res["fit"]["converged"],
-                      elpd=res["elpd"])
-    else:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(payload,)
-        ) as pool:
-            for res in pool.map(_fit_one, tasks, chunksize=max(1, len(tasks) // (8 * jobs))):
-                results[res["model"]] = res
-                log.write(event="fit", model=res["model"], seconds=res["seconds"],
-                          loglik=res["fit"]["loglik"], converged=res["fit"]["converged"],
-                          elpd=res["elpd"])
+    fits: list[ModelFit] = []
+    for q, fit, seconds in fit_bag(seq, bag, kinds, waic=waic_cfg,
+                                   ridge=cfg.get("ridge", 0.0), jobs=jobs):
+        fits.append(fit)
+        log.write(event="fit", model=q, seconds=seconds, loglik=fit.loglik,
+                  converged=fit.converged, elpd=fit.waic)
     wall = time.perf_counter() - t0
 
-    fits = [ModelFit.from_json_dict(r["fit"]) for r in results]
     n_converged = sum(f.converged for f in fits)
     if n_converged == 0:
         log.close()
         raise CliError("no model converged; nothing to weight")
-    if weighting == "bic":
-        weights = bic_weights(fits)
-    else:
-        elpds = np.array(
-            [r["elpd"] if r["elpd"] is not None else -np.inf for r in results]
-        )
-        weights = weights_from_elpds(fits, elpds)
+    weights = bag_weights(fits, weighting)
 
     _write_json(fits_path, {"weighting": weighting, "fits": [f.to_json_dict() for f in fits]})
     with open(weights_path, "w") as f:
@@ -309,12 +217,7 @@ def _load_bag(out_or_fits: str) -> ModelBag:
         doc = json.load(f)
     fits = [ModelFit.from_json_dict(d) for d in doc["fits"]]
     weighting = doc["weighting"]
-    if weighting == "bic":
-        weights = bic_weights(fits)
-    else:
-        elpds = np.array([f.waic if f.waic is not None else -np.inf for f in fits])
-        weights = weights_from_elpds(fits, elpds)
-    return ModelBag(fits=fits, weights=weights, weighting_kind=weighting)
+    return ModelBag(fits=fits, weights=bag_weights(fits, weighting), weighting_kind=weighting)
 
 
 def cmd_trend(cfg: dict) -> dict:

@@ -8,8 +8,7 @@ stepwise profiles against them. No parameter fitting happens here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -98,6 +98,10 @@ class EventSequence:
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("EventSequence is immutable")
 
+    def __reduce__(self):  # pickle through the validating constructor
+        args = (self.times, self.senders, self.receivers, self.n_actors, self.t0, self.labels)
+        return EventSequence, args
+
     def __len__(self) -> int:
         return self.times.size
 
@@ -213,12 +217,8 @@ def spread_ties(seq: EventSequence | "_RawRows", unit: float = 1.0) -> EventSequ
     """
     if unit <= 0:
         raise EventDataError("spread unit must be positive")
-    if isinstance(seq, EventSequence):
-        times, senders, receivers = seq.times, seq.senders, seq.receivers
-        n_actors, t0, labels = seq.n_actors, seq.t0, seq.labels
-    else:
-        times, senders, receivers = seq.times, seq.senders, seq.receivers
-        n_actors, t0, labels = seq.n_actors, seq.t0, seq.labels
+    times, senders, receivers = seq.times, seq.senders, seq.receivers
+    n_actors, t0, labels = seq.n_actors, seq.t0, seq.labels
     if np.any(np.diff(times) < 0):
         raise EventDataError("times must be nondecreasing before spreading")
     new_times = np.array(times, dtype=np.float64)

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .decay import DecayError, DecayFn
 from .events import EventSequence, RiskSet
 from .intervals import IntervalSpec
 
@@ -31,8 +30,6 @@ __all__ = [
     "TriadPairs",
     "build_triad_pairs",
     "compute_stepwise_stats",
-    "compute_continuous_stats",
-    "stat_tensor_to_csv",
 ]
 
 
@@ -64,7 +61,7 @@ class StatTensor:
 
     Column 0 is the intercept (identically 1); the remaining columns are one
     block per statistic kind, in declared order, with one column per memory
-    interval (stepwise) or a single weighted column (continuous).
+    interval.
     """
 
     values: np.ndarray
@@ -345,91 +342,3 @@ def compute_stepwise_stats(
         event_positions=rs.event_positions(seq),
         spec=spec,
     )
-
-
-def compute_continuous_stats(
-    seq: EventSequence,
-    rs: RiskSet,
-    kinds: Iterable[StatisticKind],
-    decay_per_kind: Mapping[StatisticKind, DecayFn],
-) -> StatTensor:
-    """Continuously weighted statistics: one column per kind.
-
-    Each qualifying past event contributes decay(age) instead of a unit
-    count; the decay function's own support decides when contributions
-    vanish. Negative decay values are rejected.
-    """
-    kinds = tuple(StatisticKind(k) for k in kinds)
-    for kind in kinds:
-        if StatisticKind(kind) not in decay_per_kind:
-            raise ValueError(f"missing decay function for {kind.value}")
-    times = seq.times
-    M, D = times.size, len(rs)
-    values = np.zeros((M, D, 1 + len(kinds)), dtype=np.float64)
-    values[:, :, 0] = 1.0
-
-    first_order = [(i, k) for i, k in enumerate(kinds) if k in _FIRST_ORDER_PLAN]
-    second_order = [(i, k) for i, k in enumerate(kinds) if k in SECOND_ORDER]
-
-    if first_order:
-        plans = []
-        for i, kind in first_order:
-            table, side = _FIRST_ORDER_PLAN[kind]
-            cls, n_class = _event_classes(seq, table)
-            plans.append((i, kind, cls, n_class, _gather_indices(rs, table, side)))
-        for m in range(1, M):
-            ages = times[m] - times[:m]
-            for i, kind, cls, n_class, gather in plans:
-                w = np.asarray(decay_per_kind[kind](ages), dtype=np.float64)
-                if np.any(w < 0):
-                    raise DecayError(f"decay for {kind.value} evaluated negative")
-                acc = np.zeros(n_class)
-                np.add.at(acc, cls[:m], w)
-                values[m, :, 1 + i] = acc[gather]
-
-    if second_order:
-        pairs = build_triad_pairs(seq, rs, horizon=float(times[-1] - times[0]) + 1.0)
-        order = np.argsort(pairs.act_row, kind="stable")
-        act_sorted = pairs.act_row[order]
-        outer_sorted = pairs.outer[order]
-        pos_by_kind = {
-            StatisticKind.TRANSITIVITY: pairs.trans_pos[order],
-            StatisticKind.CYCLIC: pairs.cyc_pos[order],
-        }
-        for m in range(1, M):
-            n_active = np.searchsorted(act_sorted, m, side="right")
-            if n_active == 0:
-                continue
-            ages = times[m] - times[outer_sorted[:n_active]]
-            for i, kind in second_order:
-                w = np.asarray(decay_per_kind[kind](ages), dtype=np.float64)
-                if np.any(w < 0):
-                    raise DecayError(f"decay for {kind.value} evaluated negative")
-                acc = np.zeros(D)
-                np.add.at(acc, pos_by_kind[kind][:n_active], w)
-                values[m, :, 1 + i] += acc
-
-    return StatTensor(
-        values=values,
-        labels=_labels(kinds, 1),
-        kinds=kinds,
-        risk_set=rs,
-        event_positions=rs.event_positions(seq),
-        spec=None,
-    )
-
-
-def stat_tensor_to_csv(tensor: StatTensor, seq: EventSequence, path) -> None:
-    """Flat dump (one row per event time and dyad) for external cross-checks."""
-    rs = tensor.risk_set
-    with open(path, "w") as f:
-        f.write("event,time,sender,receiver," + ",".join(tensor.labels) + "\n")
-        for m in range(tensor.n_events):
-            t = repr(float(seq.times[m]))
-            for d in range(tensor.n_dyads):
-                row = tensor.values[m, d]
-                f.write(
-                    f"{m},{t},{rs.senders[d]},{rs.receivers[d]},"
-                    + ",".join(repr(float(x)) for x in row)
-                    + "\n"
-                )

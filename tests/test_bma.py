@@ -6,14 +6,15 @@ import pytest
 from remdecay.bma import (
     ModelBag,
     WaicConfig,
+    bag_weights,
     bic_weights,
     extract_trend,
+    fit_bag,
     hpd_interval,
     kde_mode,
     sample_posterior,
     waic_elpd,
     waic_model_rng,
-    waic_weights,
     weights_from_elpds,
 )
 from remdecay.events import RiskSet
@@ -141,15 +142,20 @@ class TestWaic:
 
     def test_waic_weights_pipeline_and_field(self, small_fit_setup):
         seq, rs, spec, stats, fit = small_fit_setup
-        spec2 = IntervalSpec(spec.gamma[-1:])
-        stats2 = compute_stepwise_stats(seq, rs, [INERTIA], spec2)
-        fit2 = fit_mle(stats2, seq)
         cfg = WaicConfig(burn_in=10, ahead=1, n_draws=30, seed=9)
-        w = waic_weights([fit, fit2], seq, [stats, stats2], cfg)
+        specs = [spec, IntervalSpec(spec.gamma[-1:])]
+        results = list(fit_bag(seq, specs, [INERTIA], waic=cfg))
+        assert [q for q, _, _ in results] == [0, 1]
+        fits = [f for _, f, _ in results]
+        w = bag_weights(fits, "waic")
         assert abs(w.sum() - 1.0) <= 1e-12
-        assert fit.waic is not None and fit2.waic is not None
+        assert all(f.waic is not None for f in fits)
+        # model q is scored with its own draw stream
+        np.testing.assert_array_equal(fits[0].beta_hat, fit.beta_hat)
+        elpd, _, _ = waic_elpd(fit, stats, seq, cfg, rng=waic_model_rng(cfg.seed, 0))
+        assert fits[0].waic == elpd
         # shift invariance of the softmax over elpds
-        w2 = weights_from_elpds([fit, fit2], np.array([fit.waic + 7.5, fit2.waic + 7.5]))
+        w2 = weights_from_elpds(fits, np.array([f.waic + 7.5 for f in fits]))
         np.testing.assert_allclose(w, w2, atol=1e-12)
 
     def test_burn_in_bounds_checked(self, small_fit_setup):
@@ -167,7 +173,7 @@ class TestSamplePosterior:
         fit = make_fit([10.0], [0.5, -0.2], cov_scale=0.0)
         bag = ModelBag(fits=[fit], weights=np.array([1.0]), weighting_kind="bic")
         draws = sample_posterior(bag, 50, seed=3)
-        for q, beta in draws.draws:
+        for q, beta in zip(draws.model_indices, draws.betas):
             assert q == 0
             np.testing.assert_array_equal(beta, fit.beta_hat)
 

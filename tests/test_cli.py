@@ -7,8 +7,10 @@ import time
 import numpy as np
 import pytest
 
-from remdecay.bma import extract_trend, sample_posterior
+from remdecay.bma import WaicConfig, bag_weights, extract_trend, fit_bag, sample_posterior
 from remdecay.cli import _load_bag, main
+from remdecay.events import load_events
+from remdecay.intervals import bag_from_json
 
 EFFECTS = json.dumps(
     {"inertia": {"variant": "weibull", "scale": 4.0, "shape": 1.0, "peak": 0.3}}
@@ -160,6 +162,42 @@ class TestFitBag:
         assert log_lines[0]["event"] == "start"
         assert log_lines[-1]["event"] == "done"
         assert all("seconds" in l for l in log_lines if l["event"] == "fit")
+
+
+# WAIC weighting and a closure kind, so that the per-worker triad cache and the
+# per-model WAIC draw streams are both exercised.
+WAIC_CLOSURE_BAG = [
+    "--kinds", "inertia,transitivity_closure", "--k-values", "2", "--per-kind-count", "1",
+    "--min-size", "0.05", "--gamma-max", "12", "--weighting", "waic",
+    "--waic-burn-in", "10", "--waic-draws", "25", "--seed", "7",
+]
+
+
+@pytest.fixture(scope="module")
+def waic_closure_dirs(sim_dir, tmp_path_factory):
+    dirs = {}
+    for jobs in (1, 2):
+        dirs[jobs] = tmp_path_factory.mktemp(f"jobs{jobs}")
+        run(["fit-bag", "--events", str(sim_dir / "events.csv"), "--out", str(dirs[jobs]),
+             "--jobs", str(jobs)] + WAIC_CLOSURE_BAG)
+    return dirs
+
+
+class TestBagRunner:
+    def test_parallel_matches_serial(self, waic_closure_dirs):
+        for name in ("intervals.json", "fits.json", "weights.csv"):
+            assert sha(waic_closure_dirs[1] / name) == sha(waic_closure_dirs[2] / name)
+
+    def test_library_runner_matches_cli_weights(self, sim_dir, waic_closure_dirs):
+        out = waic_closure_dirs[1]
+        seq = load_events(str(sim_dir / "events.csv"))
+        specs = bag_from_json(json.loads((out / "intervals.json").read_text())["specs"])
+        kinds = ["inertia", "transitivity_closure"]
+        waic = WaicConfig(burn_in=10, n_draws=25, seed=7)
+        fits = [fit for _, fit, _ in fit_bag(seq, specs, kinds, waic=waic)]
+        weights = bag_weights(fits, "waic")
+        rows = (out / "weights.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[-1] for r in rows] == [repr(float(w)) for w in weights]
 
 
 class TestTrend:

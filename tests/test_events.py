@@ -1,5 +1,6 @@
 import io
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -156,6 +157,14 @@ class TestEventSequence:
             tiny_seq.t0 = 3.0
         with pytest.raises(ValueError):
             tiny_seq.times[0] = 0.0
+
+    def test_pickle_roundtrip(self):
+        seq = load_events(CSV3, t0=0.5)
+        again = pickle.loads(pickle.dumps(seq))
+        assert again == seq
+        assert again.labels == ("a", "b", "c") and again.t0 == 0.5
+        with pytest.raises(ValueError):
+            again.times[0] = 0.0
 
 
 @settings(max_examples=50, deadline=None)

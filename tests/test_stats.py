@@ -6,13 +6,8 @@ from hypothesis import strategies as st
 from remdecay.decay import LinearDecay, StepwiseDecay, WeibullDecay
 from remdecay.events import EventSequence, RiskSet
 from remdecay.intervals import IntervalSpec, equal_spec
-from remdecay.stats import (
-    StatisticKind,
-    build_triad_pairs,
-    compute_continuous_stats,
-    compute_stepwise_stats,
-    stat_tensor_to_csv,
-)
+from remdecay.sim import SimConfig, _HistoryState
+from remdecay.stats import StatisticKind, build_triad_pairs, compute_stepwise_stats
 
 from oracle import (
     loop_continuous_stats,
@@ -172,6 +167,25 @@ class TestOracleEquivalence:
             )
 
 
+def continuous_stats(seq, rs, kinds, decay_per_kind):
+    """Continuously weighted statistics from the simulator's intensity engine.
+
+    With beta0 = 0 and a single effect, the log rate of every dyad at t_m,
+    given the events before it, is that effect's weighted statistic.
+    Returns values[m, dyad, column] with the intercept in column 0.
+    """
+    values = np.zeros((len(seq), len(rs), 1 + len(kinds)))
+    values[:, :, 0] = 1.0
+    for c, kind in enumerate(kinds):
+        cfg = SimConfig(n_actors=seq.n_actors, beta0=0.0, n_events=1,
+                        effects={kind: decay_per_kind[kind]})
+        state = _HistoryState(cfg, rs)
+        for m, ev in enumerate(seq):
+            values[m, :, 1 + c] = state.log_rates(ev.time)
+            state.append(ev.time, ev.sender, ev.receiver)
+    return values
+
+
 class TestContinuous:
     def test_unit_weight_equals_single_interval_counts(self, rng):
         seq = random_sequence(rng, 4, 40)
@@ -179,35 +193,31 @@ class TestContinuous:
         horizon = 0.7 * (seq.times[-1] - seq.times[0])
         spec = IntervalSpec(np.array([horizon]))
         unit = StepwiseDecay(spec, (1.0,))
-        cont = compute_continuous_stats(seq, rs, ALL_KINDS, {k: unit for k in ALL_KINDS})
+        cont = continuous_stats(seq, rs, ALL_KINDS, {k: unit for k in ALL_KINDS})
         step = compute_stepwise_stats(seq, rs, ALL_KINDS, spec)
-        np.testing.assert_array_equal(cont.values, step.values)
+        np.testing.assert_array_equal(cont, step.values)
 
     def test_zero_decay_gives_zeros(self, rng):
         seq = random_sequence(rng, 3, 15)
         rs = RiskSet(3)
         zero = StepwiseDecay(IntervalSpec(np.array([100.0])), (0.0,))
-        cont = compute_continuous_stats(
-            seq, rs, [StatisticKind.INERTIA], {StatisticKind.INERTIA: zero}
-        )
-        assert np.all(cont.values[:, :, 1:] == 0.0)
+        cont = continuous_stats(seq, rs, [StatisticKind.INERTIA], {StatisticKind.INERTIA: zero})
+        assert np.all(cont[:, :, 1:] == 0.0)
 
     def test_exponential_weights_match_hand_sum(self):
         times = [1.0, 2.0, 4.0, 7.0]
         seq = EventSequence(times, [0, 1, 0, 0], [1, 0, 1, 1], 2)
         rs = RiskSet(2)
         fn = WeibullDecay(scale=10.0, shape=1.0, peak=0.3)
-        cont = compute_continuous_stats(
-            seq, rs, [StatisticKind.INERTIA], {StatisticKind.INERTIA: fn}
-        )
+        cont = continuous_stats(seq, rs, [StatisticKind.INERTIA], {StatisticKind.INERTIA: fn})
         # at the 4th time, dyad (0,1) saw events at ages 6 and 3
         expected = 0.3 * (np.exp(-6 / 10) + np.exp(-3 / 10))
-        assert cont.values[3, rs.index_of(0, 1), 1] == pytest.approx(expected, rel=1e-14)
+        assert cont[3, rs.index_of(0, 1), 1] == pytest.approx(expected, rel=1e-14)
         # reciprocity column via the reversed dyad: event at age 5
-        cont_r = compute_continuous_stats(
+        cont_r = continuous_stats(
             seq, rs, [StatisticKind.RECIPROCITY], {StatisticKind.RECIPROCITY: fn}
         )
-        assert cont_r.values[3, rs.index_of(0, 1), 1] == pytest.approx(
+        assert cont_r[3, rs.index_of(0, 1), 1] == pytest.approx(
             0.3 * np.exp(-5 / 10), rel=1e-14
         )
 
@@ -218,18 +228,16 @@ class TestContinuous:
             k: WeibullDecay(scale=3.0, shape=1.0, peak=0.5) if i % 2 == 0 else LinearDecay(6.0, 1.0)
             for i, k in enumerate(ALL_KINDS)
         }
-        cont = compute_continuous_stats(seq, rs, ALL_KINDS, decays)
+        cont = continuous_stats(seq, rs, ALL_KINDS, decays)
         want = loop_continuous_stats(seq, rs, ALL_KINDS, decays)
-        np.testing.assert_allclose(cont.values, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(cont, want, rtol=1e-12, atol=1e-12)
 
     def test_negative_decay_rejected(self, rng):
         seq = random_sequence(rng, 3, 8)
         rs = RiskSet(3)
         bad = StepwiseDecay(IntervalSpec(np.array([50.0])), (-0.1,))
         with pytest.raises(Exception, match="negative"):
-            compute_continuous_stats(
-                seq, rs, [StatisticKind.INERTIA], {StatisticKind.INERTIA: bad}
-            )
+            continuous_stats(seq, rs, [StatisticKind.INERTIA], {StatisticKind.INERTIA: bad})
 
 
 def _spec_strategy(draw, span):
@@ -318,17 +326,6 @@ def test_no_lookahead_property(data):
     a = compute_stepwise_stats(seq, rs, ALL_KINDS, spec).values
     b = compute_stepwise_stats(other, rs, ALL_KINDS, spec).values
     np.testing.assert_array_equal(a[:m_cut], b[:m_cut])
-
-
-def test_tensor_csv_dump(tmp_path, rng):
-    seq = random_sequence(rng, 3, 6)
-    rs = RiskSet(3)
-    st_ = compute_stepwise_stats(seq, rs, [StatisticKind.INERTIA], equal_spec(2, 5.0))
-    out = tmp_path / "tensor.csv"
-    stat_tensor_to_csv(st_, seq, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "event,time,sender,receiver,intercept,inertia_k1,inertia_k2"
-    assert len(lines) == 1 + len(seq) * len(rs)
 
 
 def test_column_index_lookup(rng):
