@@ -52,7 +52,6 @@ from .intervals import (
     locate_intervals,
 )
 from .likelihood import (
-    ConvergenceError,
     FitOptions,
     LikelihoodOverflowError,
     ModelFit,

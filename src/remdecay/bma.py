@@ -22,7 +22,7 @@ import numpy as np
 
 from .events import EventSequence, RiskSet
 from .intervals import IntervalSpec, locate_intervals
-from .likelihood import FitOptions, ModelFit, fit_mle
+from .likelihood import FitOptions, ModelFit, event_log_densities, fit_mle
 from .stats import (
     SECOND_ORDER,
     StatTensor,
@@ -139,27 +139,7 @@ def waic_elpd(
     if B < 2:
         raise ValueError("need at least 2 draws for a variance")
 
-    U = stats.values
-    D, P = U.shape[1], U.shape[2]
-    U_flat = U.reshape(M * D, P)
-    dt = np.diff(seq.times, prepend=seq.t0)
-    ev_rows = np.arange(M) * D + stats.event_positions
-
-    hz = np.empty((M, B))
-    chunk = max(1, int(8_000_000 // max(M * D, 1)))
-    for b0 in range(0, B, chunk):
-        block = draws[b0 : b0 + chunk].T  # (P, c)
-        eta = (U_flat @ block).reshape(M, D, -1)
-        realized = eta.reshape(M * D, -1)[ev_rows].copy()
-        mx = eta.max(axis=1)
-        eta -= mx[:, None, :]
-        np.exp(eta, out=eta)
-        sums = eta.sum(axis=1)
-        sums *= np.exp(mx)
-        sums *= -dt[:, None]
-        sums += realized
-        hz[:, b0 : b0 + block.shape[1]] = sums
-
+    hz = event_log_densities(stats, seq, draws)
     cs = np.vstack([np.zeros((1, B)), np.cumsum(hz, axis=0)])
     i_vals = np.arange(L, M - A + 1)  # 1-based prediction points
     ld = cs[i_vals + A] - cs[i_vals]  # (n_points, B) log predictive densities
@@ -227,12 +207,12 @@ class _BagRunner:
     """
 
     def __init__(self, seq: EventSequence, kinds: tuple[StatisticKind, ...],
-                 waic: WaicConfig | None, ridge: float):
+                 waic: WaicConfig | None, opts: FitOptions):
         self.seq = seq
         self.rs = RiskSet(seq.n_actors)
         self.kinds = kinds
         self.waic = waic
-        self.opts = FitOptions(ridge=ridge)
+        self.opts = opts
         self.pairs: dict[float, TriadPairs] = {}
 
     def __call__(self, task: tuple[int, IntervalSpec]) -> tuple[int, ModelFit, float]:
@@ -279,7 +259,7 @@ def fit_bag(
     not depend on ``jobs``. ``jobs > 1`` spreads the models over that many
     worker processes. Only one design per process is alive at a time.
     """
-    args = (seq, tuple(StatisticKind(k) for k in kinds), waic, ridge)
+    args = (seq, tuple(StatisticKind(k) for k in kinds), waic, FitOptions(ridge=ridge))
     tasks = list(enumerate(specs))
     if jobs <= 1:
         yield from map(_BagRunner(*args), tasks)

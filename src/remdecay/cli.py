@@ -155,12 +155,12 @@ def cmd_fit_bag(cfg: dict) -> dict:
 
     waic_cfg = None
     if weighting == "waic":
-        seed = cfg.get("seed", 0)
+        burn_in = cfg.get("waic_burn_in")
         waic_cfg = WaicConfig(
-            burn_in=cfg.get("waic_burn_in") or WaicConfig.default_for(len(seq), seed=seed).burn_in,
+            burn_in=burn_in if burn_in is not None else WaicConfig.default_for(len(seq)).burn_in,
             ahead=cfg.get("waic_ahead", 1),
             n_draws=cfg.get("waic_draws", 500),
-            seed=seed,
+            seed=cfg.get("seed", 0),
         )
 
     jobs = int(cfg.get("jobs", 1))

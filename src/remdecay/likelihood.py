@@ -24,7 +24,8 @@ __all__ = [
     "FitOptions",
     "LikelihoodOverflowError",
     "RankDeficiencyError",
-    "ConvergenceError",
+    "event_terms",
+    "event_log_densities",
     "log_likelihood",
     "grad_and_hessian",
     "fit_mle",
@@ -41,16 +42,21 @@ class RankDeficiencyError(np.linalg.LinAlgError):
     pass
 
 
-class ConvergenceError(RuntimeError):
-    pass
+TOL = 1e-10  # relative log-likelihood change at convergence
+GRAD_TOL = 1e-6  # max |gradient| at convergence
+MAX_ITER = 100
+_DRAW_BLOCK = 8_000_000  # linear-predictor entries per block of draws
 
 
 @dataclass
 class FitOptions:
-    tol: float = 1e-10
-    grad_tol: float = 1e-6
-    max_iter: int = 100
+    """``ridge`` >= 0 is added to the information in every solve and in the covariance."""
+
     ridge: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.ridge) and self.ridge >= 0.0):
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge!r}")
 
 
 @dataclass
@@ -108,86 +114,114 @@ class ModelFit:
         )
 
 
-def _waiting_times(seq: EventSequence) -> np.ndarray:
-    return np.diff(seq.times, prepend=seq.t0)
+def event_terms(
+    stats: StatTensor, seq: EventSequence, betas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rate kernel: per-event log-likelihood terms at ``betas``.
 
-
-def log_likelihood(stats: StatTensor, seq: EventSequence, beta: np.ndarray) -> float:
-    """Sum over events of realized log-rate minus waiting-time x total rate."""
-    beta = np.asarray(beta, dtype=np.float64)
+    ``betas`` is one vector (P,) or B columns (P, B); a column axis carries
+    through every output. Returns ``(terms, rates, scale)``: terms[m] is the
+    realized log-rate minus dt_m x the total rate, rates = exp(eta - max_d eta)
+    and scale[m] = dt_m x exp(max_d eta), so rates x scale is dt_m x lambda_md.
+    Overflow is returned as non-finite values, not raised.
+    """
+    betas = np.asarray(betas, dtype=np.float64)
     U = stats.values
-    M = U.shape[0]
-    if beta.shape != (U.shape[2],):
-        raise ValueError(f"beta must have length {U.shape[2]}, got {beta.shape}")
-    eta = U @ beta
+    M, D, P = U.shape
+    if betas.ndim not in (1, 2) or betas.shape[0] != P:
+        raise ValueError(f"betas must have shape ({P},) or ({P}, B), got {betas.shape}")
+    dt = np.diff(seq.times, prepend=seq.t0)
+    if betas.ndim == 1:
+        eta = U @ betas
+    else:
+        eta = (U.reshape(M * D, P) @ betas).reshape(M, D, -1)
+        dt = dt[:, None]
     realized = eta[np.arange(M), stats.event_positions]
     mx = eta.max(axis=1)
-    with np.errstate(over="ignore"):
-        lam_sum = np.exp(mx) * np.exp(eta - mx[:, None]).sum(axis=1)
-        terms = realized - _waiting_times(seq) * lam_sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta -= mx[:, None]
+        rates = np.exp(eta, out=eta)
+        peak = np.exp(mx)
+        terms = realized - dt * (peak * rates.sum(axis=1))
+        scale = dt * peak
+    return terms, rates, scale
+
+
+def _finite_sum(terms: np.ndarray) -> float:
     bad = ~np.isfinite(terms)
     if bad.any():
         raise LikelihoodOverflowError(int(np.flatnonzero(bad)[0]))
     return float(terms.sum())
 
 
+def log_likelihood(stats: StatTensor, seq: EventSequence, beta: np.ndarray) -> float:
+    """Sum over events of realized log-rate minus waiting-time x total rate."""
+    return _finite_sum(event_terms(stats, seq, beta)[0])
+
+
+def event_log_densities(stats: StatTensor, seq: EventSequence, draws: np.ndarray) -> np.ndarray:
+    """(M, B) per-event log densities under each row of ``draws`` (B, P),
+    evaluated in blocks of draws that bound the working set near 64 MB."""
+    draws = np.asarray(draws, dtype=np.float64)
+    M, D, _ = stats.values.shape
+    out = np.empty((M, draws.shape[0]))
+    chunk = max(1, _DRAW_BLOCK // max(M * D, 1))
+    for b0 in range(0, draws.shape[0], chunk):
+        out[:, b0 : b0 + chunk] = event_terms(stats, seq, draws[b0 : b0 + chunk].T)[0]
+    return out
+
+
 def _value_grad_hess(
     stats: StatTensor, seq: EventSequence, beta: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Log-likelihood with its analytic derivatives in one pass."""
-    beta = np.asarray(beta, dtype=np.float64)
+    terms, rates, scale = event_terms(stats, seq, beta)
+    value = _finite_sum(terms)
     U = stats.values
     M, _, P = U.shape
-    eta = U @ beta
-    realized_eta = eta[np.arange(M), stats.event_positions]
-    mx = eta.max(axis=1)
-    dt = _waiting_times(seq)
-    with np.errstate(over="ignore"):
-        eta -= mx[:, None]
-        lam_scaled = np.exp(eta, out=eta)
-        # w[m, d] = dt_m * lambda_d: survival part of the value and the
-        # weight of every derivative term
-        w = lam_scaled * (dt * np.exp(mx))[:, None]
-        value = float(realized_eta.sum() - w.sum())
-    if not np.isfinite(w).all():
-        bad = int(np.flatnonzero(~np.isfinite(w).all(axis=1))[0])
-        raise LikelihoodOverflowError(bad)
-    realized = U[np.arange(M), stats.event_positions, :]
     U_flat = U.reshape(-1, P)
-    w_flat = w.reshape(-1)
-    grad = realized.sum(axis=0) - w_flat @ U_flat
-    WU = U_flat * w_flat[:, None]
-    hess = -(WU.T @ U_flat)
-    hess = 0.5 * (hess + hess.T)
-    return value, grad, hess
+    # w[m, d] = dt_m * lambda_md weights every derivative term
+    w_flat = np.multiply(rates, scale[:, None], out=rates).reshape(-1)
+    grad = U[np.arange(M), stats.event_positions, :].sum(axis=0) - w_flat @ U_flat
+    hess = -((U_flat * w_flat[:, None]).T @ U_flat)
+    return value, grad, 0.5 * (hess + hess.T)
 
 
 def grad_and_hessian(
     stats: StatTensor, seq: EventSequence, beta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic first and second derivatives of the log-likelihood.
-
-    The Hessian is the negated rate-weighted second moment of the statistics,
-    so it is negative semidefinite everywhere.
-    """
+    """Analytic first and second derivatives of the log-likelihood. The Hessian
+    is the negated rate-weighted second moment of the statistics, so it is
+    negative semidefinite everywhere."""
     _, grad, hess = _value_grad_hess(stats, seq, beta)
     return grad, hess
 
 
-def _zero_columns(U: np.ndarray) -> list[int]:
-    return [p for p in range(U.shape[2]) if not U[:, :, p].any()]
+def _check_identifiable(info: np.ndarray, labels: tuple[str, ...]) -> None:
+    """The information at beta = 0 is the waiting-time-weighted Gram matrix of
+    the design: a zero diagonal is a zero column, a rank below P dependence."""
+    zeros = np.flatnonzero(np.diag(info) == 0.0)
+    if zeros.size:
+        names = ", ".join(labels[p] for p in zeros)
+        raise RankDeficiencyError(
+            f"statistic column(s) identically zero: {names}; drop them or set ridge > 0"
+        )
+    eig = np.linalg.eigvalsh(info)
+    if np.sum(eig > eig[-1] * 1e-12 * eig.size) < eig.size:
+        raise RankDeficiencyError(
+            "statistic columns are linearly dependent; the MLE is not unique "
+            "(drop redundant columns or set ridge > 0)"
+        )
 
 
-def _design_rank(U: np.ndarray) -> int:
-    flat = U.reshape(-1, U.shape[2])
-    gram = flat.T @ flat
-    eig = np.linalg.eigvalsh(gram)
-    return int(np.sum(eig > max(eig[-1], 1.0) * 1e-12 * U.shape[2]))
-
-
-def _chol_inverse(A: np.ndarray) -> np.ndarray:
-    c, low = scipy.linalg.cho_factor(A, lower=True)
-    return scipy.linalg.cho_solve((c, low), np.eye(A.shape[0]))
+def _factor(A: np.ndarray) -> tuple[tuple[np.ndarray, bool], bool]:
+    """Cholesky factor of A, and whether it needed the 1e-8 diagonal jitter."""
+    for jitter in (0.0, 1e-8):
+        try:
+            return scipy.linalg.cho_factor(A + jitter * np.eye(len(A)), lower=True), jitter > 0
+        except np.linalg.LinAlgError:
+            if jitter:
+                raise
 
 
 def fit_mle(
@@ -197,88 +231,55 @@ def fit_mle(
 ) -> ModelFit:
     """Newton MLE with step halving, from beta = 0.
 
-    Convergence requires both a relative log-likelihood change below
-    ``opts.tol`` and a max absolute gradient below ``opts.grad_tol``. With
-    ridge = 0 a rank-deficient design is an error (identically-zero columns
-    are named); ridge > 0 regularizes the Newton solves and the covariance.
-    A failed factorization with ridge = 0 is retried once with a 1e-8 jitter
-    and recorded as a warning on the fit.
+    Convergence requires both a relative log-likelihood change below ``TOL``
+    and a max absolute gradient below ``GRAD_TOL``. With ridge = 0 a
+    rank-deficient design is an error (identically-zero columns are named).
+    Each Newton system ridge*I - H is factored once, retried with a 1e-8
+    jitter if it fails (recorded as a warning on the fit); the factor at the
+    final beta gives the covariance.
     """
     opts = opts or FitOptions()
-    U = stats.values
-    M, _, P = U.shape
-    if not np.isfinite(U).all():
+    M, _, P = stats.values.shape
+    if not np.isfinite(stats.values).all():
         raise ValueError("statistics tensor contains non-finite values")
-    notes: list[str] = []
-
-    if opts.ridge == 0.0:
-        zeros = _zero_columns(U)
-        if zeros:
-            names = ", ".join(stats.labels[p] for p in zeros)
-            raise RankDeficiencyError(
-                f"statistic column(s) identically zero: {names}; drop them or set ridge > 0"
-            )
-        if _design_rank(U) < P:
-            raise RankDeficiencyError(
-                "statistic columns are linearly dependent; the MLE is not unique "
-                "(drop redundant columns or set ridge > 0)"
-            )
 
     beta = np.zeros(P)
     ll, grad, hess = _value_grad_hess(stats, seq, beta)
-    jitter_used = False
+    if opts.ridge == 0.0:
+        _check_identifiable(-hess, stats.labels)
+    ridge = opts.ridge * np.eye(P)
+    chol, jitter_used = _factor(ridge - hess)
     converged = False
-    iters = 0
     rel = np.inf
-    for iters in range(1, opts.max_iter + 1):
-        if rel < opts.tol and np.max(np.abs(grad)) < opts.grad_tol:
+    for iters in range(1, MAX_ITER + 1):
+        if rel < TOL and np.max(np.abs(grad)) < GRAD_TOL:
             converged = True
             break
-        A = -hess
-        if opts.ridge > 0.0:
-            A = A + opts.ridge * np.eye(P)
-        try:
-            c = scipy.linalg.cho_factor(A, lower=True)
-        except np.linalg.LinAlgError:
-            if opts.ridge > 0.0:
-                raise
-            jitter_used = True
-            c = scipy.linalg.cho_factor(A + 1e-8 * np.eye(P), lower=True)
-        step = scipy.linalg.cho_solve(c, grad)
+        step = scipy.linalg.cho_solve(chol, grad)
 
         alpha = 1.0
-        accepted = False
         for _ in range(50):
             cand = beta + alpha * step
-            try:
-                cand_ll = log_likelihood(stats, seq, cand)
-            except LikelihoodOverflowError:
-                cand_ll = -np.inf
+            # the same per-event sum as ll; an overflow sums to -inf or nan and fails
+            cand_ll = float(event_terms(stats, seq, cand)[0].sum())
             if cand_ll >= ll:
-                accepted = True
+                rel = abs(cand_ll - ll) / max(1.0, abs(cand_ll))
+                beta = cand
+                ll, grad, hess = _value_grad_hess(stats, seq, beta)
+                chol, jittered = _factor(ridge - hess)
+                jitter_used |= jittered
                 break
             alpha *= 0.5
-        if accepted:
-            rel = abs(cand_ll - ll) / max(1.0, abs(cand_ll))
-            beta = cand
-            ll, grad, hess = _value_grad_hess(stats, seq, beta)
         else:
             # no improving step: stationary up to floating-point noise
             rel = 0.0
 
-    if jitter_used:
-        notes.append("hessian factorization required a 1e-8 jitter")
+    notes = ["hessian factorization required a 1e-8 jitter"] if jitter_used else []
     if not converged:
-        notes.append(f"newton did not converge in {opts.max_iter} iterations")
+        notes.append(f"newton did not converge in {MAX_ITER} iterations")
         warnings.warn(notes[-1], RuntimeWarning, stacklevel=2)
 
-    A = -hess + max(opts.ridge, 0.0) * np.eye(P)
-    try:
-        cov = _chol_inverse(A)
-    except np.linalg.LinAlgError:
-        jitter_used = True
-        notes.append("covariance required a 1e-8 jitter")
-        cov = _chol_inverse(A + 1e-8 * np.eye(P))
+    cov = scipy.linalg.cho_solve(chol, np.eye(P))
     cov = 0.5 * (cov + cov.T)
 
     return ModelFit(

@@ -76,10 +76,6 @@ class StatTensor:
         return self.values.shape[0]
 
     @property
-    def n_dyads(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def n_columns(self) -> int:
         return self.values.shape[2]
 
@@ -161,7 +157,6 @@ class TriadPairs:
     act_row: np.ndarray
     trans_pos: np.ndarray
     cyc_pos: np.ndarray
-    outer_age_rank: np.ndarray  # rows while outer event is within the horizon
 
     @property
     def n_pairs(self) -> int:
@@ -214,7 +209,6 @@ def build_triad_pairs(seq: EventSequence, rs: RiskSet, horizon: float) -> TriadP
         act_row=act,
         trans_pos=tpos,
         cyc_pos=cpos,
-        outer_age_rank=horizon_end,
     )
 
 

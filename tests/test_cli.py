@@ -148,6 +148,19 @@ class TestFitBag:
         doc = json.loads((out / "fits.json").read_text())
         assert len(doc["fits"]) == 3
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--ridge", "-1"], "ridge"),
+        (["--weighting", "waic", "--waic-burn-in", "0"], "burn_in"),
+    ])
+    def test_invalid_fit_option_is_error(self, sim_dir, tmp_path, capsys, flags, name):
+        rc = main([
+            "fit-bag", "--events", str(sim_dir / "events.csv"), "--out", str(tmp_path / "bad"),
+            "--kinds", "inertia", "--k-values", "2", "--per-kind-count", "0",
+            "--min-size", "0.05", "--gamma-max", "12", "--seed", "7", *flags,
+        ])
+        assert rc == 1
+        assert name in capsys.readouterr().err
+
     def test_waic_weighting_runs(self, sim_dir, tmp_path):
         out = tmp_path / "waic"
         run([

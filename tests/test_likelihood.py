@@ -6,11 +6,14 @@ import pytest
 
 from remdecay.events import EventSequence, RiskSet
 from remdecay.intervals import IntervalSpec, equal_spec
+from remdecay import likelihood
 from remdecay.likelihood import (
     FitOptions,
     LikelihoodOverflowError,
     ModelFit,
     RankDeficiencyError,
+    event_log_densities,
+    event_terms,
     fit_mle,
     grad_and_hessian,
     log_likelihood,
@@ -80,6 +83,42 @@ class TestLogLikelihood:
             assert mid >= avg - 1e-9
 
 
+class TestRateKernel:
+    def test_columns_match_single_evaluations(self, rng):
+        seq, rs, stats = random_instance(rng, n_events=40)
+        betas = rng.normal(0, 0.3, (stats.n_columns, 5))
+        terms, rates, scale = event_terms(stats, seq, betas)
+        assert terms.shape == (len(seq), 5) and rates.shape == (len(seq), len(rs), 5)
+        for b in range(5):
+            t1, r1, s1 = event_terms(stats, seq, betas[:, b])
+            np.testing.assert_allclose(terms[:, b], t1, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(rates[:, :, b], r1, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(scale[:, b], s1, rtol=1e-12, atol=1e-12)
+            ll = log_likelihood(stats, seq, betas[:, b])
+            assert terms[:, b].sum() == pytest.approx(ll, rel=1e-12)
+            assert t1.sum() == ll
+
+    def test_blocks_of_draws_match_one_block(self, rng, monkeypatch):
+        seq, rs, stats = random_instance(rng, n_events=40)
+        draws = rng.normal(0, 0.3, (7, stats.n_columns))
+        whole = event_log_densities(stats, seq, draws)
+        # two draws per block: three full blocks and a partial one
+        monkeypatch.setattr(likelihood, "_DRAW_BLOCK", 2 * len(seq) * len(rs))
+        blocked = event_log_densities(stats, seq, draws)
+        np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(whole, event_terms(stats, seq, draws.T)[0], rtol=0, atol=0)
+
+    def test_overflow_returned_not_raised(self, rng):
+        seq, rs, stats = random_instance(rng, n_events=12)
+        beta = np.full(stats.n_columns, 400.0)
+        terms, _, _ = event_terms(stats, seq, beta)
+        bad = np.flatnonzero(~np.isfinite(terms))
+        assert bad.size
+        with pytest.raises(LikelihoodOverflowError) as err:
+            log_likelihood(stats, seq, beta)
+        assert err.value.event_index == bad[0]
+
+
 class TestDerivatives:
     def test_gradient_matches_central_differences(self, rng):
         h = 1e-5
@@ -142,10 +181,17 @@ class TestFit:
 
     def test_covariance_is_spd_and_matches_information(self, rng):
         seq, rs, stats = random_instance(rng, n_events=60)
-        fit = fit_mle(stats, seq)
-        _, H = grad_and_hessian(stats, seq, fit.beta_hat)
-        np.testing.assert_allclose(fit.cov_hat @ (-H), np.eye(fit.n_params), atol=1e-8)
-        np.linalg.cholesky(fit.cov_hat)
+        for ridge in (0.0, 0.5):
+            fit = fit_mle(stats, seq, FitOptions(ridge=ridge))
+            _, H = grad_and_hessian(stats, seq, fit.beta_hat)
+            I = np.eye(fit.n_params)
+            np.testing.assert_allclose(fit.cov_hat @ (ridge * I - H), I, atol=1e-8)
+            np.linalg.cholesky(fit.cov_hat)
+
+    @pytest.mark.parametrize("ridge", [-1.0, -1e-12, math.nan, math.inf])
+    def test_invalid_ridge_rejected(self, ridge):
+        with pytest.raises(ValueError, match="ridge"):
+            FitOptions(ridge=ridge)
 
     def test_duplicate_column_rejected(self, rng):
         seq, rs, stats = random_instance(rng, n_events=40)
