@@ -39,6 +39,7 @@ __all__ = [
     "WaicConfig",
     "bag_weights",
     "bic_weights",
+    "effective_model_count",
     "fit_bag",
     "waic_elpd",
     "waic_model_rng",
@@ -198,6 +199,12 @@ def bag_weights(fits: Sequence[ModelFit], weighting: str) -> np.ndarray:
     raise ValueError(f"unknown weighting {weighting!r}")
 
 
+def effective_model_count(weights: np.ndarray) -> float:
+    """1 / sum(w^2): the number of equally weighted models the weights amount to."""
+    w = np.asarray(weights, dtype=np.float64)
+    return float(1.0 / np.dot(w, w))
+
+
 class _BagRunner:
     """Builds, fits and optionally WAIC-scores one model of a bag at a time.
 
@@ -251,16 +258,22 @@ def fit_bag(
     ridge: float = 0.0,
     jobs: int = 1,
 ) -> Iterator[tuple[int, ModelFit, float]]:
-    """Fit every model of a bag; yield ``(q, fit, seconds)`` in bag order.
+    """Fit every model of a bag; the returned iterator yields
+    ``(q, fit, seconds)`` in bag order.
 
     Model q is the stepwise model of ``kinds`` on ``specs[q]``. With ``waic``
     set, each converged fit is scored and its elpd stored on ``fit.waic``,
     using the draw stream ``waic_model_rng(waic.seed, q)``, so the results do
     not depend on ``jobs``. ``jobs > 1`` spreads the models over that many
-    worker processes. Only one design per process is alive at a time.
+    worker processes. Only one design per process is alive at a time. The
+    options are validated by this call, before any model runs.
     """
     args = (seq, tuple(StatisticKind(k) for k in kinds), waic, FitOptions(ridge=ridge))
-    tasks = list(enumerate(specs))
+    return _run_bag(args, list(enumerate(specs)), jobs)
+
+
+def _run_bag(args: tuple, tasks: list[tuple[int, IntervalSpec]], jobs: int
+             ) -> Iterator[tuple[int, ModelFit, float]]:
     if jobs <= 1:
         yield from map(_BagRunner(*args), tasks)
         return

@@ -16,7 +16,15 @@ import time
 
 import numpy as np
 
-from .bma import ModelBag, WaicConfig, bag_weights, extract_trend, fit_bag, sample_posterior
+from .bma import (
+    ModelBag,
+    WaicConfig,
+    bag_weights,
+    effective_model_count,
+    extract_trend,
+    fit_bag,
+    sample_posterior,
+)
 from .decay import decay_from_json
 from .events import EventSequence, load_events
 from .intervals import IntervalSpec, bag_from_json, bag_to_json, generate_interval_bag
@@ -55,7 +63,10 @@ class _NdjsonLog:
         self._f.write(json.dumps(record, sort_keys=True) + "\n")
         self._f.flush()
 
-    def close(self) -> None:
+    def __enter__(self) -> "_NdjsonLog":
+        return self
+
+    def __exit__(self, *exc) -> None:
         self._f.close()
 
 
@@ -105,16 +116,18 @@ def cmd_simulate(cfg: dict) -> dict:
 # gen-intervals
 
 
-def _write_interval_bag(cfg: dict, path: str) -> list[IntervalSpec]:
-    bag = generate_interval_bag(
+def _interval_bag(cfg: dict) -> list[IntervalSpec]:
+    return generate_interval_bag(
         K_values=cfg.get("k_values", [3, 4, 5]),
         per_kind_count=cfg.get("per_kind_count", 250),
         min_size=cfg.get("min_size", 0.05),
         gamma_K=cfg["gamma_max"],
         rng_seed=cfg.get("seed", 0),
     )
+
+
+def _write_interval_bag(cfg: dict, bag: list[IntervalSpec], path: str) -> None:
     _write_json(path, {"gamma_max": cfg["gamma_max"], "specs": bag_to_json(bag)})
-    return bag
 
 
 def cmd_gen_intervals(cfg: dict) -> dict:
@@ -122,7 +135,8 @@ def cmd_gen_intervals(cfg: dict) -> dict:
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "intervals.json")
     _ensure_outputs([path], cfg.get("force", False))
-    bag = _write_interval_bag(cfg, path)
+    bag = _interval_bag(cfg)
+    _write_interval_bag(cfg, bag, path)
     _echo_config(out, cfg)
     return {"intervals": path, "n_specs": len(bag)}
 
@@ -145,13 +159,14 @@ def cmd_fit_bag(cfg: dict) -> dict:
     if weighting not in ("bic", "waic"):
         raise CliError(f"unknown weighting {weighting!r}")
 
-    if cfg.get("intervals_file"):
-        with open(cfg["intervals_file"]) as f:
-            bag = bag_from_json(json.load(f)["specs"])
-    else:
+    inline_bag = not cfg.get("intervals_file")
+    if inline_bag:
         if cfg.get("gamma_max") is None:
             raise CliError("need --intervals-file or --gamma-max to build a bag")
-        bag = _write_interval_bag(cfg, os.path.join(out, "intervals.json"))
+        bag = _interval_bag(cfg)
+    else:
+        with open(cfg["intervals_file"]) as f:
+            bag = bag_from_json(json.load(f)["specs"])
 
     waic_cfg = None
     if weighting == "waic":
@@ -164,35 +179,37 @@ def cmd_fit_bag(cfg: dict) -> dict:
         )
 
     jobs = int(cfg.get("jobs", 1))
-    log = _NdjsonLog(log_path)
-    log.write(event="start", n_models=len(bag), weighting=weighting, jobs=jobs)
-    t0 = time.perf_counter()
-    fits: list[ModelFit] = []
-    for q, fit, seconds in fit_bag(seq, bag, kinds, waic=waic_cfg,
-                                   ridge=cfg.get("ridge", 0.0), jobs=jobs):
-        fits.append(fit)
-        log.write(event="fit", model=q, seconds=seconds, loglik=fit.loglik,
-                  converged=fit.converged, elpd=fit.waic)
-    wall = time.perf_counter() - t0
+    # validates the fit options before anything is written
+    runs = fit_bag(seq, bag, kinds, waic=waic_cfg, ridge=cfg.get("ridge", 0.0), jobs=jobs)
+    if inline_bag:
+        _write_interval_bag(cfg, bag, os.path.join(out, "intervals.json"))
+    with _NdjsonLog(log_path) as log:
+        log.write(event="start", n_models=len(bag), weighting=weighting, jobs=jobs)
+        t0 = time.perf_counter()
+        fits: list[ModelFit] = []
+        for q, fit, seconds in runs:
+            fits.append(fit)
+            log.write(event="fit", model=q, seconds=seconds, loglik=fit.loglik,
+                      converged=fit.converged, elpd=fit.waic)
+        wall = time.perf_counter() - t0
 
-    n_converged = sum(f.converged for f in fits)
-    if n_converged == 0:
-        log.close()
-        raise CliError("no model converged; nothing to weight")
-    weights = bag_weights(fits, weighting)
+        n_converged = sum(f.converged for f in fits)
+        if n_converged == 0:
+            raise CliError("no model converged; nothing to weight")
+        weights = bag_weights(fits, weighting)
 
-    _write_json(fits_path, {"weighting": weighting, "fits": [f.to_json_dict() for f in fits]})
-    with open(weights_path, "w") as f:
-        f.write("model_id,kind_of_intervals,K,bic,waic,weight\n")
-        for q, (fit, w) in enumerate(zip(fits, weights)):
-            waic_s = repr(fit.waic) if fit.waic is not None else ""
-            f.write(
-                f"{q},{fit.spec.kind or 'custom'},{fit.spec.size},"
-                f"{repr(fit.bic)},{waic_s},{repr(float(w))}\n"
-            )
-    log.write(event="done", seconds=wall, models_per_second=len(bag) / wall,
-              n_converged=n_converged)
-    log.close()
+        _write_json(fits_path, {"weighting": weighting, "fits": [f.to_json_dict() for f in fits]})
+        with open(weights_path, "w") as f:
+            f.write("model_id,kind_of_intervals,K,bic,waic,weight\n")
+            for q, (fit, w) in enumerate(zip(fits, weights)):
+                waic_s = repr(fit.waic) if fit.waic is not None else ""
+                f.write(
+                    f"{q},{fit.spec.kind or 'custom'},{fit.spec.size},"
+                    f"{repr(fit.bic)},{waic_s},{repr(float(w))}\n"
+                )
+        log.write(event="done", seconds=wall, models_per_second=len(bag) / wall,
+                  n_converged=n_converged, max_weight=float(weights.max()),
+                  n_eff_models=effective_model_count(weights))
     _echo_config(out, cfg)
     return {
         "fits": fits_path,
@@ -255,7 +272,10 @@ def cmd_report(cfg: dict) -> dict:
     lines = ["# Model bag report", ""]
     lines.append(f"- models: {len(bag.fits)} ({sum(f.converged for f in bag.fits)} converged)")
     lines.append(f"- weighting: {bag.weighting_kind}")
-    lines.append(f"- max weight: {bag.weights.max():.4f}")
+    lines.append(
+        f"- max weight: {bag.weights.max():.4f}; effective number of models "
+        f"(1/sum w^2): {effective_model_count(bag.weights):.2f}"
+    )
     lines.append("")
     lines.append("| rank | model | kind | K | BIC | elpd | weight |")
     lines.append("|------|-------|------|---|-----|------|--------|")

@@ -2,8 +2,10 @@
 
 The sequence likelihood is a product over events of (hazard of the realized
 dyad) x (survival of every at-risk dyad over the waiting time); rates are
-log-linear in the statistics tensor. The log-likelihood is concave, so
-Newton iterations with step halving from beta = 0 converge globally.
+log-linear in the statistics. Because a dyad's rate is constant over each run
+of the run-length design, the survival term is the sum over runs of the run's
+exposure (its total waiting time) x its rate. The log-likelihood is concave,
+so Newton iterations with step halving from beta = 0 converge globally.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "FitOptions",
     "LikelihoodOverflowError",
     "RankDeficiencyError",
+    "run_rates",
     "event_terms",
     "event_log_densities",
     "log_likelihood",
@@ -45,7 +48,8 @@ class RankDeficiencyError(np.linalg.LinAlgError):
 TOL = 1e-10  # relative log-likelihood change at convergence
 GRAD_TOL = 1e-6  # max |gradient| at convergence
 MAX_ITER = 100
-_DRAW_BLOCK = 8_000_000  # linear-predictor entries per block of draws
+_DRAW_BLOCK = 8_000_000  # run-rate entries per block of draws
+_ROW_BLOCK = 32_768  # runs per block of the Hessian sum
 
 
 @dataclass
@@ -114,76 +118,100 @@ class ModelFit:
         )
 
 
-def event_terms(
-    stats: StatTensor, seq: EventSequence, betas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rate kernel: per-event log-likelihood terms at ``betas``.
-
-    ``betas`` is one vector (P,) or B columns (P, B); a column axis carries
-    through every output. Returns ``(terms, rates, scale)``: terms[m] is the
-    realized log-rate minus dt_m x the total rate, rates = exp(eta - max_d eta)
-    and scale[m] = dt_m x exp(max_d eta), so rates x scale is dt_m x lambda_md.
-    Overflow is returned as non-finite values, not raised.
-    """
+def run_rates(stats: StatTensor, betas: np.ndarray) -> np.ndarray:
+    """The rate kernel: exp(u_r . beta) for every run r, for one vector (P,)
+    or B columns (P, B). Overflow is returned as inf, not raised."""
     betas = np.asarray(betas, dtype=np.float64)
-    U = stats.values
-    M, D, P = U.shape
+    P = stats.n_columns
     if betas.ndim not in (1, 2) or betas.shape[0] != P:
         raise ValueError(f"betas must have shape ({P},) or ({P}, B), got {betas.shape}")
+    eta = stats.states @ betas
+    with np.errstate(over="ignore"):
+        return np.exp(eta, out=eta)
+
+
+def _exposures(stats: StatTensor, seq: EventSequence) -> np.ndarray:
+    """W_r: the waiting time run r is at risk, T[stop] - T[start] with T = (t0, times)."""
+    T = np.concatenate(([seq.t0], seq.times))
+    return T[stats.stop] - T[stats.start]
+
+
+def _reduce(
+    stats: StatTensor, seq: EventSequence, beta: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The log-likelihood s . beta - sum_r W_r e_r, with s the summed realized
+    statistics and w_r = W_r e_r, the weight of run r in every derivative."""
+    realized = stats.states[stats.realized].sum(axis=0)
+    e = run_rates(stats, beta)
+    with np.errstate(invalid="ignore"):
+        w = _exposures(stats, seq) * e
+        return float(realized @ beta - w.sum()), realized, w
+
+
+def _require_finite(value: float, stats: StatTensor, seq: EventSequence, beta: np.ndarray) -> None:
+    """Raise LikelihoodOverflowError at the first event whose term is not finite."""
+    if not math.isfinite(value):
+        bad = np.flatnonzero(~np.isfinite(event_terms(stats, seq, beta)))
+        raise LikelihoodOverflowError(int(bad[0]))
+
+
+def event_terms(stats: StatTensor, seq: EventSequence, betas: np.ndarray) -> np.ndarray:
+    """Per-event log-likelihood terms at ``betas`` (P,) or (P, B): the realized
+    log-rate minus dt_m x the total rate S_m of the runs in force at row m.
+
+    S is a running sum over rows of +e_r at each run's start and -e_r at its
+    stop. Overflow is returned as non-finite values, not raised.
+    """
+    import scipy.sparse
+
+    e = run_rates(stats, betas)
+    M, R = stats.n_events, e.shape[0]
+    runs = np.arange(R)
+    steps = scipy.sparse.csr_array(
+        (np.repeat([1.0, -1.0], R), (np.concatenate((stats.start, stats.stop)), np.tile(runs, 2))),
+        shape=(M + 1, R),
+    )
     dt = np.diff(seq.times, prepend=seq.t0)
-    if betas.ndim == 1:
-        eta = U @ betas
-    else:
-        eta = (U.reshape(M * D, P) @ betas).reshape(M, D, -1)
+    if e.ndim == 2:
         dt = dt[:, None]
-    realized = eta[np.arange(M), stats.event_positions]
-    mx = eta.max(axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        eta -= mx[:, None]
-        rates = np.exp(eta, out=eta)
-        peak = np.exp(mx)
-        terms = realized - dt * (peak * rates.sum(axis=1))
-        scale = dt * peak
-    return terms, rates, scale
-
-
-def _finite_sum(terms: np.ndarray) -> float:
-    bad = ~np.isfinite(terms)
-    if bad.any():
-        raise LikelihoodOverflowError(int(np.flatnonzero(bad)[0]))
-    return float(terms.sum())
+    with np.errstate(invalid="ignore"):
+        totals = np.cumsum((steps @ e)[:M], axis=0)
+        return stats.states[stats.realized] @ betas - dt * totals
 
 
 def log_likelihood(stats: StatTensor, seq: EventSequence, beta: np.ndarray) -> float:
-    """Sum over events of realized log-rate minus waiting-time x total rate."""
-    return _finite_sum(event_terms(stats, seq, beta)[0])
+    """Sum over events of realized log-rate minus waiting-time x total rate;
+    an overflow raises at its first event."""
+    value = _reduce(stats, seq, beta)[0]
+    _require_finite(value, stats, seq, beta)
+    return value
 
 
 def event_log_densities(stats: StatTensor, seq: EventSequence, draws: np.ndarray) -> np.ndarray:
     """(M, B) per-event log densities under each row of ``draws`` (B, P),
     evaluated in blocks of draws that bound the working set near 64 MB."""
     draws = np.asarray(draws, dtype=np.float64)
-    M, D, _ = stats.values.shape
-    out = np.empty((M, draws.shape[0]))
-    chunk = max(1, _DRAW_BLOCK // max(M * D, 1))
+    out = np.empty((stats.n_events, draws.shape[0]))
+    chunk = max(1, _DRAW_BLOCK // max(len(stats.states), 1))
     for b0 in range(0, draws.shape[0], chunk):
-        out[:, b0 : b0 + chunk] = event_terms(stats, seq, draws[b0 : b0 + chunk].T)[0]
+        out[:, b0 : b0 + chunk] = event_terms(stats, seq, draws[b0 : b0 + chunk].T)
     return out
 
 
 def _value_grad_hess(
     stats: StatTensor, seq: EventSequence, beta: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Log-likelihood with its analytic derivatives in one pass."""
-    terms, rates, scale = event_terms(stats, seq, beta)
-    value = _finite_sum(terms)
-    U = stats.values
-    M, _, P = U.shape
-    U_flat = U.reshape(-1, P)
-    # w[m, d] = dt_m * lambda_md weights every derivative term
-    w_flat = np.multiply(rates, scale[:, None], out=rates).reshape(-1)
-    grad = U[np.arange(M), stats.event_positions, :].sum(axis=0) - w_flat @ U_flat
-    hess = -((U_flat * w_flat[:, None]).T @ U_flat)
+    """Log-likelihood with its analytic derivatives in one pass. The Hessian
+    is accumulated over blocks of runs, so no weighted copy of the design
+    is held."""
+    value, realized, w = _reduce(stats, seq, beta)
+    _require_finite(value, stats, seq, beta)
+    U = stats.states
+    grad = realized - w @ U
+    hess = np.zeros((U.shape[1], U.shape[1]))
+    for r0 in range(0, len(U), _ROW_BLOCK):
+        block = U[r0 : r0 + _ROW_BLOCK]
+        hess -= (block * w[r0 : r0 + _ROW_BLOCK, None]).T @ block
     return value, grad, 0.5 * (hess + hess.T)
 
 
@@ -239,9 +267,9 @@ def fit_mle(
     final beta gives the covariance.
     """
     opts = opts or FitOptions()
-    M, _, P = stats.values.shape
-    if not np.isfinite(stats.values).all():
-        raise ValueError("statistics tensor contains non-finite values")
+    M, P = stats.n_events, stats.n_columns
+    if not np.isfinite(stats.states).all():
+        raise ValueError("statistics design contains non-finite values")
 
     beta = np.zeros(P)
     ll, grad, hess = _value_grad_hess(stats, seq, beta)
@@ -260,8 +288,8 @@ def fit_mle(
         alpha = 1.0
         for _ in range(50):
             cand = beta + alpha * step
-            # the same per-event sum as ll; an overflow sums to -inf or nan and fails
-            cand_ll = float(event_terms(stats, seq, cand)[0].sum())
+            # the same reduction as ll; an overflow gives -inf or nan and fails
+            cand_ll = _reduce(stats, seq, cand)[0]
             if cand_ll >= ll:
                 rel = abs(cand_ll - ll) / max(1.0, abs(cand_ll))
                 beta = cand

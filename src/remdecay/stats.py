@@ -1,8 +1,10 @@
 """Endogenous network statistics per event time, dyad, and memory interval.
 
-Row m of a tensor holds the statistics in force on (t_{m-1}, t_m]: they are
+Event row m holds the statistics in force on (t_{m-1}, t_m]: they are
 computed from events strictly before t_m, and drive both the hazard of the
-event at t_m and the survival increment over the waiting time.
+event at t_m and the survival increment over the waiting time. The design
+stores them as per-dyad runs of rows over which a dyad's statistics do not
+change (see ``StatTensor``).
 
 All age arithmetic uses the canonical expressions
 
@@ -57,14 +59,22 @@ SECOND_ORDER = (StatisticKind.TRANSITIVITY, StatisticKind.CYCLIC)
 
 @dataclass
 class StatTensor:
-    """Dense design tensor: values[m, dyad, column].
+    """Run-length design: one row per run of a dyad's statistics.
 
-    Column 0 is the intercept (identically 1); the remaining columns are one
-    block per statistic kind, in declared order, with one column per memory
-    interval.
+    Run r covers the event rows [start[r], stop[r]) of dyad ``dyad[r]``, over
+    which that dyad's statistic vector ``states[r]`` does not change. Runs are
+    sorted by (dyad, start), and each dyad's runs tile [0, M). ``realized[m]``
+    is the run of the event's own dyad at row m. Column 0 is the intercept
+    (identically 1); the remaining columns are one block per statistic kind,
+    in declared order, with one column per memory interval. Memory grows with
+    the number of state changes, not with M x N(N-1).
     """
 
-    values: np.ndarray
+    states: np.ndarray
+    dyad: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    realized: np.ndarray
     labels: tuple[str, ...]
     kinds: tuple[StatisticKind, ...]
     risk_set: RiskSet
@@ -73,11 +83,11 @@ class StatTensor:
 
     @property
     def n_events(self) -> int:
-        return self.values.shape[0]
+        return self.realized.size
 
     @property
     def n_columns(self) -> int:
-        return self.values.shape[2]
+        return self.states.shape[1]
 
     def column_index(self, kind: StatisticKind, k: int = 1) -> int:
         """Column of interval k (1-based) of ``kind``; intercept is column 0."""
@@ -86,6 +96,12 @@ class StatTensor:
         if not 1 <= k <= width:
             raise IndexError(f"interval index {k} outside 1..{width}")
         return 1 + block * width + (k - 1)
+
+    def to_dense(self) -> np.ndarray:
+        """The (M, D, P) tensor values[m, dyad, column] these runs encode."""
+        M, D = self.n_events, len(self.risk_set)
+        dense = np.repeat(self.states, self.stop - self.start, axis=0)
+        return np.ascontiguousarray(dense.reshape(D, M, -1).swapaxes(0, 1))
 
 
 def _threshold_rows(times: np.ndarray, bound: float) -> np.ndarray:
@@ -212,38 +228,26 @@ def build_triad_pairs(seq: EventSequence, rs: RiskSet, horizon: float) -> TriadP
     )
 
 
-_DYAD = "dyad"
-_SENDER = "sender"
-_RECEIVER = "receiver"
-
-# (class table, gather side) per first-order kind: which event attribute is
-# counted, and which dyad endpoint the count is read back for.
-_FIRST_ORDER_PLAN = {
-    StatisticKind.INERTIA: (_DYAD, "same"),
-    StatisticKind.RECIPROCITY: (_DYAD, "reversed"),
-    StatisticKind.INDEGREE_SENDER: (_RECEIVER, "sender"),
-    StatisticKind.OUTDEGREE_SENDER: (_SENDER, "sender"),
-    StatisticKind.INDEGREE_RECEIVER: (_RECEIVER, "receiver"),
-    StatisticKind.OUTDEGREE_RECEIVER: (_SENDER, "receiver"),
-}
-
-
-def _event_classes(seq: EventSequence, table: str) -> tuple[np.ndarray, int]:
-    N = seq.n_actors
-    if table == _DYAD:
-        return seq.senders * N + seq.receivers, N * N
-    if table == _SENDER:
-        return seq.senders, N
-    return seq.receivers, N
-
-
-def _gather_indices(rs: RiskSet, table: str, side: str) -> np.ndarray:
+def _touched_dyads(seq: EventSequence, rs: RiskSet, kind: StatisticKind) -> np.ndarray:
+    """(M, width) risk-set positions whose ``kind`` statistic counts each event:
+    the dyad itself, its reverse, or the N-1 dyads sent or received by the
+    event's sender or receiver."""
+    S, R = seq.senders, seq.receivers
+    if kind is StatisticKind.INERTIA:
+        return rs.positions(S, R)[:, None]
+    if kind is StatisticKind.RECIPROCITY:
+        return rs.positions(R, S)[:, None]
     N = rs.n_actors
-    if table == _DYAD:
-        if side == "same":
-            return rs.senders * N + rs.receivers
-        return rs.receivers * N + rs.senders
-    return rs.senders if side == "sender" else rs.receivers
+    by_sender = np.arange(len(rs)).reshape(N, N - 1)
+    by_receiver = np.argsort(rs.receivers, kind="stable").reshape(N, N - 1)
+    table = {
+        StatisticKind.INDEGREE_SENDER: (by_sender, R),
+        StatisticKind.OUTDEGREE_SENDER: (by_sender, S),
+        StatisticKind.INDEGREE_RECEIVER: (by_receiver, R),
+        StatisticKind.OUTDEGREE_RECEIVER: (by_receiver, S),
+    }
+    dyads, actor = table[kind]
+    return dyads[actor]
 
 
 def _labels(kinds: Sequence[StatisticKind], K: int) -> tuple[str, ...]:
@@ -271,6 +275,11 @@ def compute_stepwise_stats(
     prior history. ``triad_pairs`` may carry a shared precompute for the
     sequence and horizon, which is spec-independent and reusable across a
     whole bag of models.
+
+    Every count is a difference array: +1 on the dyads a contribution touches
+    at the row it enters an interval, -1 at the row it leaves. A dyad's runs
+    start at row 0 and at every row where it has such an entry; each run's
+    state is the dyad's running sum of its entries.
     """
     kinds = tuple(StatisticKind(k) for k in kinds)
     if len(set(kinds)) != len(kinds):
@@ -278,23 +287,7 @@ def compute_stepwise_stats(
     times = seq.times
     M, D, K = times.size, len(rs), spec.size
     P = 1 + K * len(kinds)
-    values = np.zeros((M, D, P), dtype=np.float64)
-    values[:, :, 0] = 1.0
     ends = _interval_row_ends(times, spec)
-
-    class_counts: dict[str, np.ndarray] = {}
-
-    def counts_for(table: str) -> np.ndarray:
-        if table not in class_counts:
-            cls, n_class = _event_classes(seq, table)
-            diff = np.zeros((K, M + 1, n_class), dtype=np.int32)
-            for k in range(K):
-                a, b = ends[:, k], ends[:, k + 1]
-                live = a < b
-                np.add.at(diff[k], (a[live], cls[live]), 1)
-                np.add.at(diff[k], (b[live], cls[live]), -1)
-            class_counts[table] = np.cumsum(diff[:, :M, :], axis=1)
-        return class_counts[table]
 
     needs_triads = any(k in SECOND_ORDER for k in kinds)
     if needs_triads:
@@ -305,34 +298,61 @@ def compute_stepwise_stats(
                 f"triad precompute horizon {triad_pairs.horizon} != spec horizon {spec.horizon}"
             )
 
+    # difference-array entries: key = dyad * (M + 1) + row, column, +-1
+    keys = [np.arange(D, dtype=np.int64) * (M + 1)]
+    cols, deltas = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+
+    def emit(dyads: np.ndarray, a: np.ndarray, b: np.ndarray, col: int) -> None:
+        live = a < b
+        dyads, a, b = dyads[live], a[live], b[live]
+        for rows, sign in ((a, 1.0), (b, -1.0)):
+            inside = rows < M
+            key = (dyads[inside] * (M + 1) + rows[inside, None]).ravel()
+            keys.append(key)
+            cols.append(np.full(key.size, col, dtype=np.int64))
+            deltas.append(np.full(key.size, sign))
+
     col = 1
     for kind in kinds:
-        if kind in _FIRST_ORDER_PLAN:
-            table, side = _FIRST_ORDER_PLAN[kind]
-            counts = counts_for(table)  # (K, M, n_class)
-            gather = _gather_indices(rs, table, side)
-            for k in range(K):
-                values[:, :, col + k] = counts[k][:, gather]
-        else:
+        if kind in SECOND_ORDER:
             pos = triad_pairs.trans_pos if kind is StatisticKind.TRANSITIVITY else triad_pairs.cyc_pos
-            diff = np.zeros((K, M + 1, D), dtype=np.int32)
             outer = triad_pairs.outer
             for k in range(K):
                 a = np.maximum(ends[outer, k], triad_pairs.act_row)
-                b = ends[outer, k + 1]
-                live = a < b
-                np.add.at(diff[k], (a[live], pos[live]), 1)
-                np.add.at(diff[k], (b[live], pos[live]), -1)
-            counts = np.cumsum(diff[:, :M, :], axis=1)
+                emit(pos[:, None], a, ends[outer, k + 1], col + k)
+        else:
+            touched = _touched_dyads(seq, rs, kind)
             for k in range(K):
-                values[:, :, col + k] = counts[k]
+                emit(touched, ends[:, k], ends[:, k + 1], col + k)
         col += K
 
+    run_keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    R = run_keys.size
+    states = np.bincount(
+        inverse[D:] * P + np.concatenate(cols),
+        weights=np.concatenate(deltas),
+        minlength=R * P,
+    ).reshape(R, P)
+    dyad, start = np.divmod(run_keys, M + 1)
+    first = np.searchsorted(run_keys, np.arange(D, dtype=np.int64) * (M + 1))
+    stop = np.append(start[1:], M)
+    stop[first[1:] - 1] = M
+    # segmented running sum: cancel each dyad's total at the next dyad's first run
+    states[first[1:]] -= np.add.reduceat(states, first, axis=0)[:-1]
+    np.cumsum(states, axis=0, out=states)
+    states[:, 0] = 1.0
+
+    event_positions = rs.event_positions(seq)
+    realized = np.searchsorted(run_keys, event_positions * (M + 1) + np.arange(M), side="right") - 1
     return StatTensor(
-        values=values,
+        states=states,
+        dyad=dyad,
+        start=start,
+        stop=stop,
+        realized=realized,
         labels=_labels(kinds, K),
         kinds=kinds,
         risk_set=rs,
-        event_positions=rs.event_positions(seq),
+        event_positions=event_positions,
         spec=spec,
     )

@@ -18,6 +18,40 @@ from remdecay.intervals import IntervalSpec
 from remdecay.stats import StatisticKind, StatTensor
 
 
+def runs_from_dense(
+    values: np.ndarray,
+    risk_set: RiskSet,
+    event_positions: np.ndarray,
+    labels: tuple[str, ...],
+    kinds: tuple = (),
+    spec: IntervalSpec | None = None,
+) -> StatTensor:
+    """Run-length design of a dense values[m, dyad, column] tensor: each
+    dyad's runs start at row 0 and wherever its statistic vector changes."""
+    M, D, _ = values.shape
+    by_dyad = values.swapaxes(0, 1)
+    new = np.ones((D, M), dtype=bool)
+    new[:, 1:] = (by_dyad[:, 1:] != by_dyad[:, :-1]).any(axis=2)
+    dyad, start = np.nonzero(new)
+    last = np.append(dyad[1:] != dyad[:-1], True)
+    stop = np.where(last, M, np.append(start[1:], M))
+    keys = dyad * (M + 1) + start
+    event_positions = np.asarray(event_positions)
+    realized = np.searchsorted(keys, event_positions * (M + 1) + np.arange(M), side="right") - 1
+    return StatTensor(
+        states=by_dyad[dyad, start].copy(),
+        dyad=dyad,
+        start=start,
+        stop=stop,
+        realized=realized,
+        labels=labels,
+        kinds=kinds,
+        risk_set=risk_set,
+        event_positions=event_positions,
+        spec=spec,
+    )
+
+
 def rescan_stepwise_stats(
     seq: EventSequence, rs: RiskSet, kinds, spec: IntervalSpec
 ) -> StatTensor:
@@ -62,13 +96,13 @@ def rescan_stepwise_stats(
             values[m, :, col : col + K] = block
             col += K
 
-    return StatTensor(
-        values=values,
+    return runs_from_dense(
+        values,
+        rs,
+        rs.event_positions(seq),
         labels=("intercept",)
         + tuple(f"{k.value}_k{j + 1}" for k in kinds for j in range(K)),
         kinds=kinds,
-        risk_set=rs,
-        event_positions=rs.event_positions(seq),
         spec=spec,
     )
 

@@ -116,7 +116,7 @@ class TestWaic:
         for pos, i in enumerate(range(L, M - A + 1)):
             for b in range(B):
                 lds[pos, b] = loop_log_density(
-                    stats.values, stats.event_positions, seq.times, seq.t0,
+                    stats.to_dense(), stats.event_positions, seq.times, seq.t0,
                     draws[b], i + 1, i + A,
                 )
         lpd_hand = sum(

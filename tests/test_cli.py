@@ -160,6 +160,9 @@ class TestFitBag:
         ])
         assert rc == 1
         assert name in capsys.readouterr().err
+        # the options are checked before the inline bag or the log is written
+        assert not (tmp_path / "bad" / "intervals.json").exists()
+        assert not (tmp_path / "bad" / "log.ndjson").exists()
 
     def test_waic_weighting_runs(self, sim_dir, tmp_path):
         out = tmp_path / "waic"
@@ -250,6 +253,24 @@ class TestReportAndConfig:
         text = (out / "report.md").read_text()
         assert "weighting: bic" in text
         assert "baseline rate" in text
+
+    def test_effective_model_count(self, fitted_dir, tmp_path):
+        # two models whose BICs differ by 2 ln 3 get weights 3/4 and 1/4
+        fits = json.loads((fitted_dir / "fits.json").read_text())["fits"][:2]
+        fits[0]["bic"], fits[1]["bic"] = 100.0, 100.0 + 2.0 * math.log(3.0)
+        out = tmp_path / "two"
+        out.mkdir()
+        (out / "fits.json").write_text(json.dumps({"weighting": "bic", "fits": fits}))
+        run(["report", "--out", str(out)])
+        text = (out / "report.md").read_text()
+        assert "max weight: 0.7500; effective number of models (1/sum w^2): 1.60" in text
+
+        done = json.loads((fitted_dir / "log.ndjson").read_text().splitlines()[-1])
+        rows = (fitted_dir / "weights.csv").read_text().splitlines()[1:]
+        w = np.array([float(r.split(",")[-1]) for r in rows])
+        assert done["event"] == "done"
+        assert done["max_weight"] == w.max()
+        assert done["n_eff_models"] == pytest.approx(1.0 / np.sum(w * w), rel=1e-12)
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = {

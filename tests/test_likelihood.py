@@ -17,11 +17,12 @@ from remdecay.likelihood import (
     fit_mle,
     grad_and_hessian,
     log_likelihood,
+    run_rates,
 )
 from remdecay.sim import SimConfig, simulate
-from remdecay.stats import StatTensor, StatisticKind, compute_stepwise_stats
+from remdecay.stats import StatisticKind, compute_stepwise_stats
 
-from oracle import random_sequence
+from oracle import random_sequence, runs_from_dense
 
 KINDS2 = (StatisticKind.INERTIA, StatisticKind.RECIPROCITY)
 
@@ -29,13 +30,8 @@ KINDS2 = (StatisticKind.INERTIA, StatisticKind.RECIPROCITY)
 def intercept_only_tensor(seq):
     """A hand-built design with a single always-on dyad (risk set of size 1)."""
     M = len(seq)
-    return StatTensor(
-        values=np.ones((M, 1, 1)),
-        labels=("intercept",),
-        kinds=(),
-        risk_set=RiskSet(2),
-        event_positions=np.zeros(M, dtype=np.int64),
-        spec=None,
+    return runs_from_dense(
+        np.ones((M, 1, 1)), RiskSet(2), np.zeros(M, dtype=np.int64), labels=("intercept",)
     )
 
 
@@ -83,35 +79,83 @@ class TestLogLikelihood:
             assert mid >= avg - 1e-9
 
 
+def dense_reference(stats, seq, betas):
+    """Per-event terms, gradient and Hessian straight from the dense tensor."""
+    U = stats.to_dense()
+    M = len(seq)
+    dt = np.diff(seq.times, prepend=seq.t0)
+    eta = np.einsum("mdp,p...->md...", U, betas)
+    lam = np.exp(eta)
+    realized = eta[np.arange(M), stats.event_positions]
+    terms = realized - (dt * lam.sum(axis=1).T).T
+    if betas.ndim == 2:
+        return terms, None, None
+    w = dt[:, None] * lam
+    grad = U[np.arange(M), stats.event_positions].sum(axis=0) - np.einsum("md,mdp->p", w, U)
+    hess = -np.einsum("md,mdp,mdq->pq", w, U, U)
+    return terms, grad, hess
+
+
 class TestRateKernel:
     def test_columns_match_single_evaluations(self, rng):
         seq, rs, stats = random_instance(rng, n_events=40)
         betas = rng.normal(0, 0.3, (stats.n_columns, 5))
-        terms, rates, scale = event_terms(stats, seq, betas)
-        assert terms.shape == (len(seq), 5) and rates.shape == (len(seq), len(rs), 5)
+        terms = event_terms(stats, seq, betas)
+        rates = run_rates(stats, betas)
+        assert terms.shape == (len(seq), 5) and rates.shape == (len(stats.states), 5)
         for b in range(5):
-            t1, r1, s1 = event_terms(stats, seq, betas[:, b])
+            t1 = event_terms(stats, seq, betas[:, b])
             np.testing.assert_allclose(terms[:, b], t1, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(rates[:, :, b], r1, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(scale[:, b], s1, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(rates[:, b], run_rates(stats, betas[:, b]), rtol=1e-12)
             ll = log_likelihood(stats, seq, betas[:, b])
             assert terms[:, b].sum() == pytest.approx(ll, rel=1e-12)
-            assert t1.sum() == ll
+            assert t1.sum() == pytest.approx(ll, rel=1e-12)
+
+    def test_matches_dense_reference(self, rng):
+        for _ in range(5):
+            seq = random_sequence(rng, int(rng.integers(2, 6)), int(rng.integers(10, 60)))
+            rs = RiskSet(seq.n_actors)
+            span = seq.times[-1] - seq.times[0]
+            stats = compute_stepwise_stats(seq, rs, tuple(StatisticKind), equal_spec(2, 0.5 * span))
+            beta = rng.normal(0, 0.1, stats.n_columns)
+            terms, grad, hess = dense_reference(stats, seq, beta)
+            g, H = grad_and_hessian(stats, seq, beta)
+            scale = np.abs(terms).max()
+            np.testing.assert_allclose(event_terms(stats, seq, beta), terms, rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(g, grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max())
+            np.testing.assert_allclose(H, hess, rtol=1e-12, atol=1e-12 * np.abs(hess).max())
+            assert log_likelihood(stats, seq, beta) == pytest.approx(terms.sum(), rel=1e-12)
+            betas = rng.normal(0, 0.1, (stats.n_columns, 4))
+            want = dense_reference(stats, seq, betas)[0]
+            np.testing.assert_allclose(
+                event_terms(stats, seq, betas), want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
+            )
 
     def test_blocks_of_draws_match_one_block(self, rng, monkeypatch):
         seq, rs, stats = random_instance(rng, n_events=40)
         draws = rng.normal(0, 0.3, (7, stats.n_columns))
         whole = event_log_densities(stats, seq, draws)
         # two draws per block: three full blocks and a partial one
-        monkeypatch.setattr(likelihood, "_DRAW_BLOCK", 2 * len(seq) * len(rs))
+        monkeypatch.setattr(likelihood, "_DRAW_BLOCK", 2 * len(stats.states))
         blocked = event_log_densities(stats, seq, draws)
         np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(whole, event_terms(stats, seq, draws.T)[0], rtol=0, atol=0)
+        np.testing.assert_allclose(whole, event_terms(stats, seq, draws.T), rtol=0, atol=0)
+
+    def test_hessian_blocks_match_one_block(self, rng, monkeypatch):
+        seq, rs, stats = random_instance(rng, n_events=60)
+        beta = rng.normal(0, 0.3, stats.n_columns)
+        g1, H1 = grad_and_hessian(stats, seq, beta)
+        # seven runs per block: several full blocks and a partial one
+        monkeypatch.setattr(likelihood, "_ROW_BLOCK", 7)
+        assert len(stats.states) > 3 * 7 and len(stats.states) % 7
+        g2, H2 = grad_and_hessian(stats, seq, beta)
+        np.testing.assert_array_equal(g2, g1)
+        np.testing.assert_allclose(H2, H1, rtol=1e-12, atol=1e-12 * np.abs(H1).max())
 
     def test_overflow_returned_not_raised(self, rng):
         seq, rs, stats = random_instance(rng, n_events=12)
         beta = np.full(stats.n_columns, 400.0)
-        terms, _, _ = event_terms(stats, seq, beta)
+        terms = event_terms(stats, seq, beta)
         bad = np.flatnonzero(~np.isfinite(terms))
         assert bad.size
         with pytest.raises(LikelihoodOverflowError) as err:
@@ -195,29 +239,17 @@ class TestFit:
 
     def test_duplicate_column_rejected(self, rng):
         seq, rs, stats = random_instance(rng, n_events=40)
-        dup = np.concatenate([stats.values, stats.values[:, :, -1:]], axis=2)
-        bad = StatTensor(
-            values=dup,
-            labels=stats.labels + ("dup",),
-            kinds=stats.kinds,
-            risk_set=rs,
-            event_positions=stats.event_positions,
-            spec=stats.spec,
-        )
+        dense = stats.to_dense()
+        dup = np.concatenate([dense, dense[:, :, -1:]], axis=2)
+        bad = runs_from_dense(dup, rs, stats.event_positions, stats.labels + ("dup",), stats.kinds)
         with pytest.raises(RankDeficiencyError, match="linearly dependent"):
             fit_mle(bad, seq)
 
     def test_zero_column_named_and_ridge_recovers(self, rng):
         seq, rs, stats = random_instance(rng, n_events=50)
-        padded = np.concatenate([stats.values, np.zeros_like(stats.values[:, :, :1])], axis=2)
-        bad = StatTensor(
-            values=padded,
-            labels=stats.labels + ("ghost_stat",),
-            kinds=stats.kinds,
-            risk_set=rs,
-            event_positions=stats.event_positions,
-            spec=stats.spec,
-        )
+        dense = stats.to_dense()
+        padded = np.concatenate([dense, np.zeros_like(dense[:, :, :1])], axis=2)
+        bad = runs_from_dense(padded, rs, stats.event_positions, stats.labels + ("ghost_stat",), stats.kinds)
         with pytest.raises(RankDeficiencyError, match="ghost_stat"):
             fit_mle(bad, seq)
         base = fit_mle(stats, seq)
@@ -229,13 +261,8 @@ class TestFit:
         seq, rs, stats = random_instance(rng, n_events=50)
         perm = rng.permutation(len(rs))
         inv = np.argsort(perm)
-        shuffled = StatTensor(
-            values=stats.values[:, perm, :],
-            labels=stats.labels,
-            kinds=stats.kinds,
-            risk_set=rs,
-            event_positions=inv[stats.event_positions],
-            spec=stats.spec,
+        shuffled = runs_from_dense(
+            stats.to_dense()[:, perm, :], rs, inv[stats.event_positions], stats.labels, stats.kinds
         )
         a = fit_mle(stats, seq)
         b = fit_mle(shuffled, seq)

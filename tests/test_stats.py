@@ -76,7 +76,7 @@ class TestInertiaMicro:
         rs = RiskSet(3)
         spec = IntervalSpec(np.array([0.5, 2.0, 6.0]), kind="increasing")
         st_ = compute_stepwise_stats(seq, rs, [StatisticKind.INERTIA], spec)
-        row = st_.values[14, rs.index_of(0, 1)]
+        row = st_.to_dense()[14, rs.index_of(0, 1)]
         np.testing.assert_array_equal(row[1:], [1.0, 3.0, 2.0])
 
     def test_single_interval_recovers_plain_count(self):
@@ -84,14 +84,14 @@ class TestInertiaMicro:
         rs = RiskSet(3)
         spec = IntervalSpec(np.array([6.0]))
         st_ = compute_stepwise_stats(seq, rs, [StatisticKind.INERTIA], spec)
-        assert st_.values[14, rs.index_of(0, 1), 1] == 6.0
+        assert st_.to_dense()[14, rs.index_of(0, 1), 1] == 6.0
 
     def test_empty_history_row_is_zero(self):
         seq = three_interval_inertia_sequence()
         rs = RiskSet(3)
         st_ = compute_stepwise_stats(seq, rs, ALL_KINDS, equal_spec(3, 6.0))
-        assert st_.values[0, :, 0].min() == 1.0  # intercept
-        assert np.all(st_.values[0, :, 1:] == 0.0)
+        assert st_.to_dense()[0, :, 0].min() == 1.0  # intercept
+        assert np.all(st_.to_dense()[0, :, 1:] == 0.0)
 
 
 class TestClosureMicro:
@@ -100,14 +100,14 @@ class TestClosureMicro:
         rs = RiskSet(4)
         spec = IntervalSpec(np.array([15.0]))
         st_ = compute_stepwise_stats(seq, rs, [StatisticKind.TRANSITIVITY], spec)
-        assert st_.values[14, rs.index_of(0, 1), 1] == 3.0
+        assert st_.to_dense()[14, rs.index_of(0, 1), 1] == 3.0
 
     def test_interval_split_keeps_total(self):
         seq = closure_example_sequence()
         rs = RiskSet(4)
         spec = IntervalSpec(np.array([5.0, 15.0]))
         st_ = compute_stepwise_stats(seq, rs, [StatisticKind.TRANSITIVITY], spec)
-        row = st_.values[14, rs.index_of(0, 1)]
+        row = st_.to_dense()[14, rs.index_of(0, 1)]
         # newer mediation (age 2.2) in interval 1, older (age 6.8) in interval 2
         np.testing.assert_array_equal(row[1:], [1.0, 2.0])
 
@@ -117,7 +117,7 @@ class TestClosureMicro:
         spec = IntervalSpec(np.array([4.0, 9.0, 15.0]))
         kinds = [StatisticKind.TRANSITIVITY, StatisticKind.CYCLIC]
         st_ = compute_stepwise_stats(seq, rs, kinds, spec)
-        np.testing.assert_array_equal(st_.values, loop_stepwise_stats(seq, rs, kinds, spec))
+        np.testing.assert_array_equal(st_.to_dense(), loop_stepwise_stats(seq, rs, kinds, spec))
 
 
 class TestOracleEquivalence:
@@ -131,7 +131,7 @@ class TestOracleEquivalence:
             rs = RiskSet(seq.n_actors)
             got = compute_stepwise_stats(seq, rs, ALL_KINDS, spec)
             np.testing.assert_array_equal(
-                got.values, loop_stepwise_stats(seq, rs, ALL_KINDS, spec)
+                got.to_dense(), loop_stepwise_stats(seq, rs, ALL_KINDS, spec)
             )
 
     def test_medium_random_sequences_rescan_oracle(self, rng):
@@ -143,7 +143,7 @@ class TestOracleEquivalence:
             rs = RiskSet(seq.n_actors)
             got = compute_stepwise_stats(seq, rs, ALL_KINDS, spec)
             want = rescan_stepwise_stats(seq, rs, ALL_KINDS, spec)
-            np.testing.assert_array_equal(got.values, want.values)
+            np.testing.assert_array_equal(got.to_dense(), want.to_dense())
 
     def test_shared_triad_precompute_matches_fresh(self, rng):
         seq = random_sequence(rng, 5, 60)
@@ -155,7 +155,7 @@ class TestOracleEquivalence:
             spec = IntervalSpec(np.linspace(horizon / K, horizon, K))
             a = compute_stepwise_stats(seq, rs, ALL_KINDS, spec, triad_pairs=pairs)
             b = compute_stepwise_stats(seq, rs, ALL_KINDS, spec)
-            np.testing.assert_array_equal(a.values, b.values)
+            np.testing.assert_array_equal(a.to_dense(), b.to_dense())
 
     def test_horizon_mismatch_rejected(self, rng):
         seq = random_sequence(rng, 3, 10)
@@ -165,6 +165,53 @@ class TestOracleEquivalence:
             compute_stepwise_stats(
                 seq, rs, [StatisticKind.TRANSITIVITY], IntervalSpec(np.array([7.0])), triad_pairs=pairs
             )
+
+
+class TestRunDesign:
+    def test_runs_tile_each_dyad(self, rng):
+        for _ in range(8):
+            seq = random_sequence(rng, int(rng.integers(2, 6)), int(rng.integers(5, 60)))
+            span = seq.times[-1] - seq.times[0]
+            spec = IntervalSpec(np.unique(np.sort(rng.uniform(0.02 * span, 1.5 * span, 3))))
+            rs = RiskSet(seq.n_actors)
+            st_ = compute_stepwise_stats(seq, rs, ALL_KINDS, spec)
+            M, D = len(seq), len(rs)
+            assert len(st_.states) <= M * D
+            assert np.all(st_.start < st_.stop)
+            for d in range(D):
+                mine = st_.dyad == d
+                starts, stops = st_.start[mine], st_.stop[mine]
+                assert starts[0] == 0 and stops[-1] == M
+                np.testing.assert_array_equal(starts[1:], stops[:-1])
+            np.testing.assert_array_equal(np.argsort(st_.dyad, kind="stable"), np.arange(len(st_.dyad)))
+            dense = st_.to_dense()
+            np.testing.assert_array_equal(
+                st_.states[st_.realized], dense[np.arange(M), st_.event_positions]
+            )
+
+    def test_untouched_dyad_has_one_run(self, tiny_seq):
+        rs = RiskSet(4)  # actor 3 never appears
+        seq = EventSequence(tiny_seq.times, tiny_seq.senders, tiny_seq.receivers, 4)
+        kinds = (StatisticKind.INERTIA, StatisticKind.RECIPROCITY)
+        st_ = compute_stepwise_stats(seq, rs, kinds, equal_spec(2, 4.0))
+        for a in range(3):
+            for d in (rs.index_of(a, 3), rs.index_of(3, a)):
+                mine = np.flatnonzero(st_.dyad == d)
+                assert mine.size == 1
+                assert (st_.start[mine[0]], st_.stop[mine[0]]) == (0, len(seq))
+                np.testing.assert_array_equal(st_.states[mine[0]], [1.0, 0, 0, 0, 0])
+
+    def test_design_memory_far_below_dense(self):
+        """Scaling guard: 30 actors, 400 events, inertia and reciprocity at
+        K = 5. The design must stay well under the dense M x D x P tensor."""
+        seq = random_sequence(np.random.default_rng(5), 30, 400)
+        rs = RiskSet(30)
+        spec = equal_spec(5, 0.5 * (seq.times[-1] - seq.times[0]))
+        st_ = compute_stepwise_stats(seq, rs, (StatisticKind.INERTIA, StatisticKind.RECIPROCITY), spec)
+        arrays = [v for v in vars(st_).values() if isinstance(v, np.ndarray)]
+        design_bytes = sum(a.nbytes for a in arrays) + rs.dyads.nbytes
+        M, D, P = len(seq), len(rs), st_.n_columns
+        assert design_bytes < M * D * P * 8 / 10
 
 
 def continuous_stats(seq, rs, kinds, decay_per_kind):
@@ -195,7 +242,7 @@ class TestContinuous:
         unit = StepwiseDecay(spec, (1.0,))
         cont = continuous_stats(seq, rs, ALL_KINDS, {k: unit for k in ALL_KINDS})
         step = compute_stepwise_stats(seq, rs, ALL_KINDS, spec)
-        np.testing.assert_array_equal(cont, step.values)
+        np.testing.assert_array_equal(cont, step.to_dense())
 
     def test_zero_decay_gives_zeros(self, rng):
         seq = random_sequence(rng, 3, 15)
@@ -269,8 +316,8 @@ def test_interval_additivity_property(data):
     if cut <= lo or cut >= spec.gamma[k]:
         return
     refined = IntervalSpec(np.sort(np.append(spec.gamma, cut)))
-    base = compute_stepwise_stats(seq, rs, ALL_KINDS, spec).values
-    fine = compute_stepwise_stats(seq, rs, ALL_KINDS, refined).values
+    base = compute_stepwise_stats(seq, rs, ALL_KINDS, spec).to_dense()
+    fine = compute_stepwise_stats(seq, rs, ALL_KINDS, refined).to_dense()
     K, Kf = spec.size, refined.size
     for b, kind in enumerate(ALL_KINDS):
         coarse_block = base[:, :, 1 + b * K : 1 + (b + 1) * K]
@@ -293,17 +340,17 @@ def test_union_and_horizon_monotonicity_property(data):
     growing the horizon never decreases any count."""
     seq, spec, _ = data
     rs = RiskSet(seq.n_actors)
-    multi = compute_stepwise_stats(seq, rs, ALL_KINDS, spec).values
+    multi = compute_stepwise_stats(seq, rs, ALL_KINDS, spec).to_dense()
     single = compute_stepwise_stats(
         seq, rs, ALL_KINDS, IntervalSpec(spec.gamma[-1:])
-    ).values
+    ).to_dense()
     K = spec.size
     for b in range(len(ALL_KINDS)):
         block_sum = multi[:, :, 1 + b * K : 1 + (b + 1) * K].sum(axis=2)
         np.testing.assert_array_equal(block_sum, single[:, :, 1 + b])
     bigger = compute_stepwise_stats(
         seq, rs, ALL_KINDS, IntervalSpec(spec.gamma[-1:] * 1.7)
-    ).values
+    ).to_dense()
     assert np.all(bigger[:, :, 1:] >= single[:, :, 1:])
 
 
@@ -323,8 +370,8 @@ def test_no_lookahead_property(data):
     perm = rng.permutation(tail)
     senders[tail], receivers[tail] = senders[perm], receivers[perm]
     other = EventSequence(seq.times, senders, receivers, seq.n_actors)
-    a = compute_stepwise_stats(seq, rs, ALL_KINDS, spec).values
-    b = compute_stepwise_stats(other, rs, ALL_KINDS, spec).values
+    a = compute_stepwise_stats(seq, rs, ALL_KINDS, spec).to_dense()
+    b = compute_stepwise_stats(other, rs, ALL_KINDS, spec).to_dense()
     np.testing.assert_array_equal(a[:m_cut], b[:m_cut])
 
 
