@@ -265,22 +265,26 @@ def fit_bag(
     set, each converged fit is scored and its elpd stored on ``fit.waic``,
     using the draw stream ``waic_model_rng(waic.seed, q)``, so the results do
     not depend on ``jobs``. ``jobs > 1`` spreads the models over that many
-    worker processes. Only one design per process is alive at a time. The
-    options are validated by this call, before any model runs.
+    worker processes (never more than there are models). Only one design per
+    process is alive at a time. The options are validated by this call,
+    before any model runs.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
     args = (seq, tuple(StatisticKind(k) for k in kinds), waic, FitOptions(ridge=ridge))
-    return _run_bag(args, list(enumerate(specs)), jobs)
+    tasks = list(enumerate(specs))
+    return _run_bag(args, tasks, min(jobs, len(tasks)))
 
 
-def _run_bag(args: tuple, tasks: list[tuple[int, IntervalSpec]], jobs: int
+def _run_bag(args: tuple, tasks: list[tuple[int, IntervalSpec]], workers: int
              ) -> Iterator[tuple[int, ModelFit, float]]:
-    if jobs <= 1:
+    if workers <= 1:
         yield from map(_BagRunner(*args), tasks)
         return
     with concurrent.futures.ProcessPoolExecutor(
-        max_workers=jobs, initializer=_start_worker, initargs=args
+        max_workers=workers, initializer=_start_worker, initargs=args
     ) as pool:
-        yield from pool.map(_run_in_worker, tasks, chunksize=max(1, len(tasks) // (8 * jobs)))
+        yield from pool.map(_run_in_worker, tasks, chunksize=max(1, len(tasks) // (8 * workers)))
 
 
 @dataclass
@@ -303,10 +307,12 @@ class ModelBag:
 
 @dataclass
 class PosteriorDraws:
-    """Mixture draws: model index plus that model's coefficient vector."""
+    """Mixture draws, held per model: draw slot s came from model
+    ``model_indices[s]``, and ``blocks[q]`` holds model q's coefficient rows
+    (one per slot of q, in slot order)."""
 
     model_indices: np.ndarray
-    betas: list[np.ndarray]
+    blocks: dict[int, np.ndarray]
 
     @property
     def n_draws(self) -> int:
@@ -319,15 +325,13 @@ def sample_posterior(bag: ModelBag, n_draws: int, seed: int = 0) -> PosteriorDra
     if n_draws < 1:
         raise ValueError("n_draws must be positive")
     rng = np.random.default_rng(np.random.SeedSequence((seed, _DRAW_STREAM)))
-    qs = rng.choice(len(bag.fits), size=n_draws, p=bag.weights)
-    betas: list[np.ndarray | None] = [None] * n_draws
-    for q in np.unique(qs):
-        fit = bag.fits[q]
-        slots = np.flatnonzero(qs == q)
-        block = _mvn_draws(fit.beta_hat, fit.cov_hat, slots.size, rng)
-        for s, row in zip(slots, block):
-            betas[s] = row
-    return PosteriorDraws(model_indices=qs.astype(np.int64), betas=betas)
+    qs = rng.choice(len(bag.fits), size=n_draws, p=bag.weights).astype(np.int64)
+    q_drawn, counts = np.unique(qs, return_counts=True)
+    blocks = {
+        int(q): _mvn_draws(bag.fits[q].beta_hat, bag.fits[q].cov_hat, int(c), rng)
+        for q, c in zip(q_drawn, counts)
+    }
+    return PosteriorDraws(model_indices=qs, blocks=blocks)
 
 
 def kde_mode(values: np.ndarray, n_grid: int = 512) -> float:
@@ -421,14 +425,11 @@ class PosteriorTrend:
                     w.writerow([kind.value, repr(float(g)), repr(float(m)), repr(float(lo)), repr(float(hi))])
 
 
-def _model_columns(fit: ModelFit, kind: StatisticKind, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column index per grid age under this fit's spec, plus a beyond-horizon mask."""
+def _model_columns(fit: ModelFit, kind: StatisticKind, grid: np.ndarray) -> np.ndarray:
+    """Column index of ``kind`` per grid age under this fit's spec; -1 beyond its horizon."""
     K = (fit.n_params - 1) // len(fit.kinds)
-    block = fit.kinds.index(kind)
     k_idx = locate_intervals(fit.spec, grid)
-    beyond = k_idx == 0
-    cols = 1 + block * K + np.where(beyond, 1, k_idx) - 1
-    return cols, beyond
+    return np.where(k_idx == 0, -1, fit.kinds.index(kind) * K + k_idx)
 
 
 def extract_trend(
@@ -459,47 +460,34 @@ def extract_trend(
         gamma_max = max(f.spec.horizon for f in fits)
     grid = np.linspace(0.0, float(gamma_max), grid_size)
 
-    by_model: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for q in np.unique(draws.model_indices):
-        slots = np.flatnonzero(draws.model_indices == q)
-        block = np.vstack([draws.betas[s] for s in slots])
-        by_model[int(q)] = (slots, block)
+    slots = {q: np.flatnonzero(draws.model_indices == q) for q in draws.blocks}
+    vals = np.empty(draws.n_draws)
 
-    modes: dict[StatisticKind, np.ndarray] = {}
-    lows: dict[StatisticKind, np.ndarray] = {}
-    highs: dict[StatisticKind, np.ndarray] = {}
-    means: dict[StatisticKind, np.ndarray] = {}
-    for kind in kinds:
-        per_model = {
-            q: _model_columns(fits[q], kind, grid) for q in by_model
-        }
-        mode_g = np.empty(grid_size)
-        lo_g = np.empty(grid_size)
-        hi_g = np.empty(grid_size)
-        mean_g = np.empty(grid_size)
-        vals = np.empty(draws.n_draws)
-        for gi in range(grid_size):
-            for q, (slots, block) in by_model.items():
-                cols, beyond = per_model[q]
-                vals[slots] = 0.0 if beyond[gi] else block[:, cols[gi]]
-            mode_g[gi] = kde_mode(vals)
-            lo_g[gi], hi_g[gi] = hpd_interval(vals, level)
-            mean_g[gi] = vals.mean()
-        modes[kind] = mode_g
-        lows[kind] = lo_g
-        highs[kind] = hi_g
-        means[kind] = mean_g
+    def summarize(columns: dict[int, np.ndarray]) -> np.ndarray:
+        """(mode, hpd_low, hpd_high, mean) per grid point, from each drawn
+        model's column per point (-1 where its effect is 0); points that read
+        the same column of every model share one draw vector, summarized once."""
+        distinct, inverse = np.unique(np.column_stack(list(columns.values())), axis=0,
+                                      return_inverse=True)
+        out = np.empty((len(distinct), 4))
+        for u, row in enumerate(distinct):
+            for q, c in zip(columns, row):
+                vals[slots[q]] = 0.0 if c < 0 else draws.blocks[q][:, c]
+            out[u] = (kde_mode(vals), *hpd_interval(vals, level), vals.mean())
+        return out[inverse.reshape(-1)].T
 
-    intercepts = np.empty(draws.n_draws)
-    for q, (slots, block) in by_model.items():
-        intercepts[slots] = block[:, 0]
+    summaries = {
+        kind: summarize({q: _model_columns(fits[q], kind, grid) for q in draws.blocks})
+        for kind in kinds
+    }
+    intercept = summarize({q: np.zeros(1, dtype=np.int64) for q in draws.blocks})[:, 0]
     return PosteriorTrend(
         grid=grid,
-        modes=modes,
-        hpd_low=lows,
-        hpd_high=highs,
-        means=means,
-        intercept_mode=kde_mode(intercepts),
-        intercept_hpd=hpd_interval(intercepts, level),
+        modes={k: s[0] for k, s in summaries.items()},
+        hpd_low={k: s[1] for k, s in summaries.items()},
+        hpd_high={k: s[2] for k, s in summaries.items()},
+        means={k: s[3] for k, s in summaries.items()},
+        intercept_mode=float(intercept[0]),
+        intercept_hpd=(float(intercept[1]), float(intercept[2])),
         level=level,
     )

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .events import EventSequence
 from .intervals import IntervalSpec
@@ -242,11 +241,11 @@ def _check_identifiable(info: np.ndarray, labels: tuple[str, ...]) -> None:
         )
 
 
-def _factor(A: np.ndarray) -> tuple[tuple[np.ndarray, bool], bool]:
-    """Cholesky factor of A, and whether it needed the 1e-8 diagonal jitter."""
+def _factor(A: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Lower Cholesky factor of A, and whether it needed the 1e-8 diagonal jitter."""
     for jitter in (0.0, 1e-8):
         try:
-            return scipy.linalg.cho_factor(A + jitter * np.eye(len(A)), lower=True), jitter > 0
+            return np.linalg.cholesky(A + jitter * np.eye(len(A))), jitter > 0
         except np.linalg.LinAlgError:
             if jitter:
                 raise
@@ -283,7 +282,7 @@ def fit_mle(
         if rel < TOL and np.max(np.abs(grad)) < GRAD_TOL:
             converged = True
             break
-        step = scipy.linalg.cho_solve(chol, grad)
+        step = np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
 
         alpha = 1.0
         for _ in range(50):
@@ -307,7 +306,7 @@ def fit_mle(
         notes.append(f"newton did not converge in {MAX_ITER} iterations")
         warnings.warn(notes[-1], RuntimeWarning, stacklevel=2)
 
-    cov = scipy.linalg.cho_solve(chol, np.eye(P))
+    cov = np.linalg.solve(chol.T, np.linalg.solve(chol, np.eye(P)))
     cov = 0.5 * (cov + cov.T)
 
     return ModelFit(

@@ -104,27 +104,29 @@ class StatTensor:
         return np.ascontiguousarray(dense.reshape(D, M, -1).swapaxes(0, 1))
 
 
-def _threshold_rows(times: np.ndarray, bound: float) -> np.ndarray:
-    """For every event e, the first row m with times[m] - times[e] > bound.
-
-    Seeded by searchsorted on times[e] + bound, then nudged until it agrees
-    with the subtraction-form predicate (the two can differ by an ulp).
-    """
+def _first_rows(times: np.ndarray, idx: np.ndarray, reached) -> np.ndarray:
+    """Nudge searchsorted seeds ``idx`` to the first row m where ``reached(m)``
+    holds, entry by entry (M where it never does). ``reached`` is the
+    subtraction-form predicate, monotone in the row; the seeds come from its
+    addition form and can be off by an ulp."""
     M = times.size
-    idx = np.searchsorted(times, times + bound, side="right")
     while True:
-        j = np.maximum(idx - 1, 0)
-        dec = (idx > 0) & (times[j] - times > bound)
+        dec = (idx > 0) & reached(np.maximum(idx - 1, 0))
         if not dec.any():
             break
         idx[dec] -= 1
     while True:
-        j = np.minimum(idx, M - 1)
-        inc = (idx < M) & (times[j] - times <= bound)
+        inc = (idx < M) & ~reached(np.minimum(idx, M - 1))
         if not inc.any():
             break
         idx[inc] += 1
     return idx
+
+
+def _threshold_rows(times: np.ndarray, bound: float) -> np.ndarray:
+    """For every event e, the first row m with times[m] - times[e] > bound."""
+    idx = np.searchsorted(times, times + bound, side="right")
+    return _first_rows(times, idx, lambda j: times[j] - times > bound)
 
 
 def _interval_row_ends(times: np.ndarray, spec: IntervalSpec) -> np.ndarray:
@@ -139,21 +141,8 @@ def _interval_row_ends(times: np.ndarray, spec: IntervalSpec) -> np.ndarray:
 def _activation_rows(times: np.ndarray, t_outer: float, t_inner: np.ndarray) -> np.ndarray:
     """First row m where the inner-search window of the outer event reaches
     back to each inner time: times[e] - (times[m] - times[e]) <= t_inner."""
-    M = times.size
     idx = np.searchsorted(times, 2.0 * t_outer - t_inner, side="left")
-    idx = np.minimum(idx, M - 1)
-    while True:
-        j = np.maximum(idx - 1, 0)
-        dec = (idx > 0) & (t_outer - (times[j] - t_outer) <= t_inner)
-        if not dec.any():
-            break
-        idx[dec] -= 1
-    while True:
-        inc = (idx < M) & (t_outer - (times[np.minimum(idx, M - 1)] - t_outer) > t_inner)
-        if not inc.any():
-            break
-        idx[inc] += 1
-    return idx
+    return _first_rows(times, idx, lambda j: t_outer - (times[j] - t_outer) <= t_inner)
 
 
 @dataclass(frozen=True)

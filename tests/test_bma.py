@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from remdecay import bma
 from remdecay.bma import (
     ModelBag,
+    PosteriorDraws,
     WaicConfig,
     bag_weights,
     bic_weights,
@@ -18,7 +20,7 @@ from remdecay.bma import (
     weights_from_elpds,
 )
 from remdecay.events import RiskSet
-from remdecay.intervals import IntervalSpec, equal_spec
+from remdecay.intervals import IntervalSpec, equal_spec, locate_intervals
 from remdecay.likelihood import ModelFit, fit_mle
 from remdecay.stats import StatisticKind, compute_stepwise_stats
 
@@ -168,14 +170,58 @@ class TestWaic:
             WaicConfig(burn_in=5, ahead=1, n_draws=1)
 
 
+class FakePool:
+    """Records max_workers and runs the initializer and map in this process."""
+
+    seen: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        FakePool.seen.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+class TestFitBagJobs:
+    def test_invalid_jobs_rejected(self, small_fit_setup):
+        seq, _, spec, _, _ = small_fit_setup
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match="jobs"):
+                fit_bag(seq, [spec], [INERTIA], jobs=jobs)
+
+    def test_pool_sized_by_bag(self, small_fit_setup, monkeypatch):
+        seq, _, spec, _, _ = small_fit_setup
+        specs = [spec, equal_spec(3, spec.horizon), equal_spec(4, spec.horizon)]
+        monkeypatch.setattr(bma.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(bma, "_worker_runner", None)
+        monkeypatch.setattr(FakePool, "seen", [])
+        serial = list(fit_bag(seq, specs, [INERTIA], jobs=1))
+        assert FakePool.seen == []
+        for jobs, workers in ((2, 2), (3, 3), (64, 3)):
+            runs = list(fit_bag(seq, specs, [INERTIA], jobs=jobs))
+            assert FakePool.seen[-1] == workers
+            assert [q for q, _, _ in runs] == [0, 1, 2]
+            for (_, a, _), (_, b, _) in zip(runs, serial):
+                np.testing.assert_array_equal(a.beta_hat, b.beta_hat)
+        # a one-model bag runs serially whatever jobs asks for
+        list(fit_bag(seq, specs[:1], [INERTIA], jobs=8))
+        assert len(FakePool.seen) == 3
+
+
 class TestSamplePosterior:
     def test_degenerate_bag_all_draws_equal(self):
         fit = make_fit([10.0], [0.5, -0.2], cov_scale=0.0)
         bag = ModelBag(fits=[fit], weights=np.array([1.0]), weighting_kind="bic")
         draws = sample_posterior(bag, 50, seed=3)
-        for q, beta in zip(draws.model_indices, draws.betas):
-            assert q == 0
-            np.testing.assert_array_equal(beta, fit.beta_hat)
+        assert np.all(draws.model_indices == 0) and list(draws.blocks) == [0]
+        np.testing.assert_array_equal(draws.blocks[0], np.tile(fit.beta_hat, (50, 1)))
 
     def test_zero_weight_model_never_drawn(self):
         fits = [make_fit([10.0], [0.0, 0.1]), make_fit([10.0], [9.9, 9.9])]
@@ -199,8 +245,10 @@ class TestSamplePosterior:
         a = sample_posterior(bag, 500, seed=42)
         b = sample_posterior(bag, 500, seed=42)
         assert np.array_equal(a.model_indices, b.model_indices)
-        for x, y in zip(a.betas, b.betas):
-            np.testing.assert_array_equal(x, y)
+        assert list(a.blocks) == list(b.blocks) == [0, 1]
+        for q in a.blocks:
+            assert a.blocks[q].shape == (np.count_nonzero(a.model_indices == q), 2)
+            np.testing.assert_array_equal(a.blocks[q], b.blocks[q])
 
 
 class TestSummaries:
@@ -264,16 +312,65 @@ class TestExtractTrend:
         bag = ModelBag(fits=fits, weights=np.array([0.5, 0.5]), weighting_kind="bic")
         draws = sample_posterior(bag, 400, seed=7)
         perm = rng.permutation(draws.n_draws)
-        from remdecay.bma import PosteriorDraws
-
+        # new slot s holds old slot perm[s]; each block is reordered to its new slots
+        row_of = np.empty(draws.n_draws, dtype=np.int64)
+        for q in draws.blocks:
+            old = np.flatnonzero(draws.model_indices == q)
+            row_of[old] = np.arange(old.size)
+        qs = draws.model_indices[perm]
         shuffled = PosteriorDraws(
-            model_indices=draws.model_indices[perm],
-            betas=[draws.betas[p] for p in perm],
+            model_indices=qs,
+            blocks={q: block[row_of[perm[qs == q]]] for q, block in draws.blocks.items()},
         )
         a = extract_trend(draws, bag, grid_size=15, gamma_max=6.0)
         b = extract_trend(shuffled, bag, grid_size=15, gamma_max=6.0)
         np.testing.assert_array_equal(a.modes[INERTIA], b.modes[INERTIA])
         np.testing.assert_array_equal(a.hpd_low[INERTIA], b.hpd_low[INERTIA])
+
+    def test_matches_per_grid_reference(self):
+        """Summaries per distinct draw vector equal a brute-force summary of
+        every grid point, with shared and unshared bounds, two kinds, and grid
+        points beyond some or all horizons."""
+        kinds = (INERTIA, StatisticKind.RECIPROCITY)
+
+        def two_kind_fit(gamma, rng):
+            K = len(gamma)
+            beta = rng.normal(0.0, 0.5, 1 + 2 * K)
+            return ModelFit(
+                spec=IntervalSpec(np.asarray(gamma, dtype=float)),
+                kinds=kinds,
+                labels=tuple(f"c{p}" for p in range(1 + 2 * K)),
+                beta_hat=beta,
+                cov_hat=0.05 * np.eye(1 + 2 * K),
+                loglik=-100.0,
+                n_params=1 + 2 * K,
+                n_events=50,
+                bic=200.0,
+            )
+
+        rng = np.random.default_rng(5)
+        fits = [two_kind_fit(g, rng) for g in ([4.0, 10.0], [4.0, 7.0, 10.0], [3.0, 6.0])]
+        bag = ModelBag(fits=fits, weights=np.array([0.3, 0.3, 0.4]), weighting_kind="bic")
+        draws = sample_posterior(bag, 600, seed=4)
+        trend = extract_trend(draws, bag, grid_size=41, gamma_max=12.0)
+
+        slots = {q: np.flatnonzero(draws.model_indices == q) for q in draws.blocks}
+        vals = np.empty(draws.n_draws)
+        for block_index, kind in enumerate(kinds):
+            for gi, g in enumerate(trend.grid):
+                for q, block in draws.blocks.items():
+                    K = fits[q].spec.size
+                    k = int(locate_intervals(fits[q].spec, np.array([g]))[0])
+                    vals[slots[q]] = 0.0 if k == 0 else block[:, 1 + block_index * K + k - 1]
+                lo, hi = hpd_interval(vals)
+                assert trend.modes[kind][gi] == kde_mode(vals)
+                assert (trend.hpd_low[kind][gi], trend.hpd_high[kind][gi]) == (lo, hi)
+                assert trend.means[kind][gi] == vals.mean()
+        for q, block in draws.blocks.items():
+            vals[slots[q]] = block[:, 0]
+        assert trend.intercept_mode == kde_mode(vals)
+        assert trend.intercept_hpd == hpd_interval(vals)
+        assert np.all(trend.modes[INERTIA][trend.grid > 10.0] == 0.0)
 
     def test_band_ordering_pointwise(self, rng):
         fits = [

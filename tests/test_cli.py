@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -151,6 +153,7 @@ class TestFitBag:
     @pytest.mark.parametrize("flags, name", [
         (["--ridge", "-1"], "ridge"),
         (["--weighting", "waic", "--waic-burn-in", "0"], "burn_in"),
+        (["--jobs", "0"], "jobs"),
     ])
     def test_invalid_fit_option_is_error(self, sim_dir, tmp_path, capsys, flags, name):
         rc = main([
@@ -292,3 +295,19 @@ class TestReportAndConfig:
         rc = main(["simulate", "--n-actors", "3", "--beta0", "-3", "--n-events", "5"])
         assert rc == 1
         assert "output directory" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    """Every command pays the CLI's import, so it loads no scipy module;
+    scipy.sparse is imported only where WAIC needs it."""
+    import remdecay
+
+    src = os.path.dirname(os.path.dirname(remdecay.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import remdecay.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
