@@ -190,7 +190,8 @@ def cmd_fit_bag(cfg: dict) -> dict:
         for q, fit, seconds in runs:
             fits.append(fit)
             log.write(event="fit", model=q, seconds=seconds, loglik=fit.loglik,
-                      converged=fit.converged, elpd=fit.waic)
+                      converged=fit.converged, elpd=fit.waic, iterations=fit.iterations,
+                      halvings=fit.halvings, max_abs_grad=fit.max_abs_grad, jitter=fit.jittered)
         wall = time.perf_counter() - t0
 
         n_converged = sum(f.converged for f in fits)

@@ -5,7 +5,11 @@ dyad) x (survival of every at-risk dyad over the waiting time); rates are
 log-linear in the statistics. Because a dyad's rate is constant over each run
 of the run-length design, the survival term is the sum over runs of the run's
 exposure (its total waiting time) x its rate. The log-likelihood is concave,
-so Newton iterations with step halving from beta = 0 converge globally.
+so Newton iterations with step halving converge globally. The fit starts at
+the closed-form intercept-only MLE, evaluates the rate kernel once per
+candidate point (an accepted candidate's run weights give its gradient and
+Hessian), and stops on the tolerances or when the predicted gain of the next
+step is at the float resolution of the log-likelihood.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ class RankDeficiencyError(np.linalg.LinAlgError):
 TOL = 1e-10  # relative log-likelihood change at convergence
 GRAD_TOL = 1e-6  # max |gradient| at convergence
 MAX_ITER = 100
+LINE_SEARCH_STEPS = 50  # candidates per line search; the step is halved after each rejection
+FLOAT_FLOOR = 64 * np.finfo(np.float64).eps  # predicted gain, relative to max(1, |ll|), that ll cannot resolve
+_JITTER_NOTE = "hessian factorization required a 1e-8 jitter"
 _DRAW_BLOCK = 8_000_000  # run-rate entries per block of draws
 _ROW_BLOCK = 32_768  # runs per block of the Hessian sum
 
@@ -64,7 +71,15 @@ class FitOptions:
 
 @dataclass
 class ModelFit:
-    """MLE of one stepwise model plus its normal posterior approximation."""
+    """MLE of one stepwise model plus its normal posterior approximation.
+
+    The Newton diagnostics are ``iterations``, ``halvings`` (rejected line
+    search candidates over the whole fit), ``max_abs_grad`` (at ``beta_hat``)
+    and ``stop``: "tolerance" or "float_floor" for a converged fit, "stalled"
+    (a line search found no improving step) or "max_iter" otherwise. Fits
+    loaded from files written before these fields existed have ``halvings``
+    0 and ``max_abs_grad`` and ``stop`` None.
+    """
 
     spec: IntervalSpec | None
     kinds: tuple[StatisticKind, ...]
@@ -79,6 +94,14 @@ class ModelFit:
     converged: bool = True
     iterations: int = 0
     warnings: tuple[str, ...] = ()
+    halvings: int = 0
+    max_abs_grad: float | None = None
+    stop: str | None = None
+
+    @property
+    def jittered(self) -> bool:
+        """Whether a Newton system needed the diagonal jitter to factor."""
+        return _JITTER_NOTE in self.warnings
 
     def to_json_dict(self) -> dict:
         return {
@@ -95,6 +118,9 @@ class ModelFit:
             "converged": self.converged,
             "iterations": self.iterations,
             "warnings": list(self.warnings),
+            "halvings": self.halvings,
+            "max_abs_grad": self.max_abs_grad,
+            "stop": self.stop,
         }
 
     @classmethod
@@ -114,6 +140,9 @@ class ModelFit:
             converged=d["converged"],
             iterations=d["iterations"],
             warnings=tuple(d.get("warnings", ())),
+            halvings=d.get("halvings", 0),
+            max_abs_grad=d.get("max_abs_grad"),
+            stop=d.get("stop"),
         )
 
 
@@ -129,22 +158,23 @@ def run_rates(stats: StatTensor, betas: np.ndarray) -> np.ndarray:
         return np.exp(eta, out=eta)
 
 
-def _exposures(stats: StatTensor, seq: EventSequence) -> np.ndarray:
-    """W_r: the waiting time run r is at risk, T[stop] - T[start] with T = (t0, times)."""
+def _constants(stats: StatTensor, seq: EventSequence) -> tuple[np.ndarray, np.ndarray]:
+    """The per-fit constants of the likelihood: the exposures W_r, the waiting
+    time run r is at risk (T[stop] - T[start] with T = (t0, times)), and s, the
+    summed realized statistics."""
     T = np.concatenate(([seq.t0], seq.times))
-    return T[stats.stop] - T[stats.start]
+    return T[stats.stop] - T[stats.start], stats.states[stats.realized].sum(axis=0)
 
 
 def _reduce(
-    stats: StatTensor, seq: EventSequence, beta: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """The log-likelihood s . beta - sum_r W_r e_r, with s the summed realized
-    statistics and w_r = W_r e_r, the weight of run r in every derivative."""
-    realized = stats.states[stats.realized].sum(axis=0)
+    stats: StatTensor, W: np.ndarray, s: np.ndarray, beta: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The log-likelihood s . beta - sum_r W_r e_r and the run weights
+    w_r = W_r e_r, the weight of run r in every derivative."""
     e = run_rates(stats, beta)
     with np.errstate(invalid="ignore"):
-        w = _exposures(stats, seq) * e
-        return float(realized @ beta - w.sum()), realized, w
+        w = np.multiply(W, e, out=e)
+        return float(s @ beta - w.sum()), w
 
 
 def _require_finite(value: float, stats: StatTensor, seq: EventSequence, beta: np.ndarray) -> None:
@@ -181,7 +211,7 @@ def event_terms(stats: StatTensor, seq: EventSequence, betas: np.ndarray) -> np.
 def log_likelihood(stats: StatTensor, seq: EventSequence, beta: np.ndarray) -> float:
     """Sum over events of realized log-rate minus waiting-time x total rate;
     an overflow raises at its first event."""
-    value = _reduce(stats, seq, beta)[0]
+    value = _reduce(stats, *_constants(stats, seq), beta)[0]
     _require_finite(value, stats, seq, beta)
     return value
 
@@ -197,21 +227,17 @@ def event_log_densities(stats: StatTensor, seq: EventSequence, draws: np.ndarray
     return out
 
 
-def _value_grad_hess(
-    stats: StatTensor, seq: EventSequence, beta: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Log-likelihood with its analytic derivatives in one pass. The Hessian
-    is accumulated over blocks of runs, so no weighted copy of the design
-    is held."""
-    value, realized, w = _reduce(stats, seq, beta)
-    _require_finite(value, stats, seq, beta)
-    U = stats.states
-    grad = realized - w @ U
+def _derivatives(U: np.ndarray, s: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient s - w . U and Hessian -(sqrt(w) U)'(sqrt(w) U) from the run
+    weights of one ``_reduce``. The Hessian is summed over blocks of runs, so
+    only one block of the weighted design is held, and each block product is
+    symmetric by construction."""
     hess = np.zeros((U.shape[1], U.shape[1]))
     for r0 in range(0, len(U), _ROW_BLOCK):
-        block = U[r0 : r0 + _ROW_BLOCK]
-        hess -= (block * w[r0 : r0 + _ROW_BLOCK, None]).T @ block
-    return value, grad, 0.5 * (hess + hess.T)
+        rows = slice(r0, r0 + _ROW_BLOCK)
+        block = U[rows] * np.sqrt(w[rows])[:, None]
+        hess -= block.T @ block
+    return s - w @ U, hess
 
 
 def grad_and_hessian(
@@ -220,13 +246,17 @@ def grad_and_hessian(
     """Analytic first and second derivatives of the log-likelihood. The Hessian
     is the negated rate-weighted second moment of the statistics, so it is
     negative semidefinite everywhere."""
-    _, grad, hess = _value_grad_hess(stats, seq, beta)
-    return grad, hess
+    W, s = _constants(stats, seq)
+    value, w = _reduce(stats, W, s, beta)
+    _require_finite(value, stats, seq, beta)
+    return _derivatives(stats.states, s, w)
 
 
 def _check_identifiable(info: np.ndarray, labels: tuple[str, ...]) -> None:
-    """The information at beta = 0 is the waiting-time-weighted Gram matrix of
-    the design: a zero diagonal is a zero column, a rank below P dependence."""
+    """The information at a point whose only nonzero coefficient is the
+    intercept's is a positive multiple of the waiting-time-weighted Gram
+    matrix of the design: a zero diagonal is a zero column, a rank below P
+    dependence."""
     zeros = np.flatnonzero(np.diag(info) == 0.0)
     if zeros.size:
         names = ", ".join(labels[p] for p in zeros)
@@ -256,54 +286,78 @@ def fit_mle(
     seq: EventSequence,
     opts: FitOptions | None = None,
 ) -> ModelFit:
-    """Newton MLE with step halving, from beta = 0.
+    """Newton MLE with step halving, from the intercept-only MLE.
 
-    Convergence requires both a relative log-likelihood change below ``TOL``
-    and a max absolute gradient below ``GRAD_TOL``. With ridge = 0 a
-    rank-deficient design is an error (identically-zero columns are named).
-    Each Newton system ridge*I - H is factored once, retried with a 1e-8
-    jitter if it fails (recorded as a warning on the fit); the factor at the
-    final beta gives the covariance.
+    The start is beta_0 = log(M / sum_r W_r) with every other coefficient 0
+    (beta = 0 when the total exposure is 0). With ridge = 0 a rank-deficient
+    design is an error, found from the information at the start
+    (identically-zero columns are named). The fit stops as converged when
+    both the relative log-likelihood change of the last step is below
+    ``TOL`` and the max absolute gradient is below ``GRAD_TOL``, or when the
+    predicted gain 1/2 g'(ridge*I - H)^-1 g of the next step is at most
+    ``FLOAT_FLOOR`` x max(1, |ll|). It stops unconverged when a line search
+    finds no improving step among ``LINE_SEARCH_STEPS`` candidates, or after
+    ``MAX_ITER`` iterations. The rate kernel runs once per candidate point:
+    the accepted candidate's run weights give its gradient and Hessian. Each
+    Newton system ridge*I - H is factored once, retried with a 1e-8 jitter
+    if it fails (recorded as a warning on the fit); the factor at the final
+    beta gives the covariance.
     """
     opts = opts or FitOptions()
     M, P = stats.n_events, stats.n_columns
-    if not np.isfinite(stats.states).all():
+    U = stats.states
+    if not np.isfinite(U).all():
         raise ValueError("statistics design contains non-finite values")
 
+    W, s = _constants(stats, seq)
+    exposure = W.sum()
     beta = np.zeros(P)
-    ll, grad, hess = _value_grad_hess(stats, seq, beta)
+    if exposure > 0.0:
+        beta[0] = math.log(M / exposure)  # column 0 is the intercept
+    ll, w = _reduce(stats, W, s, beta)
+    _require_finite(ll, stats, seq, beta)
+    grad, hess = _derivatives(U, s, w)
     if opts.ridge == 0.0:
         _check_identifiable(-hess, stats.labels)
     ridge = opts.ridge * np.eye(P)
     chol, jitter_used = _factor(ridge - hess)
-    converged = False
     rel = np.inf
+    halvings = 0
+    stop = "max_iter"
     for iters in range(1, MAX_ITER + 1):
         if rel < TOL and np.max(np.abs(grad)) < GRAD_TOL:
-            converged = True
+            stop = "tolerance"
             break
         step = np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
+        if 0.5 * (grad @ step) <= FLOAT_FLOOR * max(1.0, abs(ll)):
+            stop = "float_floor"
+            break
 
         alpha = 1.0
-        for _ in range(50):
+        for _ in range(LINE_SEARCH_STEPS):
             cand = beta + alpha * step
-            # the same reduction as ll; an overflow gives -inf or nan and fails
-            cand_ll = _reduce(stats, seq, cand)[0]
+            # an overflow gives -inf or nan and fails the comparison
+            cand_ll, w = _reduce(stats, W, s, cand)
             if cand_ll >= ll:
                 rel = abs(cand_ll - ll) / max(1.0, abs(cand_ll))
-                beta = cand
-                ll, grad, hess = _value_grad_hess(stats, seq, beta)
+                beta, ll = cand, cand_ll
+                grad, hess = _derivatives(U, s, w)
                 chol, jittered = _factor(ridge - hess)
                 jitter_used |= jittered
                 break
             alpha *= 0.5
+            halvings += 1
         else:
-            # no improving step: stationary up to floating-point noise
-            rel = 0.0
+            stop = "stalled"
+            break
 
-    notes = ["hessian factorization required a 1e-8 jitter"] if jitter_used else []
-    if not converged:
+    notes = [_JITTER_NOTE] if jitter_used else []
+    converged = stop in ("tolerance", "float_floor")
+    if stop == "stalled":
+        notes.append(f"newton stalled at iteration {iters}: the line search found no improving step")
+    elif stop == "max_iter":
         notes.append(f"newton did not converge in {MAX_ITER} iterations")
+    if not converged:
         warnings.warn(notes[-1], RuntimeWarning, stacklevel=2)
 
     cov = np.linalg.solve(chol.T, np.linalg.solve(chol, np.eye(P)))
@@ -322,4 +376,7 @@ def fit_mle(
         converged=converged,
         iterations=iters,
         warnings=tuple(notes),
+        halvings=halvings,
+        max_abs_grad=float(np.max(np.abs(grad))),
+        stop=stop,
     )

@@ -124,6 +124,18 @@ class TestFitBag:
         assert len(weights) == 3
         assert abs(sum(weights) - 1.0) < 1e-12
 
+    def test_fit_records_carry_newton_diagnostics(self, fitted_dir):
+        fits = json.loads((fitted_dir / "fits.json").read_text())["fits"]
+        log_fits = [r for r in map(json.loads, (fitted_dir / "log.ndjson").read_text().splitlines())
+                    if r["event"] == "fit"]
+        assert [r["model"] for r in log_fits] == list(range(len(fits)))
+        for record, fit in zip(log_fits, fits):
+            assert fit["stop"] in ("tolerance", "float_floor")
+            for key in ("iterations", "halvings", "max_abs_grad"):
+                assert record[key] == fit[key]
+            assert 1 <= record["iterations"] and 0 <= record["halvings"]
+            assert record["jitter"] is any("jitter" in note for note in fit["warnings"])
+
     def test_rerun_byte_identical(self, sim_dir, fitted_dir, tmp_path):
         out2 = tmp_path / "again"
         run([
@@ -297,17 +309,25 @@ class TestReportAndConfig:
         assert "output directory" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
-    """Every command pays the CLI's import, so it loads no scipy module;
-    scipy.sparse is imported only where WAIC needs it."""
+def test_cli_import_loads_no_scipy(sim_dir, tmp_path):
+    """Every command pays the CLI's import, so it loads no scipy module, and
+    neither does a BIC fit-bag run; scipy.sparse is imported only where WAIC
+    needs it."""
     import remdecay
 
     src = os.path.dirname(os.path.dirname(remdecay.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import remdecay.cli, sys; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    fit_bag = [
+        "fit-bag", "--events", str(sim_dir / "events.csv"), "--out", str(tmp_path / "bic"),
+        "--kinds", "inertia,reciprocity", "--k-values", "2", "--per-kind-count", "0",
+        "--min-size", "0.05", "--gamma-max", "12", "--weighting", "bic", "--jobs", "1",
+    ]
+    for code in (
+        f"import remdecay.cli, sys; {loaded}",
+        f"import sys; from remdecay.cli import main; assert main({fit_bag!r}) == 0; {loaded}",
+    ):
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == "[]"
+    assert (tmp_path / "bic" / "weights.csv").exists()

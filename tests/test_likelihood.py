@@ -210,6 +210,70 @@ class TestFit:
         expected = math.log(100 / (seq.times[-1] * 2))
         assert fit.converged
         assert fit.beta_hat[0] == pytest.approx(expected, abs=1e-8)
+        # the start is this MLE, so the first check stops at the float floor
+        assert (fit.iterations, fit.halvings, fit.stop) == (1, 0, "float_floor")
+
+    def test_zero_exposure_names_zero_columns(self):
+        # one event at t0: every run has zero exposure, so the closed-form
+        # start log(M / 0) is undefined and the information is zero
+        seq = EventSequence([0.0], [0], [1], 3)
+        stats = compute_stepwise_stats(seq, RiskSet(3), (StatisticKind.INERTIA,), equal_spec(2, 1.0))
+        with pytest.raises(RankDeficiencyError, match="zero: intercept, inertia_k1, inertia_k2;"):
+            fit_mle(stats, seq)
+
+    def test_kernel_evaluated_once_per_candidate(self, rng, monkeypatch):
+        kernel = likelihood.run_rates
+        seen = []
+
+        def counting(stats, betas):
+            seen.append(np.array(betas, dtype=np.float64))
+            return kernel(stats, betas)
+
+        monkeypatch.setattr(likelihood, "run_rates", counting)
+        rejected = 0
+        # the 12-event instance's MLE lies far out, and its line search rejects a step
+        for n_events in (12, 30, 60):
+            seq, rs, stats = random_instance(rng, n_events=n_events, K=3)
+            seen.clear()
+            fit = fit_mle(stats, seq)
+            assert fit.converged
+            # one evaluation at the start, one per accepted iterate (every
+            # iteration but the stopping one accepts a step) and one per
+            # rejected candidate; no point is evaluated twice
+            accepted = fit.iterations - 1
+            assert len(seen) == 1 + accepted + fit.halvings
+            assert len({b.tobytes() for b in seen}) == len(seen)
+            assert any(np.array_equal(b, fit.beta_hat) for b in seen)
+            rejected += fit.halvings
+        assert rejected > 0
+
+    def test_stalled_line_search_ends_fit(self, rng, monkeypatch):
+        seq, rs, stats = random_instance(rng, n_events=40)
+        kernel = likelihood.run_rates
+        calls = []
+
+        def overflow_after_start(stats, betas):
+            calls.append(np.array(betas, dtype=np.float64))
+            e = kernel(stats, betas)
+            return e if len(calls) == 1 else np.full_like(e, np.inf)
+
+        monkeypatch.setattr(likelihood, "run_rates", overflow_after_start)
+        with pytest.warns(RuntimeWarning, match="line search"):
+            fit = fit_mle(stats, seq)
+        assert len(calls) == 1 + likelihood.LINE_SEARCH_STEPS <= 51
+        assert not fit.converged
+        assert (fit.stop, fit.iterations, fit.halvings) == ("stalled", 1, likelihood.LINE_SEARCH_STEPS)
+        assert any("stalled" in note for note in fit.warnings)
+        np.testing.assert_array_equal(fit.beta_hat, calls[0])
+
+    def test_float_floor_stops_when_gradient_tolerance_unreachable(self, rng, monkeypatch):
+        seq, rs, stats = random_instance(rng, n_events=60)
+        base = fit_mle(stats, seq)
+        monkeypatch.setattr(likelihood, "GRAD_TOL", 0.0)
+        fit = fit_mle(stats, seq)
+        assert fit.converged and fit.stop == "float_floor"
+        assert fit.iterations <= base.iterations + 1
+        assert fit.loglik == pytest.approx(base.loglik, rel=1e-12)
 
     def test_gradient_small_at_solution(self, rng):
         seq, rs, stats = random_instance(rng, n_events=60)
@@ -278,3 +342,13 @@ class TestFit:
         np.testing.assert_array_equal(again.cov_hat, fit.cov_hat)
         assert again.bic == fit.bic and again.waic == fit.waic
         assert again.spec == fit.spec and again.kinds == fit.kinds
+        assert (again.iterations, again.halvings, again.stop) == (fit.iterations, fit.halvings, fit.stop)
+        assert again.max_abs_grad == fit.max_abs_grad and fit.stop in ("tolerance", "float_floor")
+        # a file written before the Newton diagnostics existed still loads
+        d = fit.to_json_dict()
+        for key in ("halvings", "max_abs_grad", "stop"):
+            del d[key]
+        old = ModelFit.from_json_dict(json.loads(json.dumps(d)))
+        np.testing.assert_array_equal(old.beta_hat, fit.beta_hat)
+        assert old.iterations == fit.iterations
+        assert (old.halvings, old.max_abs_grad, old.stop) == (0, None, None)
