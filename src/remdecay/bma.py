@@ -141,13 +141,16 @@ def waic_elpd(
         raise ValueError("need at least 2 draws for a variance")
 
     hz = event_log_densities(stats, seq, draws)
-    cs = np.vstack([np.zeros((1, B)), np.cumsum(hz, axis=0)])
-    i_vals = np.arange(L, M - A + 1)  # 1-based prediction points
-    ld = cs[i_vals + A] - cs[i_vals]  # (n_points, B) log predictive densities
+    # (n_points, B) log predictive densities: the point after event i
+    # (1-based, i = L..M-A) sums the terms of events i+1..i+A
+    ld = hz[L : M - A + 1]
+    for a in range(1, A):
+        ld = ld + hz[L + a : M - A + 1 + a]
     mx = ld.max(axis=1, keepdims=True)
     with np.errstate(invalid="ignore"):
-        lpd_i = np.log(np.exp(ld - mx).mean(axis=1)) + mx[:, 0]
-        p_i = ld.var(axis=1, ddof=1)
+        shifted = ld - mx
+        p_i = shifted.var(axis=1, ddof=1)
+        lpd_i = np.log(np.exp(shifted, out=shifted).mean(axis=1)) + mx[:, 0]
     lpd = float(lpd_i.sum())
     p_waic = float(p_i.sum())
     return lpd - p_waic, lpd, p_waic
@@ -355,7 +358,9 @@ def kde_mode(values: np.ndarray, n_grid: int = 512) -> float:
     half = min(int(math.ceil(4.0 * bw / step)), 4 * n_grid)
     u = np.arange(-half, half + 1) * step / bw
     kernel = np.exp(-0.5 * u * u)
-    dens = np.convolve(counts.astype(np.float64), kernel, mode="same")
+    # the central n_grid points of the full convolution: mode="same" returns
+    # the longer input's length, the kernel's when it outgrows the grid
+    dens = np.convolve(counts.astype(np.float64), kernel)[half : half + n_grid]
     return float(centers[int(np.argmax(dens))])
 
 

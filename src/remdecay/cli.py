@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -264,6 +265,22 @@ def cmd_trend(cfg: dict) -> dict:
 # report
 
 
+def _newton_line(fits: list[ModelFit]) -> str:
+    """One report line summarizing the Newton diagnostics of every fit."""
+    iters = [f.iterations for f in fits]
+    halvings = [f.halvings for f in fits]
+    grads = [f.max_abs_grad for f in fits if f.max_abs_grad is not None]
+    grad = f"{max(grads):.3g}" if grads else "unrecorded"
+    stops = Counter(f.stop or "unrecorded" for f in fits)
+    return (
+        f"- newton: {sum(iters)} iterations (at most {max(iters)} per model), "
+        f"{sum(halvings)} step halvings (at most {max(halvings)} per model), "
+        f"largest final max|grad| {grad}; stops: "
+        + ", ".join(f"{reason} {n}" for reason, n in sorted(stops.items()))
+        + f"; jittered fits: {sum(f.jittered for f in fits)}"
+    )
+
+
 def cmd_report(cfg: dict) -> dict:
     out = cfg["out"]
     report_path = os.path.join(out, "report.md")
@@ -277,6 +294,7 @@ def cmd_report(cfg: dict) -> dict:
         f"- max weight: {bag.weights.max():.4f}; effective number of models "
         f"(1/sum w^2): {effective_model_count(bag.weights):.2f}"
     )
+    lines.append(_newton_line(bag.fits))
     lines.append("")
     lines.append("| rank | model | kind | K | BIC | elpd | weight |")
     lines.append("|------|-------|------|---|-----|------|--------|")

@@ -134,10 +134,11 @@ def generate_interval_bag(
     """Generate the randomized bag of stepwise interval specs.
 
     For each K in ``K_values`` the bag receives ``per_kind_count`` specs with
-    nondecreasing widths, ``per_kind_count`` with nonincreasing widths (the
-    same simplex draw sorted the other way), and one equal-width spec. Width
-    shares below ``min_size`` (a fraction of gamma_K) are rejected and
-    redrawn. The last bound is set to gamma_K exactly. Fixed seed, fixed bag.
+    nondecreasing widths, ``per_kind_count`` with nonincreasing widths (each
+    from a fresh simplex draw, sorted the other way), and one equal-width
+    spec. Width shares below ``min_size`` (a fraction of gamma_K) are
+    rejected and redrawn. The last bound is set to gamma_K exactly. Fixed
+    seed, fixed bag.
     """
     K_values = list(K_values)
     if per_kind_count < 0:

@@ -54,7 +54,7 @@ MAX_ITER = 100
 LINE_SEARCH_STEPS = 50  # candidates per line search; the step is halved after each rejection
 FLOAT_FLOOR = 64 * np.finfo(np.float64).eps  # predicted gain, relative to max(1, |ll|), that ll cannot resolve
 _JITTER_NOTE = "hessian factorization required a 1e-8 jitter"
-_DRAW_BLOCK = 8_000_000  # run-rate entries per block of draws
+_DRAW_BLOCK = 8_000_000  # entries of the largest per-block working array
 _ROW_BLOCK = 32_768  # runs per block of the Hessian sum
 
 
@@ -187,25 +187,11 @@ def _require_finite(value: float, stats: StatTensor, seq: EventSequence, beta: n
 def event_terms(stats: StatTensor, seq: EventSequence, betas: np.ndarray) -> np.ndarray:
     """Per-event log-likelihood terms at ``betas`` (P,) or (P, B): the realized
     log-rate minus dt_m x the total rate S_m of the runs in force at row m.
-
-    S is a running sum over rows of +e_r at each run's start and -e_r at its
-    stop. Overflow is returned as non-finite values, not raised.
+    Overflow is returned as non-finite values, not raised.
     """
-    import scipy.sparse
-
-    e = run_rates(stats, betas)
-    M, R = stats.n_events, e.shape[0]
-    runs = np.arange(R)
-    steps = scipy.sparse.csr_array(
-        (np.repeat([1.0, -1.0], R), (np.concatenate((stats.start, stats.stop)), np.tile(runs, 2))),
-        shape=(M + 1, R),
-    )
-    dt = np.diff(seq.times, prepend=seq.t0)
-    if e.ndim == 2:
-        dt = dt[:, None]
-    with np.errstate(invalid="ignore"):
-        totals = np.cumsum((steps @ e)[:M], axis=0)
-        return stats.states[stats.realized] @ betas - dt * totals
+    betas = np.asarray(betas, dtype=np.float64)
+    terms = event_log_densities(stats, seq, betas.reshape(len(betas), -1).T)
+    return terms.reshape((stats.n_events,) + betas.shape[1:])
 
 
 def log_likelihood(stats: StatTensor, seq: EventSequence, beta: np.ndarray) -> float:
@@ -217,13 +203,38 @@ def log_likelihood(stats: StatTensor, seq: EventSequence, beta: np.ndarray) -> f
 
 
 def event_log_densities(stats: StatTensor, seq: EventSequence, draws: np.ndarray) -> np.ndarray:
-    """(M, B) per-event log densities under each row of ``draws`` (B, P),
-    evaluated in blocks of draws that bound the working set near 64 MB."""
+    """(M, B) per-event log densities under each row of ``draws`` (B, P).
+
+    The rates are evaluated once per distinct state (U of them) and summed
+    through the (M + 1) x U step matrix, which holds +1 at each run's start
+    row and -1 at its stop row in the column of the run's state: its running
+    sum over rows times the rates is S_m. The draws go in blocks whose
+    (M + 1) x b and U x b working arrays stay near 64 MB each; no runs x
+    draws array is formed.
+    """
+    import scipy.sparse
+
     draws = np.asarray(draws, dtype=np.float64)
-    out = np.empty((stats.n_events, draws.shape[0]))
-    chunk = max(1, _DRAW_BLOCK // max(len(stats.states), 1))
-    for b0 in range(0, draws.shape[0], chunk):
-        out[:, b0 : b0 + chunk] = event_terms(stats, seq, draws[b0 : b0 + chunk].T)
+    rows, ids = stats.distinct_states()
+    M, R = stats.n_events, ids.size
+    steps = scipy.sparse.csr_array(
+        (np.repeat([1.0, -1.0], R), (np.concatenate((stats.start, stats.stop)), np.tile(ids, 2))),
+        shape=(M + 1, len(rows)),
+    )
+    realized = ids[stats.realized]
+    dt = np.diff(seq.times, prepend=seq.t0)[:, None]
+    out = np.empty((M, len(draws)))
+    chunk = max(1, _DRAW_BLOCK // max(M + 1, len(rows)))
+    for b0 in range(0, len(draws), chunk):
+        block = out[:, b0 : b0 + chunk]
+        eta = rows @ draws[b0 : b0 + chunk].T
+        block[...] = eta[realized]
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals = steps @ np.exp(eta, out=eta)
+            np.cumsum(totals, axis=0, out=totals)
+            totals = totals[:M]
+            totals *= dt
+            block -= totals
     return out
 
 
@@ -301,7 +312,10 @@ def fit_mle(
     the accepted candidate's run weights give its gradient and Hessian. Each
     Newton system ridge*I - H is factored once, retried with a 1e-8 jitter
     if it fails (recorded as a warning on the fit); the factor at the final
-    beta gives the covariance.
+    beta gives the covariance. A column whose realized sum is 0 while its
+    exposure sum_r W_r u_rp is positive has its MLE at -inf; the fit names
+    such columns in a warning on the fit and a RuntimeWarning, and leaves
+    ``converged`` as the stopping rule decided it.
     """
     opts = opts or FitOptions()
     M, P = stats.n_events, stats.n_columns
@@ -317,6 +331,9 @@ def fit_mle(
     ll, w = _reduce(stats, W, s, beta)
     _require_finite(ll, stats, seq, beta)
     grad, hess = _derivatives(U, s, w)
+    # where s_p = 0 the gradient is minus the rate-weighted exposure w . u_p,
+    # so a negative one marks a column at risk but never realized
+    never_realized = np.flatnonzero((s == 0.0) & (grad < 0.0))
     if opts.ridge == 0.0:
         _check_identifiable(-hess, stats.labels)
     ridge = opts.ridge * np.eye(P)
@@ -352,6 +369,10 @@ def fit_mle(
             break
 
     notes = [_JITTER_NOTE] if jitter_used else []
+    if never_realized.size:
+        names = ", ".join(stats.labels[p] for p in never_realized)
+        notes.append(f"column(s) at risk but never realized: {names}; the MLE of each is -inf")
+        warnings.warn(notes[-1], RuntimeWarning, stacklevel=2)
     converged = stop in ("tolerance", "float_floor")
     if stop == "stalled":
         notes.append(f"newton stalled at iteration {iters}: the line search found no improving step")

@@ -97,6 +97,35 @@ class StatTensor:
             raise IndexError(f"interval index {k} outside 1..{width}")
         return 1 + block * width + (k - 1)
 
+    def distinct_states(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rows of ``states`` and each run's row among them, so
+        that ``rows[ids]`` equals ``states`` exactly.
+
+        Rows are told apart by one exact int64 key per run: the mixed-radix
+        number whose digits are the run's counts in the columns that vary
+        (a constant column, such as the intercept, is a digit of radix 1).
+        When a varying column is not a nonnegative integer, or the key space
+        reaches 2^63, every run keeps its own row.
+        """
+        states = self.states
+        R = len(states)
+        key = np.zeros(R, dtype=np.int64)
+        space = 1
+        for col in states.T:
+            lo, hi = col.min(), col.max()
+            if lo == hi:
+                continue
+            if not (lo >= 0.0 and hi < 2.0**63 and np.array_equal(col, np.floor(col))):
+                return states, np.arange(R)
+            radix = int(hi) + 1
+            space *= radix
+            if space >= 2**63:
+                return states, np.arange(R)
+            key *= radix
+            key += col.astype(np.int64)
+        _, first, ids = np.unique(key, return_index=True, return_inverse=True)
+        return states[first], ids
+
     def to_dense(self) -> np.ndarray:
         """The (M, D, P) tensor values[m, dyad, column] these runs encode."""
         M, D = self.n_events, len(self.risk_set)

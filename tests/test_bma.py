@@ -131,6 +131,25 @@ class TestWaic:
         assert p == pytest.approx(p_hand, abs=1e-10)
         assert elpd == pytest.approx(lpd_hand - p_hand, abs=1e-10)
 
+    @pytest.mark.parametrize("ahead", [1, 3])
+    def test_windows_match_oracle_for_each_ahead(self, small_fit_setup, rng, ahead):
+        seq, rs, spec, stats, fit = small_fit_setup
+        B, L, M = 4, 12, len(seq)
+        draws = fit.beta_hat + rng.normal(0, 0.05, size=(B, fit.n_params))
+        cfg = WaicConfig(burn_in=L, ahead=ahead, n_draws=B)
+        elpd, lpd, p = waic_elpd(fit, stats, seq, cfg, draws=draws)
+        dense = stats.to_dense()
+        lds = np.array([
+            [loop_log_density(dense, stats.event_positions, seq.times, seq.t0, d, i + 1, i + ahead)
+             for d in draws]
+            for i in range(L, M - ahead + 1)
+        ])
+        mx = lds.max(axis=1, keepdims=True)
+        lpd_ref = float(np.sum(np.log(np.exp(lds - mx).mean(axis=1)) + mx[:, 0]))
+        p_ref = float(lds.var(axis=1, ddof=1).sum())
+        assert lpd == pytest.approx(lpd_ref, rel=1e-12)
+        assert p == pytest.approx(p_ref, rel=1e-10)
+
     def test_identical_models_shared_stream_equal_weights(self, small_fit_setup):
         seq, rs, spec, stats, fit = small_fit_setup
         cfg = WaicConfig(burn_in=10, ahead=1, n_draws=20, seed=5)
@@ -258,6 +277,29 @@ class TestSummaries:
     def test_kde_mode_finds_dominant_cluster(self, rng):
         x = np.concatenate([rng.normal(0.0, 0.05, 9000), rng.normal(3.0, 0.05, 1000)])
         assert abs(kde_mode(x)) < 0.1
+
+    def test_kde_mode_small_samples_match_brute_force(self, rng):
+        """With 10-30 draws the truncated kernel spans more bins than the
+        512-point grid; the mode must still be the grid argmax of the KDE."""
+        n_grid, wide = 512, 0
+        for n in (10, 12, 15, 20, 30):
+            for _ in range(8):
+                x = rng.normal(size=n) * rng.uniform(0.1, 3.0)
+                counts, edges = np.histogram(x, bins=n_grid, range=(x.min(), x.max()))
+                centers = 0.5 * (edges[:-1] + edges[1:])
+                q25, q75 = np.percentile(x, [25.0, 75.0])
+                bw = 0.9 * min(x.std(ddof=1), (q75 - q25) / 1.34) * n ** -0.2
+                step = (x.max() - x.min()) / n_grid
+                half = min(math.ceil(4.0 * bw / step), 4 * n_grid)
+                wide += 2 * half + 1 > n_grid
+                gap = np.subtract.outer(np.arange(n_grid), np.arange(n_grid))
+                weights = np.where(np.abs(gap) <= half, np.exp(-0.5 * (gap * step / bw) ** 2), 0.0)
+                dens = weights @ counts
+                mode = kde_mode(x)
+                j = int(np.searchsorted(centers, mode))
+                assert centers[j] == mode
+                assert dens[j] == pytest.approx(dens.max(), rel=1e-12)
+        assert wide > 0
 
     def test_hpd_mass_between_94_and_96(self, rng):
         for _ in range(10):

@@ -257,6 +257,17 @@ class TestTrend:
         assert doc == json.loads(json.dumps(trend.to_json_dict()))
 
 
+    def test_ten_draws(self, fitted_dir, tmp_path):
+        # 10 draws give a KDE kernel wider than the mode grid
+        for seed in range(1, 5):
+            run([
+                "trend", "--fits", str(fitted_dir / "fits.json"), "--out", str(tmp_path / str(seed)),
+                "--n-draws", "10", "--grid-size", "11", "--seed", str(seed),
+            ])
+            doc = json.loads((tmp_path / str(seed) / "trend.json").read_text())
+            assert np.isfinite(doc["effects"]["inertia"]["mode"]).all()
+
+
 class TestReportAndConfig:
     def test_report(self, fitted_dir, tmp_path):
         out = tmp_path / "trendr"
@@ -268,6 +279,17 @@ class TestReportAndConfig:
         text = (out / "report.md").read_text()
         assert "weighting: bic" in text
         assert "baseline rate" in text
+        fits = json.loads((fitted_dir / "fits.json").read_text())["fits"]
+        iters = [f["iterations"] for f in fits]
+        halvings = [f["halvings"] for f in fits]
+        stops = sorted({f["stop"] for f in fits})
+        counts = ", ".join(f"{s} {sum(f['stop'] == s for f in fits)}" for s in stops)
+        grad = max(f["max_abs_grad"] for f in fits)
+        assert (
+            f"- newton: {sum(iters)} iterations (at most {max(iters)} per model), "
+            f"{sum(halvings)} step halvings (at most {max(halvings)} per model), "
+            f"largest final max|grad| {grad:.3g}; stops: {counts}; jittered fits: 0\n"
+        ) in text
 
     def test_effective_model_count(self, fitted_dir, tmp_path):
         # two models whose BICs differ by 2 ln 3 get weights 3/4 and 1/4

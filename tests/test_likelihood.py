@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from remdecay.decay import WeibullDecay
 from remdecay.events import EventSequence, RiskSet
 from remdecay.intervals import IntervalSpec, equal_spec
 from remdecay import likelihood
@@ -135,11 +137,31 @@ class TestRateKernel:
         seq, rs, stats = random_instance(rng, n_events=40)
         draws = rng.normal(0, 0.3, (7, stats.n_columns))
         whole = event_log_densities(stats, seq, draws)
+        np.testing.assert_allclose(whole, event_terms(stats, seq, draws.T), rtol=0, atol=0)
         # two draws per block: three full blocks and a partial one
-        monkeypatch.setattr(likelihood, "_DRAW_BLOCK", 2 * len(stats.states))
+        widest = max(stats.n_events + 1, len(stats.distinct_states()[0]))
+        monkeypatch.setattr(likelihood, "_DRAW_BLOCK", 2 * widest)
         blocked = event_log_densities(stats, seq, draws)
         np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(whole, event_terms(stats, seq, draws.T), rtol=0, atol=0)
+
+    def test_draw_densities_hold_no_runs_by_draws_array(self):
+        """Memory guard: on a 3000-event, 10-actor inertia design at K = 5
+        (about 17k runs), the densities of 200 draws must peak below one
+        runs x draws float64 array; the rates are evaluated per distinct state."""
+        effects = {StatisticKind.INERTIA: WeibullDecay(scale=4.0, shape=1.0, peak=0.6)}
+        seq = simulate(SimConfig(n_actors=10, beta0=-3.9, effects=effects, horizon=20.0,
+                                 n_events=3000, seed=3))
+        stats = compute_stepwise_stats(seq, RiskSet(10), (StatisticKind.INERTIA,), equal_spec(5, 20.0))
+        B = 200
+        draws = np.random.default_rng(0).normal([-3.9, 0.5, 0.3, 0.2, 0.1, 0.0], 0.05, (B, 6))
+        tracemalloc.start()
+        try:
+            out = event_log_densities(stats, seq, draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (3000, B) and np.isfinite(out).all()
+        assert peak < len(stats.states) * B * 8
 
     def test_hessian_blocks_match_one_block(self, rng, monkeypatch):
         seq, rs, stats = random_instance(rng, n_events=60)
@@ -246,6 +268,23 @@ class TestFit:
             assert any(np.array_equal(b, fit.beta_hat) for b in seen)
             rejected += fit.halvings
         assert rejected > 0
+
+    @pytest.mark.parametrize("seed", [0, 2, 4, 5])
+    def test_never_realized_column_named(self, seed):
+        # on these instances some interval never holds a realized event's
+        # history but is at risk, so its coefficient runs off toward -inf
+        seq, rs, stats = random_instance(np.random.default_rng(seed), n_events=12, K=3)
+        realized = stats.states[stats.realized].sum(axis=0)
+        with pytest.warns(RuntimeWarning, match="never realized") as record:
+            fit = fit_mle(stats, seq)
+        assert fit.converged and fit.stop == "tolerance"
+        named = [label for label, total in zip(stats.labels, realized) if total == 0]
+        assert named
+        note = next(n for n in fit.warnings if "never realized" in n)
+        assert note == str(record[0].message)
+        assert note.split(": ")[1].split(";")[0] == ", ".join(named)
+        for label in named:
+            assert fit.beta_hat[stats.labels.index(label)] < -15
 
     def test_stalled_line_search_ends_fit(self, rng, monkeypatch):
         seq, rs, stats = random_instance(rng, n_events=40)

@@ -14,6 +14,7 @@ from oracle import (
     loop_stepwise_stats,
     random_sequence,
     rescan_stepwise_stats,
+    runs_from_dense,
 )
 
 ALL_KINDS = tuple(StatisticKind)
@@ -212,6 +213,47 @@ class TestRunDesign:
         design_bytes = sum(a.nbytes for a in arrays) + rs.dyads.nbytes
         M, D, P = len(seq), len(rs), st_.n_columns
         assert design_bytes < M * D * P * 8 / 10
+
+
+class TestDistinctStates:
+    def test_rows_reproduce_states_on_every_kind(self, rng):
+        for kind in ALL_KINDS:
+            seq = random_sequence(rng, 5, 80)
+            span = seq.times[-1] - seq.times[0]
+            st_ = compute_stepwise_stats(seq, RiskSet(5), (kind,), equal_spec(3, 0.6 * span))
+            rows, ids = st_.distinct_states()
+            np.testing.assert_array_equal(rows[ids], st_.states)
+            # keyed, not the fallback: every row is distinct and some runs share one
+            assert len(np.unique(rows, axis=0)) == len(rows) < len(st_.states)
+            assert ids.min() == 0 and ids.max() == len(rows) - 1
+
+    def test_non_integer_column_keeps_every_run(self, rng):
+        seq = random_sequence(rng, 4, 40)
+        rs = RiskSet(4)
+        st_ = compute_stepwise_stats(seq, rs, (StatisticKind.INERTIA,), equal_spec(2, 5.0))
+        dense = st_.to_dense()
+        halved = np.concatenate([dense, 0.5 * dense[:, :, -1:]], axis=2)
+        bad = runs_from_dense(halved, rs, st_.event_positions, st_.labels + ("half",))
+        assert (bad.states[:, -1] % 1 != 0).any()
+        rows, ids = bad.distinct_states()
+        assert rows is bad.states
+        np.testing.assert_array_equal(ids, np.arange(len(bad.states)))
+
+    def test_key_space_above_2_63_keeps_every_run(self, rng):
+        seq = random_sequence(rng, 3, 30)
+        rs = RiskSet(3)
+        st_ = compute_stepwise_stats(seq, rs, (StatisticKind.INERTIA,), equal_spec(2, 5.0))
+        dense = st_.to_dense()
+        for scale, keyed in ((2.0**20, True), (2.0**40, False)):
+            # every varying column ranges over 0..scale or wider: at 2^40, two
+            # such digits already need more than 63 bits
+            wide = dense.copy()
+            wide[:, :, 1:] *= scale
+            design = runs_from_dense(wide, rs, st_.event_positions, st_.labels)
+            rows, ids = design.distinct_states()
+            np.testing.assert_array_equal(rows[ids], design.states)
+            assert (len(rows) < len(design.states)) is keyed
+            assert np.array_equal(ids, np.arange(len(design.states))) is not keyed
 
 
 def continuous_stats(seq, rs, kinds, decay_per_kind):
