@@ -111,6 +111,12 @@ class WaicConfig:
         return cls(burn_in=burn, ahead=ahead, n_draws=n_draws, seed=seed)
 
 
+def _check_window(cfg: WaicConfig, M: int) -> None:
+    L, A = cfg.burn_in, cfg.ahead
+    if not 1 <= L < M - A:
+        raise ValueError(f"burn_in must satisfy 1 <= L < M - ahead ({L=}, {M=}, {A=})")
+
+
 def waic_elpd(
     fit: ModelFit,
     stats: StatTensor,
@@ -127,10 +133,8 @@ def waic_elpd(
     lpd_hat sums the per-point log mean densities, p_waic the per-point
     sample variances of the log densities.
     """
-    M = len(seq)
-    L, A = cfg.burn_in, cfg.ahead
-    if not 1 <= L < M - A:
-        raise ValueError(f"burn_in must satisfy 1 <= L < M - ahead ({L=}, {M=}, {A=})")
+    _check_window(cfg, len(seq))
+    M, L, A = len(seq), cfg.burn_in, cfg.ahead
     if draws is None:
         if rng is None:
             rng = np.random.default_rng(cfg.seed)
@@ -274,6 +278,8 @@ def fit_bag(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+    if waic is not None:
+        _check_window(waic, len(seq))
     args = (seq, tuple(StatisticKind(k) for k in kinds), waic, FitOptions(ridge=ridge))
     tasks = list(enumerate(specs))
     return _run_bag(args, tasks, min(jobs, len(tasks)))

@@ -172,9 +172,10 @@ def cmd_fit_bag(cfg: dict) -> dict:
     waic_cfg = None
     if weighting == "waic":
         burn_in = cfg.get("waic_burn_in")
+        ahead = cfg.get("waic_ahead", 1)
         waic_cfg = WaicConfig(
-            burn_in=burn_in if burn_in is not None else WaicConfig.default_for(len(seq)).burn_in,
-            ahead=cfg.get("waic_ahead", 1),
+            burn_in=burn_in if burn_in is not None else WaicConfig.default_for(len(seq), ahead).burn_in,
+            ahead=ahead,
             n_draws=cfg.get("waic_draws", 500),
             seed=cfg.get("seed", 0),
         )
@@ -283,6 +284,7 @@ def _newton_line(fits: list[ModelFit]) -> str:
 
 def cmd_report(cfg: dict) -> dict:
     out = cfg["out"]
+    os.makedirs(out, exist_ok=True)
     report_path = os.path.join(out, "report.md")
     _ensure_outputs([report_path], cfg.get("force", False))
     bag = _load_bag(cfg.get("fits") or out)

@@ -10,7 +10,6 @@ generated sequences.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -18,7 +17,13 @@ import numpy as np
 
 from .decay import DecayFn, decay_from_json, decay_to_json
 from .events import EventSequence, RiskSet
-from .stats import FIRST_ORDER, SECOND_ORDER, StatisticKind
+from .stats import (
+    SECOND_ORDER,
+    StatisticKind,
+    closure_partners,
+    closure_positions,
+    touched_dyads,
+)
 
 __all__ = ["SimConfig", "SimulationError", "simulate"]
 
@@ -96,8 +101,25 @@ class SimConfig:
         )
 
 
+def _room(a: np.ndarray, n: int) -> np.ndarray:
+    """``a`` if it has room for n rows, else a copy with room for at least
+    twice its rows."""
+    if n <= len(a):
+        return a
+    grown = np.empty((max(n, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
+    grown[: len(a)] = a
+    return grown
+
+
 class _HistoryState:
-    """Growing event history with the aggregates the intensity needs."""
+    """Growing event history, stored with the risk-set positions that each
+    effect counts every event toward.
+
+    First-order positions come from the per-dyad maps of ``touched_dyads``.
+    Closure pairs are recorded as each outer event is appended, from
+    ``closure_partners`` over the inner events within the horizon; which of
+    them count at a given time is decided when the rates are evaluated.
+    """
 
     def __init__(self, config: SimConfig, rs: RiskSet, capacity: int = 1024):
         self.cfg = config
@@ -107,27 +129,44 @@ class _HistoryState:
         self.times = np.empty(capacity)
         self.senders = np.empty(capacity, dtype=np.int64)
         self.receivers = np.empty(capacity, dtype=np.int64)
-        self.pos_same = np.empty(capacity, dtype=np.int64)
-        self.pos_rev = np.empty(capacity, dtype=np.int64)
-        n_act = config.n_actors
-        self.recv_times: list[list[float]] = [[] for _ in range(n_act)]
-        self.recv_senders: list[list[int]] = [[] for _ in range(n_act)]
+        self.maps: dict[StatisticKind, np.ndarray] = {}  # width 1 kept 1-D: faster np.add.at
+        self.pos: dict[StatisticKind, np.ndarray] = {}
+        self.pair_pos: dict[StatisticKind, np.ndarray] = {}
+        for kind in config.effects:
+            if kind in SECOND_ORDER:
+                self.pair_pos[kind] = np.empty(capacity, dtype=np.int64)
+            else:
+                dyad_map = touched_dyads(rs, kind, rs.senders, rs.receivers)
+                self.maps[kind] = dyad_map[:, 0] if dyad_map.shape[1] == 1 else dyad_map
+                self.pos[kind] = np.empty((capacity,) + self.maps[kind].shape[1:], dtype=np.int64)
+        self.n_pairs = 0
+        self.pair_outer = np.empty(capacity, dtype=np.int64)  # ascending
+        self.pair_inner_time = np.empty(capacity)
 
     def append(self, t: float, s: int, r: int) -> None:
-        if self.n == self.times.size:
-            for name in ("times", "senders", "receivers", "pos_same", "pos_rev"):
-                old = getattr(self, name)
-                grown = np.empty(old.size * 2, dtype=old.dtype)
-                grown[: old.size] = old
-                setattr(self, name, grown)
         i = self.n
+        if i == self.times.size:
+            for name in ("times", "senders", "receivers"):
+                setattr(self, name, _room(getattr(self, name), i + 1))
+            self.pos = {kind: _room(a, i + 1) for kind, a in self.pos.items()}
         self.times[i] = t
         self.senders[i] = s
         self.receivers[i] = r
-        self.pos_same[i] = self.rs.index_of(s, r)
-        self.pos_rev[i] = self.rs.index_of(r, s)
-        self.recv_times[r].append(t)
-        self.recv_senders[r].append(s)
+        d = self.rs.index_of(s, r)
+        for kind, dyad_map in self.maps.items():
+            self.pos[kind][i] = dyad_map[d]
+        if self.pair_pos:
+            lo = int(np.searchsorted(self.times[:i], t - self.cfg.horizon, side="left"))
+            inner = closure_partners(self.senders, self.receivers, lo, i)
+            a, b = self.n_pairs, self.n_pairs + inner.size
+            self.pair_outer = _room(self.pair_outer, b)
+            self.pair_inner_time = _room(self.pair_inner_time, b)
+            self.pair_outer[a:b] = i
+            self.pair_inner_time[a:b] = self.times[inner]
+            for kind, pos in self.pair_pos.items():
+                self.pair_pos[kind] = pos = _room(pos, b)
+                pos[a:b] = closure_positions(self.rs, kind, self.senders[inner], r)
+            self.n_pairs = b
         self.n += 1
 
     def log_rates(self, t: float, dominating: bool = False) -> np.ndarray:
@@ -141,69 +180,30 @@ class _HistoryState:
         the thinning proposals are drawn from. For first-order effects the
         two variants coincide.
         """
-        cfg, rs = self.cfg, self.rs
+        cfg = self.cfg
         while self.left < self.n and t - self.times[self.left] > cfg.horizon:
             self.left += 1
-        expo = np.full(len(rs), cfg.beta0)
+        expo = np.full(len(self.rs), cfg.beta0)
         lo, hi = self.left, self.n
         if lo == hi or not cfg.effects:
             return expo
         ages = t - self.times[lo:hi]
         for kind, decay in cfg.effects.items():
             w = np.asarray(decay(ages), dtype=np.float64)
-            if kind is StatisticKind.INERTIA:
-                np.add.at(expo, self.pos_same[lo:hi], w)
-            elif kind is StatisticKind.RECIPROCITY:
-                np.add.at(expo, self.pos_rev[lo:hi], w)
-            elif kind in FIRST_ORDER:
-                acc = np.zeros(cfg.n_actors)
-                if kind in (StatisticKind.INDEGREE_SENDER, StatisticKind.INDEGREE_RECEIVER):
-                    np.add.at(acc, self.receivers[lo:hi], w)
-                else:
-                    np.add.at(acc, self.senders[lo:hi], w)
-                side = (
-                    rs.senders
-                    if kind in (StatisticKind.INDEGREE_SENDER, StatisticKind.OUTDEGREE_SENDER)
-                    else rs.receivers
-                )
-                expo += acc[side]
+            if kind in self.pos:
+                pos = self.pos[kind][lo:hi]
+                if pos.ndim == 2:
+                    w = w[:, None]  # broadcast along the trailing axis only
             else:
-                self._add_closure(expo, kind, w, lo, hi, t, dominating)
+                pairs = slice(np.searchsorted(self.pair_outer[: self.n_pairs], lo), self.n_pairs)
+                outer = self.pair_outer[pairs]
+                pos, w = self.pair_pos[kind][pairs], w[outer - lo]
+                if not dominating:
+                    t_outer = self.times[outer]
+                    inside = t_outer - (t - t_outer) <= self.pair_inner_time[pairs]
+                    pos, w = pos[inside], w[inside]
+            np.add.at(expo, pos, w)
         return expo
-
-    def _add_closure(
-        self,
-        expo: np.ndarray,
-        kind: StatisticKind,
-        w: np.ndarray,
-        lo: int,
-        hi: int,
-        t: float,
-        dominating: bool,
-    ) -> None:
-        rs, horizon = self.rs, self.cfg.horizon
-        for off, e in enumerate(range(lo, hi)):
-            we = w[off]
-            if we == 0.0:
-                continue
-            te = self.times[e]
-            l_act = int(self.senders[e])
-            j_act = int(self.receivers[e])
-            tl = self.recv_times[l_act]
-            win_lo = te - horizon if dominating else te - (t - te)
-            a = 0 if win_lo == -np.inf else bisect.bisect_left(tl, win_lo)
-            b = bisect.bisect_left(tl, te)
-            if a >= b:
-                continue
-            inner = np.asarray(self.recv_senders[l_act][a:b], dtype=np.int64)
-            inner = inner[inner != j_act]
-            if inner.size == 0:
-                continue
-            if kind is StatisticKind.TRANSITIVITY:
-                pos = rs.positions(inner, np.full(inner.size, j_act, dtype=np.int64))
-            else:
-                pos = rs.positions(np.full(inner.size, j_act, dtype=np.int64), inner)
-            np.add.at(expo, pos, we)
 
 
 def simulate(config: SimConfig) -> EventSequence:
@@ -214,7 +214,6 @@ def simulate(config: SimConfig) -> EventSequence:
     t_cur = 0.0
     target = config.n_events if config.n_events is not None else np.inf
     end_time = config.end_time if config.end_time is not None else np.inf
-    has_closure = any(k in SECOND_ORDER for k in config.effects)
 
     bound_cur = float(np.exp(state.log_rates(t_cur, dominating=True)).sum())
     while state.n < target:
@@ -253,7 +252,7 @@ def simulate(config: SimConfig) -> EventSequence:
             t_cur = t_prop
             bound_cur = (
                 float(np.exp(state.log_rates(t_cur, dominating=True)).sum())
-                if has_closure
+                if state.pair_pos  # closure windows grow between events
                 else total_prop
             )
 

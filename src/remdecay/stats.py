@@ -31,7 +31,10 @@ __all__ = [
     "StatTensor",
     "TriadPairs",
     "build_triad_pairs",
+    "closure_partners",
+    "closure_positions",
     "compute_stepwise_stats",
+    "touched_dyads",
 ]
 
 
@@ -46,14 +49,6 @@ class StatisticKind(str, Enum):
     CYCLIC = "cyclic_closure"
 
 
-FIRST_ORDER = (
-    StatisticKind.INERTIA,
-    StatisticKind.RECIPROCITY,
-    StatisticKind.INDEGREE_SENDER,
-    StatisticKind.OUTDEGREE_SENDER,
-    StatisticKind.INDEGREE_RECEIVER,
-    StatisticKind.OUTDEGREE_RECEIVER,
-)
 SECOND_ORDER = (StatisticKind.TRANSITIVITY, StatisticKind.CYCLIC)
 
 
@@ -174,23 +169,66 @@ def _activation_rows(times: np.ndarray, t_outer: float, t_inner: np.ndarray) -> 
     return _first_rows(times, idx, lambda j: t_outer - (times[j] - t_outer) <= t_inner)
 
 
+def closure_partners(senders: np.ndarray, receivers: np.ndarray, lo: int, e: int) -> np.ndarray:
+    """The events among lo..e-1 that pair as the inner event with outer event
+    e: the inner receiver is the outer sender, and the inner sender is not the
+    outer receiver (that pair would close onto a self-loop)."""
+    inner = slice(lo, e)
+    hit = (receivers[inner] == senders[e]) & (senders[inner] != receivers[e])
+    return lo + np.flatnonzero(hit)
+
+
+def closure_positions(
+    rs: RiskSet, kind: StatisticKind, inner_senders: np.ndarray, outer_receivers: np.ndarray | int
+) -> np.ndarray:
+    """Risk-set positions that closure pairs count toward: (i, j) for
+    transitivity and (j, i) for cyclic closure, where i is the inner sender
+    and j the outer receiver."""
+    if kind is StatisticKind.TRANSITIVITY:
+        return rs.positions(inner_senders, outer_receivers)
+    return rs.positions(outer_receivers, inner_senders)
+
+
+def touched_dyads(
+    rs: RiskSet, kind: StatisticKind, senders: np.ndarray, receivers: np.ndarray
+) -> np.ndarray:
+    """(n, width) risk-set positions whose first-order ``kind`` statistic
+    counts each event (senders[m], receivers[m]): the dyad itself, its
+    reverse, or the N-1 dyads sent or received by the event's sender or
+    receiver."""
+    if kind is StatisticKind.INERTIA:
+        return rs.positions(senders, receivers)[:, None]
+    if kind is StatisticKind.RECIPROCITY:
+        return rs.positions(receivers, senders)[:, None]
+    N = rs.n_actors
+    by_sender = np.arange(len(rs)).reshape(N, N - 1)
+    by_receiver = np.argsort(rs.receivers, kind="stable").reshape(N, N - 1)
+    table = {
+        StatisticKind.INDEGREE_SENDER: (by_sender, receivers),
+        StatisticKind.OUTDEGREE_SENDER: (by_sender, senders),
+        StatisticKind.INDEGREE_RECEIVER: (by_receiver, receivers),
+        StatisticKind.OUTDEGREE_RECEIVER: (by_receiver, senders),
+    }
+    dyads, actor = table[kind]
+    return dyads[actor]
+
+
 @dataclass(frozen=True)
 class TriadPairs:
     """Spec-independent precompute for the closure statistics.
 
-    One entry per ordered pair (inner, outer) with inner = (i, l) preceding
-    outer = (l, j): the pair starts counting toward transitivity of (i, j)
-    and cyclic closure of (j, i) once the evaluation time is late enough
-    that the backward search window of the outer event covers the inner one.
-    Pairs that could only activate after the outer event leaves the horizon
-    are dropped at build time.
+    One entry per pair of events (inner, outer) that ``closure_partners``
+    pairs: the pair starts counting toward its ``closure_positions`` of each
+    closure kind once the evaluation row ``act_row`` is late enough that the
+    backward search window of the outer event covers the inner one. Pairs
+    that could only activate after the outer event leaves the horizon are
+    dropped at build time.
     """
 
     horizon: float
     outer: np.ndarray
     act_row: np.ndarray
-    trans_pos: np.ndarray
-    cyc_pos: np.ndarray
+    positions: dict[StatisticKind, np.ndarray]
 
     @property
     def n_pairs(self) -> int:
@@ -199,73 +237,28 @@ class TriadPairs:
 
 def build_triad_pairs(seq: EventSequence, rs: RiskSet, horizon: float) -> TriadPairs:
     times, S, R = seq.times, seq.senders, seq.receivers
-    M = times.size
-    recv_lists = [np.flatnonzero(R == a) for a in range(seq.n_actors)]
     horizon_end = _threshold_rows(times, float(horizon))
 
-    outer_chunks, act_chunks, tpos_chunks, cpos_chunks = [], [], [], []
-    for e in range(M):
+    outer_chunks, inner_chunks, act_chunks = [], [], []
+    for e in range(times.size):
         last_row = horizon_end[e] - 1
         if last_row <= e:
             continue
         te = times[e]
         lo_final = te - (times[last_row] - te)  # widest window before horizon exit
-        cand = recv_lists[S[e]]
-        cand = cand[: np.searchsorted(cand, e)]  # inner strictly earlier than outer
-        if cand.size == 0:
+        inner = closure_partners(S, R, np.searchsorted(times, lo_final, side="left"), e)
+        if inner.size == 0:
             continue
-        ct = times[cand]
-        cut = np.searchsorted(ct, lo_final, side="left")
-        cand, ct = cand[cut:], ct[cut:]
-        if cand.size == 0:
-            continue
-        keep = S[cand] != R[e]  # inner sender == outer receiver would self-loop the dyad
-        cand, ct = cand[keep], ct[keep]
-        if cand.size == 0:
-            continue
-        act = _activation_rows(times, te, ct)
-        outer_chunks.append(np.full(cand.size, e, dtype=np.int64))
-        act_chunks.append(act)
-        recv = np.full(cand.size, R[e], dtype=np.int64)
-        tpos_chunks.append(rs.positions(S[cand], recv))
-        cpos_chunks.append(rs.positions(recv, S[cand]))
+        outer_chunks.append(np.full(inner.size, e, dtype=np.int64))
+        inner_chunks.append(inner)
+        act_chunks.append(_activation_rows(times, te, times[inner]))
 
     if outer_chunks:
-        outer = np.concatenate(outer_chunks)
-        act = np.concatenate(act_chunks)
-        tpos = np.concatenate(tpos_chunks)
-        cpos = np.concatenate(cpos_chunks)
+        outer, inner, act = (np.concatenate(c) for c in (outer_chunks, inner_chunks, act_chunks))
     else:
-        outer = act = tpos = cpos = np.empty(0, dtype=np.int64)
-    return TriadPairs(
-        horizon=float(horizon),
-        outer=outer,
-        act_row=act,
-        trans_pos=tpos,
-        cyc_pos=cpos,
-    )
-
-
-def _touched_dyads(seq: EventSequence, rs: RiskSet, kind: StatisticKind) -> np.ndarray:
-    """(M, width) risk-set positions whose ``kind`` statistic counts each event:
-    the dyad itself, its reverse, or the N-1 dyads sent or received by the
-    event's sender or receiver."""
-    S, R = seq.senders, seq.receivers
-    if kind is StatisticKind.INERTIA:
-        return rs.positions(S, R)[:, None]
-    if kind is StatisticKind.RECIPROCITY:
-        return rs.positions(R, S)[:, None]
-    N = rs.n_actors
-    by_sender = np.arange(len(rs)).reshape(N, N - 1)
-    by_receiver = np.argsort(rs.receivers, kind="stable").reshape(N, N - 1)
-    table = {
-        StatisticKind.INDEGREE_SENDER: (by_sender, R),
-        StatisticKind.OUTDEGREE_SENDER: (by_sender, S),
-        StatisticKind.INDEGREE_RECEIVER: (by_receiver, R),
-        StatisticKind.OUTDEGREE_RECEIVER: (by_receiver, S),
-    }
-    dyads, actor = table[kind]
-    return dyads[actor]
+        outer = inner = act = np.empty(0, dtype=np.int64)
+    positions = {kind: closure_positions(rs, kind, S[inner], R[outer]) for kind in SECOND_ORDER}
+    return TriadPairs(horizon=float(horizon), outer=outer, act_row=act, positions=positions)
 
 
 def _labels(kinds: Sequence[StatisticKind], K: int) -> tuple[str, ...]:
@@ -333,13 +326,12 @@ def compute_stepwise_stats(
     col = 1
     for kind in kinds:
         if kind in SECOND_ORDER:
-            pos = triad_pairs.trans_pos if kind is StatisticKind.TRANSITIVITY else triad_pairs.cyc_pos
-            outer = triad_pairs.outer
+            outer, pos = triad_pairs.outer, triad_pairs.positions[kind]
             for k in range(K):
                 a = np.maximum(ends[outer, k], triad_pairs.act_row)
                 emit(pos[:, None], a, ends[outer, k + 1], col + k)
         else:
-            touched = _touched_dyads(seq, rs, kind)
+            touched = touched_dyads(rs, kind, seq.senders, seq.receivers)
             for k in range(K):
                 emit(touched, ends[:, k], ends[:, k + 1], col + k)
         col += K

@@ -166,6 +166,7 @@ class TestFitBag:
         (["--ridge", "-1"], "ridge"),
         (["--weighting", "waic", "--waic-burn-in", "0"], "burn_in"),
         (["--jobs", "0"], "jobs"),
+        (["--weighting", "waic", "--waic-burn-in", "500"], "burn_in"),
     ])
     def test_invalid_fit_option_is_error(self, sim_dir, tmp_path, capsys, flags, name):
         rc = main([
@@ -193,6 +194,18 @@ class TestFitBag:
         assert log_lines[0]["event"] == "start"
         assert log_lines[-1]["event"] == "done"
         assert all("seconds" in l for l in log_lines if l["event"] == "fit")
+
+    def test_default_burn_in_leaves_room_for_ahead(self, sim_dir, tmp_path):
+        # 50 events: the default burn-in must leave 3 events to score ahead
+        out = tmp_path / "ahead"
+        run([
+            "fit-bag", "--events", str(sim_dir / "events.csv"), "--out", str(out),
+            "--kinds", "inertia", "--k-values", "2", "--per-kind-count", "0",
+            "--min-size", "0.05", "--gamma-max", "12", "--weighting", "waic",
+            "--waic-ahead", "3", "--waic-draws", "20", "--seed", "7",
+        ])
+        assert WaicConfig.default_for(50, ahead=3).burn_in == 46
+        assert (out / "weights.csv").read_text().splitlines()[1].split(",")[4] != ""
 
 
 # WAIC weighting and a closure kind, so that the per-worker triad cache and the
@@ -290,6 +303,11 @@ class TestReportAndConfig:
             f"{sum(halvings)} step halvings (at most {max(halvings)} per model), "
             f"largest final max|grad| {grad:.3g}; stops: {counts}; jittered fits: 0\n"
         ) in text
+
+    def test_report_creates_out(self, fitted_dir, tmp_path):
+        out = tmp_path / "new" / "dir"
+        run(["report", "--fits", str(fitted_dir / "fits.json"), "--out", str(out)])
+        assert "weighting: bic" in (out / "report.md").read_text()
 
     def test_effective_model_count(self, fitted_dir, tmp_path):
         # two models whose BICs differ by 2 ln 3 get weights 3/4 and 1/4

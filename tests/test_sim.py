@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from remdecay.decay import StepwiseDecay, WeibullDecay
+from remdecay.decay import LinearDecay, StepwiseDecay, WeibullDecay
 from remdecay.events import EventSequence, RiskSet
 from remdecay.intervals import IntervalSpec
 from remdecay.likelihood import fit_mle
-from remdecay.sim import SimConfig, SimulationError, simulate
+from remdecay.sim import SimConfig, SimulationError, _HistoryState, simulate
 from remdecay.stats import StatisticKind, compute_stepwise_stats
+
+from oracle import random_sequence
 
 
 class TestConfigValidation:
@@ -105,6 +107,34 @@ class TestOutputContract:
         )
         seq = simulate(cfg)
         assert len(seq) == 60
+
+
+class TestThinningEnvelope:
+    @pytest.mark.parametrize("kind", list(StatisticKind))
+    def test_dominating_rates_bound_every_later_rate(self, kind):
+        # the thinning envelope taken at t must bound the true log rates at
+        # every later time t + delta, delta in [0, horizon], dyad by dyad
+        rng = np.random.default_rng(31)
+        horizon = 6.0
+        decays = (WeibullDecay(scale=3.0, shape=1.0, peak=0.5), LinearDecay(horizon, 1.0))
+        rs = RiskSet(4)
+        strict = 0
+        for trial in range(3):
+            seq = random_sequence(rng, 4, 30)
+            cfg = SimConfig(n_actors=4, beta0=-1.0, n_events=1, horizon=horizon,
+                            effects={kind: decays[trial % 2]})
+            for m in (10, 20, 30):
+                state = _HistoryState(cfg, rs)
+                for ev in list(seq)[:m]:
+                    state.append(ev.time, ev.sender, ev.receiver)
+                t = seq.times[m - 1]
+                env = state.log_rates(t, dominating=True)
+                # increasing query times: log_rates drops events past the horizon
+                for delta in np.linspace(0.0, horizon, 30):
+                    now = state.log_rates(t + delta)
+                    assert np.all(now <= env)
+                    strict += int(np.any(now < env))
+        assert strict > 0
 
 
 class TestRecovery:
