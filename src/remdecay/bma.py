@@ -107,14 +107,21 @@ class WaicConfig:
         burn = max(100, math.ceil(0.1 * n_events))
         burn = min(burn, n_events - ahead - 1)
         if burn < 1:
-            raise ValueError(f"sequence too short for WAIC scoring (M={n_events})")
+            raise ValueError(
+                f"sequence too short for WAIC scoring: no burn_in satisfies {_WINDOW_RULE} "
+                f"(M={n_events}, ahead={ahead})"
+            )
         return cls(burn_in=burn, ahead=ahead, n_draws=n_draws, seed=seed)
 
 
+_WINDOW_RULE = "1 <= burn_in < M - ahead"
+
+
 def _check_window(cfg: WaicConfig, M: int) -> None:
-    L, A = cfg.burn_in, cfg.ahead
-    if not 1 <= L < M - A:
-        raise ValueError(f"burn_in must satisfy 1 <= L < M - ahead ({L=}, {M=}, {A=})")
+    if not 1 <= cfg.burn_in < M - cfg.ahead:
+        raise ValueError(
+            f"burn_in must satisfy {_WINDOW_RULE} (burn_in={cfg.burn_in}, M={M}, ahead={cfg.ahead})"
+        )
 
 
 def waic_elpd(

@@ -2,7 +2,8 @@
 
 Every subcommand is a pure function of (config, input files, seed): rerunning
 with the same inputs reproduces the data artifacts byte for byte (the timing
-log is the one exception). Config comes from an optional flat JSON file, and
+log is the one exception). Each checks its options and inputs before it
+creates ``--out``, so a command that fails there leaves nothing behind. Config comes from an optional flat JSON file, and
 any field can be overridden by the flag of the same name.
 """
 
@@ -89,7 +90,6 @@ def _load_sequence(cfg: dict) -> EventSequence:
 
 def cmd_simulate(cfg: dict) -> dict:
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     events_path = os.path.join(out, "events.csv")
     manifest_path = os.path.join(out, "manifest.json")
     _ensure_outputs([events_path, manifest_path], cfg.get("force", False))
@@ -107,6 +107,7 @@ def cmd_simulate(cfg: dict) -> dict:
         seed=cfg.get("seed", 0),
     )
     seq = simulate(sim_cfg)
+    os.makedirs(out, exist_ok=True)
     seq.to_csv(events_path)
     _write_json(manifest_path, {"generator": sim_cfg.to_json_dict(), "n_events": len(seq)})
     _echo_config(out, cfg)
@@ -133,10 +134,10 @@ def _write_interval_bag(cfg: dict, bag: list[IntervalSpec], path: str) -> None:
 
 def cmd_gen_intervals(cfg: dict) -> dict:
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "intervals.json")
     _ensure_outputs([path], cfg.get("force", False))
     bag = _interval_bag(cfg)
+    os.makedirs(out, exist_ok=True)
     _write_interval_bag(cfg, bag, path)
     _echo_config(out, cfg)
     return {"intervals": path, "n_specs": len(bag)}
@@ -148,7 +149,6 @@ def cmd_gen_intervals(cfg: dict) -> dict:
 
 def cmd_fit_bag(cfg: dict) -> dict:
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     fits_path = os.path.join(out, "fits.json")
     weights_path = os.path.join(out, "weights.csv")
     log_path = os.path.join(out, "log.ndjson")
@@ -183,6 +183,7 @@ def cmd_fit_bag(cfg: dict) -> dict:
     jobs = int(cfg.get("jobs", 1))
     # validates the fit options before anything is written
     runs = fit_bag(seq, bag, kinds, waic=waic_cfg, ridge=cfg.get("ridge", 0.0), jobs=jobs)
+    os.makedirs(out, exist_ok=True)
     if inline_bag:
         _write_interval_bag(cfg, bag, os.path.join(out, "intervals.json"))
     with _NdjsonLog(log_path) as log:
@@ -242,7 +243,6 @@ def _load_bag(out_or_fits: str) -> ModelBag:
 
 def cmd_trend(cfg: dict) -> dict:
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, "trend.csv")
     json_path = os.path.join(out, "trend.json")
     _ensure_outputs([csv_path, json_path], cfg.get("force", False))
@@ -256,6 +256,7 @@ def cmd_trend(cfg: dict) -> dict:
         gamma_max=cfg.get("gamma_max"),
         level=cfg.get("level", 0.95),
     )
+    os.makedirs(out, exist_ok=True)
     trend.to_csv(csv_path)
     _write_json(json_path, trend.to_json_dict())
     _echo_config(out, cfg, name="trend_config.json")
@@ -284,7 +285,6 @@ def _newton_line(fits: list[ModelFit]) -> str:
 
 def cmd_report(cfg: dict) -> dict:
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     report_path = os.path.join(out, "report.md")
     _ensure_outputs([report_path], cfg.get("force", False))
     bag = _load_bag(cfg.get("fits") or out)
@@ -317,6 +317,7 @@ def cmd_report(cfg: dict) -> dict:
             f"- intercept posterior mode: {mode:.4f} "
             f"(baseline rate {np.exp(mode):.6f} events per time unit per dyad)"
         )
+    os.makedirs(out, exist_ok=True)
     with open(report_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return {"report": report_path}

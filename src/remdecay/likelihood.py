@@ -55,7 +55,7 @@ LINE_SEARCH_STEPS = 50  # candidates per line search; the step is halved after e
 FLOAT_FLOOR = 64 * np.finfo(np.float64).eps  # predicted gain, relative to max(1, |ll|), that ll cannot resolve
 _JITTER_NOTE = "hessian factorization required a 1e-8 jitter"
 _DRAW_BLOCK = 8_000_000  # entries of the largest per-block working array
-_ROW_BLOCK = 32_768  # runs per block of the Hessian sum
+_ROW_BLOCK = 4096  # runs per float64 block of the design
 
 
 @dataclass
@@ -146,6 +146,26 @@ class ModelFit:
         )
 
 
+def _float_blocks(U: np.ndarray):
+    """(rows, U[rows] cast to float64) for each block of ``_ROW_BLOCK`` runs,
+    in one reused buffer that the caller may overwrite. The buffer is
+    column-major, like a built design, so each column copies contiguously."""
+    buf = np.empty((min(len(U), _ROW_BLOCK), U.shape[1]), order="F")
+    for r0 in range(0, len(U), _ROW_BLOCK):
+        rows = slice(r0, min(r0 + _ROW_BLOCK, len(U)))
+        block = buf[: rows.stop - r0]
+        np.copyto(block, U[rows])
+        yield rows, block
+
+
+def _design_product(U: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """U @ betas, with U cast to float64 one block of ``_ROW_BLOCK`` rows at a time."""
+    out = np.empty((len(U),) + betas.shape[1:])
+    for rows, block in _float_blocks(U):
+        np.matmul(block, betas, out=out[rows])
+    return out
+
+
 def run_rates(stats: StatTensor, betas: np.ndarray) -> np.ndarray:
     """The rate kernel: exp(u_r . beta) for every run r, for one vector (P,)
     or B columns (P, B). Overflow is returned as inf, not raised."""
@@ -153,7 +173,7 @@ def run_rates(stats: StatTensor, betas: np.ndarray) -> np.ndarray:
     P = stats.n_columns
     if betas.ndim not in (1, 2) or betas.shape[0] != P:
         raise ValueError(f"betas must have shape ({P},) or ({P}, B), got {betas.shape}")
-    eta = stats.states @ betas
+    eta = _design_product(stats.states, betas)
     with np.errstate(over="ignore"):
         return np.exp(eta, out=eta)
 
@@ -161,9 +181,10 @@ def run_rates(stats: StatTensor, betas: np.ndarray) -> np.ndarray:
 def _constants(stats: StatTensor, seq: EventSequence) -> tuple[np.ndarray, np.ndarray]:
     """The per-fit constants of the likelihood: the exposures W_r, the waiting
     time run r is at risk (T[stop] - T[start] with T = (t0, times)), and s, the
-    summed realized statistics."""
+    summed realized statistics (summed as float64)."""
     T = np.concatenate(([seq.t0], seq.times))
-    return T[stats.stop] - T[stats.start], stats.states[stats.realized].sum(axis=0)
+    s = stats.states[stats.realized].sum(axis=0, dtype=np.float64)
+    return T[stats.stop] - T[stats.start], s
 
 
 def _reduce(
@@ -227,7 +248,7 @@ def event_log_densities(stats: StatTensor, seq: EventSequence, draws: np.ndarray
     chunk = max(1, _DRAW_BLOCK // max(M + 1, len(rows)))
     for b0 in range(0, len(draws), chunk):
         block = out[:, b0 : b0 + chunk]
-        eta = rows @ draws[b0 : b0 + chunk].T
+        eta = _design_product(rows, draws[b0 : b0 + chunk].T)
         block[...] = eta[realized]
         with np.errstate(over="ignore", invalid="ignore"):
             totals = steps @ np.exp(eta, out=eta)
@@ -241,14 +262,14 @@ def event_log_densities(stats: StatTensor, seq: EventSequence, draws: np.ndarray
 def _derivatives(U: np.ndarray, s: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient s - w . U and Hessian -(sqrt(w) U)'(sqrt(w) U) from the run
     weights of one ``_reduce``. The Hessian is summed over blocks of runs, so
-    only one block of the weighted design is held, and each block product is
-    symmetric by construction."""
+    only one float64 block of the weighted design is held, and each block
+    product is symmetric by construction. The gradient is summed one column
+    at a time over all runs, so it does not depend on the block size."""
     hess = np.zeros((U.shape[1], U.shape[1]))
-    for r0 in range(0, len(U), _ROW_BLOCK):
-        rows = slice(r0, r0 + _ROW_BLOCK)
-        block = U[rows] * np.sqrt(w[rows])[:, None]
+    for rows, block in _float_blocks(U):
+        block *= np.sqrt(w[rows])[:, None]
         hess -= block.T @ block
-    return s - w @ U, hess
+    return s - np.array([w @ col for col in U.T]), hess
 
 
 def grad_and_hessian(
@@ -320,7 +341,7 @@ def fit_mle(
     opts = opts or FitOptions()
     M, P = stats.n_events, stats.n_columns
     U = stats.states
-    if not np.isfinite(U).all():
+    if U.dtype.kind == "f" and not np.isfinite(U).all():
         raise ValueError("statistics design contains non-finite values")
 
     W, s = _constants(stats, seq)

@@ -63,6 +63,13 @@ class StatTensor:
     (identically 1); the remaining columns are one block per statistic kind,
     in declared order, with one column per memory interval. Memory grows with
     the number of state changes, not with M x N(N-1).
+
+    Every entry is an exact count, so ``compute_stepwise_stats`` stores
+    ``states`` column-major in the smallest unsigned integer type that holds
+    an upper bound of every count: the largest number of +1 difference-array
+    entries that one dyad receives in one column (``np.min_scalar_type``, so
+    uint8 up to 255, then uint16, ...). Consumers cast rows to float64 one
+    block at a time. Designs built by hand may hold any real dtype.
     """
 
     states: np.ndarray
@@ -99,8 +106,8 @@ class StatTensor:
         Rows are told apart by one exact int64 key per run: the mixed-radix
         number whose digits are the run's counts in the columns that vary
         (a constant column, such as the intercept, is a digit of radix 1).
-        When a varying column is not a nonnegative integer, or the key space
-        reaches 2^63, every run keeps its own row.
+        When a varying column of a real-valued design is not a nonnegative
+        integer, or the key space reaches 2^63, every run keeps its own row.
         """
         states = self.states
         R = len(states)
@@ -110,7 +117,10 @@ class StatTensor:
             lo, hi = col.min(), col.max()
             if lo == hi:
                 continue
-            if not (lo >= 0.0 and hi < 2.0**63 and np.array_equal(col, np.floor(col))):
+            exact = states.dtype.kind == "u" or (
+                lo >= 0.0 and hi < 2.0**63 and np.array_equal(col, np.floor(col))
+            )
+            if not exact:
                 return states, np.arange(R)
             radix = int(hi) + 1
             space *= radix
@@ -162,20 +172,25 @@ def _interval_row_ends(times: np.ndarray, spec: IntervalSpec) -> np.ndarray:
     return ends
 
 
-def _activation_rows(times: np.ndarray, t_outer: float, t_inner: np.ndarray) -> np.ndarray:
-    """First row m where the inner-search window of the outer event reaches
-    back to each inner time: times[e] - (times[m] - times[e]) <= t_inner."""
+def _activation_rows(times: np.ndarray, t_outer: np.ndarray, t_inner: np.ndarray) -> np.ndarray:
+    """First row m where the inner-search window of each outer event reaches
+    back to its inner time: t_outer - (times[m] - t_outer) <= t_inner."""
     idx = np.searchsorted(times, 2.0 * t_outer - t_inner, side="left")
     return _first_rows(times, idx, lambda j: t_outer - (times[j] - t_outer) <= t_inner)
 
 
+def _closes(senders: np.ndarray, receivers: np.ndarray, inner, outer) -> np.ndarray:
+    """The closure rule: inner event pairs with outer event when the inner
+    receiver is the outer sender and the inner sender is not the outer
+    receiver (that pair would close onto a self-loop). ``inner`` and
+    ``outer`` index the events: index arrays of one shape, a slice, or an int."""
+    return (receivers[inner] == senders[outer]) & (senders[inner] != receivers[outer])
+
+
 def closure_partners(senders: np.ndarray, receivers: np.ndarray, lo: int, e: int) -> np.ndarray:
     """The events among lo..e-1 that pair as the inner event with outer event
-    e: the inner receiver is the outer sender, and the inner sender is not the
-    outer receiver (that pair would close onto a self-loop)."""
-    inner = slice(lo, e)
-    hit = (receivers[inner] == senders[e]) & (senders[inner] != receivers[e])
-    return lo + np.flatnonzero(hit)
+    e under the closure rule of ``_closes``."""
+    return lo + np.flatnonzero(_closes(senders, receivers, slice(lo, e), e))
 
 
 def closure_positions(
@@ -236,27 +251,33 @@ class TriadPairs:
 
 
 def build_triad_pairs(seq: EventSequence, rs: RiskSet, horizon: float) -> TriadPairs:
+    """Every (inner, outer) pair of ``closure_partners`` in one vectorized pass.
+
+    Each outer event e searches the inner window [lo, e) that its backward
+    search reaches by the last row before e leaves the horizon. Events are
+    grouped by receiver, so the candidates of e are one contiguous slice of
+    its sender's group; the slices are expanded with ``np.repeat`` and
+    filtered by the closure rule, and one ``_first_rows`` nudge finds every
+    pair's activation row.
+    """
     times, S, R = seq.times, seq.senders, seq.receivers
-    horizon_end = _threshold_rows(times, float(horizon))
-
-    outer_chunks, inner_chunks, act_chunks = [], [], []
-    for e in range(times.size):
-        last_row = horizon_end[e] - 1
-        if last_row <= e:
-            continue
-        te = times[e]
-        lo_final = te - (times[last_row] - te)  # widest window before horizon exit
-        inner = closure_partners(S, R, np.searchsorted(times, lo_final, side="left"), e)
-        if inner.size == 0:
-            continue
-        outer_chunks.append(np.full(inner.size, e, dtype=np.int64))
-        inner_chunks.append(inner)
-        act_chunks.append(_activation_rows(times, te, times[inner]))
-
-    if outer_chunks:
-        outer, inner, act = (np.concatenate(c) for c in (outer_chunks, inner_chunks, act_chunks))
-    else:
-        outer = inner = act = np.empty(0, dtype=np.int64)
+    M = times.size
+    last_row = _threshold_rows(times, float(horizon)) - 1
+    e = np.flatnonzero(last_row > np.arange(M))
+    te = times[e]
+    lo = np.searchsorted(times, te - (times[last_row[e]] - te), side="left")
+    # events keyed by (receiver, index): the inner candidates of e are the
+    # keys in [S[e] * M + lo, S[e] * M + e)
+    by_receiver = np.argsort(R, kind="stable")
+    keys = R[by_receiver] * M + by_receiver
+    left = np.searchsorted(keys, S[e] * M + lo)
+    count = np.searchsorted(keys, S[e] * M + e) - left
+    outer = np.repeat(e, count)
+    slot = np.arange(outer.size) - np.repeat(np.cumsum(count) - count - left, count)
+    inner = by_receiver[slot]
+    keep = _closes(S, R, inner, outer)
+    inner, outer = inner[keep], outer[keep]
+    act = _activation_rows(times, times[outer], times[inner])
     positions = {kind: closure_positions(rs, kind, S[inner], R[outer]) for kind in SECOND_ORDER}
     return TriadPairs(horizon=float(horizon), outer=outer, act_row=act, positions=positions)
 
@@ -290,7 +311,9 @@ def compute_stepwise_stats(
     Every count is a difference array: +1 on the dyads a contribution touches
     at the row it enters an interval, -1 at the row it leaves. A dyad's runs
     start at row 0 and at every row where it has such an entry; each run's
-    state is the dyad's running sum of its entries.
+    state is the dyad's running sum of its entries. The states are filled one
+    column at a time from that column's entries, so no runs x columns array
+    wider than the chosen integer type is formed.
     """
     kinds = tuple(StatisticKind(k) for k in kinds)
     if len(set(kinds)) != len(kinds):
@@ -309,48 +332,58 @@ def compute_stepwise_stats(
                 f"triad precompute horizon {triad_pairs.horizon} != spec horizon {spec.horizon}"
             )
 
-    # difference-array entries: key = dyad * (M + 1) + row, column, +-1
+    # difference-array entries, keyed dyad * (M + 1) + row: for each column
+    # 1..P-1 the keys where a contribution enters (+1), then where it leaves (-1)
     keys = [np.arange(D, dtype=np.int64) * (M + 1)]
-    cols, deltas = [np.empty(0, dtype=np.int64)], [np.empty(0)]
 
-    def emit(dyads: np.ndarray, a: np.ndarray, b: np.ndarray, col: int) -> None:
+    def emit(dyads: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         live = a < b
         dyads, a, b = dyads[live], a[live], b[live]
-        for rows, sign in ((a, 1.0), (b, -1.0)):
+        for rows in (a, b):
             inside = rows < M
-            key = (dyads[inside] * (M + 1) + rows[inside, None]).ravel()
-            keys.append(key)
-            cols.append(np.full(key.size, col, dtype=np.int64))
-            deltas.append(np.full(key.size, sign))
+            keys.append((dyads[inside] * (M + 1) + rows[inside, None]).ravel())
 
-    col = 1
     for kind in kinds:
         if kind in SECOND_ORDER:
             outer, pos = triad_pairs.outer, triad_pairs.positions[kind]
             for k in range(K):
                 a = np.maximum(ends[outer, k], triad_pairs.act_row)
-                emit(pos[:, None], a, ends[outer, k + 1], col + k)
+                emit(pos[:, None], a, ends[outer, k + 1])
         else:
             touched = touched_dyads(rs, kind, seq.senders, seq.receivers)
             for k in range(K):
-                emit(touched, ends[:, k], ends[:, k + 1], col + k)
-        col += K
+                emit(touched, ends[:, k], ends[:, k + 1])
 
-    run_keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    bounds = np.cumsum([k.size for k in keys])
+    # no count exceeds its dyad's number of +1 entries in the column
+    most = max((np.bincount(k // (M + 1), minlength=D).max() for k in keys[1::2]), default=0)
+    # the runs start at the distinct keys; unlike np.unique(return_inverse=True),
+    # this holds at most three entry-length arrays at a time
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = np.append(True, keys[1:] != keys[:-1])
+    run_keys = keys[new]
+    del keys
+    # inverse[i]: the run of entry i
+    inverse = np.empty(order.size, dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    del order, new
     R = run_keys.size
-    states = np.bincount(
-        inverse[D:] * P + np.concatenate(cols),
-        weights=np.concatenate(deltas),
-        minlength=R * P,
-    ).reshape(R, P)
     dyad, start = np.divmod(run_keys, M + 1)
-    first = np.searchsorted(run_keys, np.arange(D, dtype=np.int64) * (M + 1))
+    first = inverse[:D]
     stop = np.append(start[1:], M)
     stop[first[1:] - 1] = M
-    # segmented running sum: cancel each dyad's total at the next dyad's first run
-    states[first[1:]] -= np.add.reduceat(states, first, axis=0)[:-1]
-    np.cumsum(states, axis=0, out=states)
-    states[:, 0] = 1.0
+
+    states = np.empty((R, P), dtype=np.min_scalar_type(most), order="F")
+    states[:, 0] = 1
+    for col in range(1, P):
+        enter, leave = (inverse[bounds[i - 1] : bounds[i]] for i in (2 * col - 1, 2 * col))
+        step = np.bincount(enter, minlength=R)
+        step -= np.bincount(leave, minlength=R)
+        # segmented running sum: cancel each dyad's total at the next dyad's first run
+        step[first[1:]] -= np.add.reduceat(step, first)[:-1]
+        states[:, col] = np.cumsum(step, out=step)
 
     event_positions = rs.event_positions(seq)
     realized = np.searchsorted(run_keys, event_positions * (M + 1) + np.arange(M), side="right") - 1

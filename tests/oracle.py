@@ -132,6 +132,33 @@ def _closure_row(seq, rs, kind, m, K, k_of, in_h):
     return block
 
 
+def brute_triad_pairs(seq, rs, horizon):
+    """Every closure pair by brute force, as (outer, act_row, positions).
+
+    For each outer event e and each earlier event i whose receiver is e's
+    sender and whose sender is not e's receiver, scan every row for the first
+    one whose backward window t_e - (t_m - t_e) reaches t_i. The pair is kept
+    when the outer event's age at that row is still within the horizon. Pairs
+    come out by outer event, then by inner event."""
+    times, S, R = seq.times, seq.senders, seq.receivers
+    outer, act, trans, cyc = [], [], [], []
+    for e in range(len(seq)):
+        for i in range(e):
+            if R[i] != S[e] or S[i] == R[e]:
+                continue
+            rows = [m for m in range(len(seq)) if times[e] - (times[m] - times[e]) <= times[i]]
+            if not rows or times[rows[0]] - times[e] > horizon:
+                continue
+            outer.append(e)
+            act.append(rows[0])
+            trans.append(rs.index_of(int(S[i]), int(R[e])))
+            cyc.append(rs.index_of(int(R[e]), int(S[i])))
+    positions = {StatisticKind.TRANSITIVITY: trans, StatisticKind.CYCLIC: cyc}
+    return np.array(outer, dtype=np.int64), np.array(act, dtype=np.int64), {
+        kind: np.array(pos, dtype=np.int64) for kind, pos in positions.items()
+    }
+
+
 def loop_stepwise_stats(seq, rs, kinds, spec):
     """Plain-loop recount for tiny cases: no numpy in the counting path."""
     kinds = tuple(StatisticKind(k) for k in kinds)

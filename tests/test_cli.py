@@ -176,9 +176,21 @@ class TestFitBag:
         ])
         assert rc == 1
         assert name in capsys.readouterr().err
-        # the options are checked before the inline bag or the log is written
-        assert not (tmp_path / "bad" / "intervals.json").exists()
-        assert not (tmp_path / "bad" / "log.ndjson").exists()
+        # the options are checked before --out is created
+        assert not (tmp_path / "bad").exists()
+
+    def test_window_error_names_its_cause(self, sim_dir, tmp_path, capsys):
+        # 50 events leave no default burn-in that can score 100 events ahead
+        rc = main([
+            "fit-bag", "--events", str(sim_dir / "events.csv"), "--out", str(tmp_path / "bad"),
+            "--kinds", "inertia", "--k-values", "2", "--per-kind-count", "0",
+            "--min-size", "0.05", "--gamma-max", "12", "--seed", "7",
+            "--weighting", "waic", "--waic-ahead", "100",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "1 <= burn_in < M - ahead" in err and "M=50" in err and "ahead=100" in err
+        assert not (tmp_path / "bad").exists()
 
     def test_waic_weighting_runs(self, sim_dir, tmp_path):
         out = tmp_path / "waic"
@@ -270,6 +282,12 @@ class TestTrend:
         assert doc == json.loads(json.dumps(trend.to_json_dict()))
 
 
+    def test_missing_fits_leave_no_out(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        assert main(["trend", "--fits", str(tmp_path / "nowhere" / "fits.json"), "--out", str(out)]) == 1
+        assert "nowhere" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ten_draws(self, fitted_dir, tmp_path):
         # 10 draws give a KDE kernel wider than the mode grid
         for seed in range(1, 5):
@@ -308,6 +326,12 @@ class TestReportAndConfig:
         out = tmp_path / "new" / "dir"
         run(["report", "--fits", str(fitted_dir / "fits.json"), "--out", str(out)])
         assert "weighting: bic" in (out / "report.md").read_text()
+
+    def test_missing_fits_leave_no_out(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["report", "--fits", str(tmp_path / "nowhere" / "fits.json"), "--out", str(out)]) == 1
+        assert "nowhere" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_effective_model_count(self, fitted_dir, tmp_path):
         # two models whose BICs differ by 2 ln 3 get weights 3/4 and 1/4

@@ -24,6 +24,7 @@ from remdecay.likelihood import (
 from remdecay.sim import SimConfig, simulate
 from remdecay.stats import StatisticKind, compute_stepwise_stats
 
+from conftest import SIX_KINDS
 from oracle import random_sequence, runs_from_dense
 
 KINDS2 = (StatisticKind.INERTIA, StatisticKind.RECIPROCITY)
@@ -162,6 +163,21 @@ class TestRateKernel:
             tracemalloc.stop()
         assert out.shape == (3000, B) and np.isfinite(out).all()
         assert peak < len(stats.states) * B * 8
+
+    def test_fit_holds_no_float_design(self, wide_seq):
+        """Memory guard: on the six-kind K = 5 design of ``wide_seq`` (about
+        170k runs of small unsigned integers), the Newton fit casts the design
+        to float64 one block at a time and must peak below half of one
+        runs x columns float64 array."""
+        stats = compute_stepwise_stats(wide_seq, RiskSet(10), SIX_KINDS, equal_spec(5, 20.0))
+        tracemalloc.start()
+        try:
+            fit = fit_mle(stats, wide_seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.converged and stats.states.dtype.kind == "u"
+        assert peak < 0.5 * stats.states.size * 8
 
     def test_hessian_blocks_match_one_block(self, rng, monkeypatch):
         seq, rs, stats = random_instance(rng, n_events=60)

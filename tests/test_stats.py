@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from remdecay.intervals import IntervalSpec, equal_spec
 from remdecay.sim import SimConfig, _HistoryState
 from remdecay.stats import StatisticKind, build_triad_pairs, compute_stepwise_stats
 
+from conftest import SIX_KINDS
 from oracle import (
+    brute_triad_pairs,
     loop_continuous_stats,
     loop_stepwise_stats,
     random_sequence,
@@ -158,6 +162,20 @@ class TestOracleEquivalence:
             b = compute_stepwise_stats(seq, rs, ALL_KINDS, spec)
             np.testing.assert_array_equal(a.to_dense(), b.to_dense())
 
+    def test_triad_pairs_match_brute_force(self, rng):
+        for _ in range(12):
+            seq = random_sequence(rng, int(rng.integers(3, 7)), int(rng.integers(5, 70)))
+            rs = RiskSet(seq.n_actors)
+            span = seq.times[-1] - seq.times[0]
+            horizon = float(rng.uniform(0.02, 1.2) * span)
+            pairs = build_triad_pairs(seq, rs, horizon)
+            outer, act, positions = brute_triad_pairs(seq, rs, horizon)
+            np.testing.assert_array_equal(pairs.outer, outer)
+            np.testing.assert_array_equal(pairs.act_row, act)
+            for kind in positions:
+                np.testing.assert_array_equal(pairs.positions[kind], positions[kind])
+            assert pairs.n_pairs == outer.size
+
     def test_horizon_mismatch_rejected(self, rng):
         seq = random_sequence(rng, 3, 10)
         rs = RiskSet(3)
@@ -215,6 +233,36 @@ class TestRunDesign:
         assert design_bytes < M * D * P * 8 / 10
 
 
+class TestNarrowDesign:
+    @pytest.mark.parametrize("n_events, dtype", [(255, np.uint8), (300, np.uint16)])
+    def test_type_holds_the_largest_count(self, n_events, dtype):
+        """n events on one dyad inside one interval: the last row counts n - 1
+        of them, and the type is chosen from the n entries that dyad gets."""
+        times = np.arange(1.0, n_events + 3.0)
+        senders = np.r_[np.zeros(n_events, dtype=int), 1, 2]
+        receivers = np.r_[np.ones(n_events, dtype=int), 2, 0]
+        seq = EventSequence(times, senders, receivers, 3)
+        rs = RiskSet(3)
+        spec = equal_spec(2, 2.0 * n_events)
+        got = compute_stepwise_stats(seq, rs, (StatisticKind.INERTIA, StatisticKind.RECIPROCITY), spec)
+        assert got.states.dtype == dtype
+        want = rescan_stepwise_stats(seq, rs, (StatisticKind.INERTIA, StatisticKind.RECIPROCITY), spec)
+        np.testing.assert_array_equal(got.to_dense(), want.to_dense())
+        assert got.to_dense().max() == n_events
+
+    def test_build_holds_no_float_design(self, wide_seq):
+        """Memory guard: the six-kind build at K = 5 (closure precompute
+        included) peaks well below one runs x columns float64 array."""
+        tracemalloc.start()
+        try:
+            st_ = compute_stepwise_stats(wide_seq, RiskSet(10), SIX_KINDS, equal_spec(5, 20.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st_.states.dtype.kind == "u"
+        assert peak < 0.8 * st_.states.size * 8
+
+
 class TestDistinctStates:
     def test_rows_reproduce_states_on_every_kind(self, rng):
         for kind in ALL_KINDS:
@@ -247,7 +295,7 @@ class TestDistinctStates:
         for scale, keyed in ((2.0**20, True), (2.0**40, False)):
             # every varying column ranges over 0..scale or wider: at 2^40, two
             # such digits already need more than 63 bits
-            wide = dense.copy()
+            wide = dense.astype(np.float64)
             wide[:, :, 1:] *= scale
             design = runs_from_dense(wide, rs, st_.event_positions, st_.labels)
             rows, ids = design.distinct_states()
