@@ -31,7 +31,7 @@ from .decay import decay_from_json
 from .events import EventSequence, load_events
 from .intervals import IntervalSpec, bag_from_json, bag_to_json, generate_interval_bag
 from .likelihood import ModelFit
-from .sim import SimConfig, simulate
+from .sim import SimConfig, SimulationError, simulate
 from .stats import StatisticKind
 
 __all__ = ["main", "cmd_simulate", "cmd_gen_intervals", "cmd_fit_bag", "cmd_trend", "cmd_report"]
@@ -419,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _merge_config(args)
         summary = _COMMANDS[args.command](cfg)
-    except (CliError, OSError, ValueError, KeyError) as exc:
+    except (CliError, SimulationError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(summary, sort_keys=True))

@@ -3,13 +3,14 @@
 The sequence likelihood is a product over events of (hazard of the realized
 dyad) x (survival of every at-risk dyad over the waiting time); rates are
 log-linear in the statistics. Because a dyad's rate is constant over each run
-of the run-length design, the survival term is the sum over runs of the run's
-exposure (its total waiting time) x its rate. The log-likelihood is concave,
-so Newton iterations with step halving converge globally. The fit starts at
-the closed-form intercept-only MLE, evaluates the rate kernel once per
-candidate point (an accepted candidate's run weights give its gradient and
-Hessian), and stops on the tolerances or when the predicted gain of the next
-step is at the float resolution of the log-likelihood.
+of the run-length design, the survival term is the sum over its distinct
+states of the state's pooled exposure (the waiting time of its runs) x its
+rate. The log-likelihood is concave, so Newton iterations with step halving
+converge globally. The fit starts at the closed-form intercept-only MLE,
+evaluates the rate kernel once per candidate point (an accepted candidate's
+state weights give its gradient and Hessian), and stops on the tolerances or
+when the predicted gain of the next step is at the float resolution of the
+log-likelihood.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ __all__ = [
     "FitOptions",
     "LikelihoodOverflowError",
     "RankDeficiencyError",
-    "run_rates",
+    "log_rates",
     "event_terms",
     "event_log_densities",
     "log_likelihood",
@@ -55,7 +56,7 @@ LINE_SEARCH_STEPS = 50  # candidates per line search; the step is halved after e
 FLOAT_FLOOR = 64 * np.finfo(np.float64).eps  # predicted gain, relative to max(1, |ll|), that ll cannot resolve
 _JITTER_NOTE = "hessian factorization required a 1e-8 jitter"
 _DRAW_BLOCK = 8_000_000  # entries of the largest per-block working array
-_ROW_BLOCK = 4096  # runs per float64 block of the design
+_ROW_BLOCK = 4096  # distinct states per float64 block of the design
 
 
 @dataclass
@@ -147,7 +148,7 @@ class ModelFit:
 
 
 def _float_blocks(U: np.ndarray):
-    """(rows, U[rows] cast to float64) for each block of ``_ROW_BLOCK`` runs,
+    """(rows, U[rows] cast to float64) for each block of ``_ROW_BLOCK`` rows,
     in one reused buffer that the caller may overwrite. The buffer is
     column-major, like a built design, so each column copies contiguously."""
     buf = np.empty((min(len(U), _ROW_BLOCK), U.shape[1]), order="F")
@@ -158,43 +159,47 @@ def _float_blocks(U: np.ndarray):
         yield rows, block
 
 
-def _design_product(U: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """U @ betas, with U cast to float64 one block of ``_ROW_BLOCK`` rows at a time."""
-    out = np.empty((len(U),) + betas.shape[1:])
-    for rows, block in _float_blocks(U):
-        np.matmul(block, betas, out=out[rows])
-    return out
-
-
-def run_rates(stats: StatTensor, betas: np.ndarray) -> np.ndarray:
-    """The rate kernel: exp(u_r . beta) for every run r, for one vector (P,)
-    or B columns (P, B). Overflow is returned as inf, not raised."""
+def log_rates(stats: StatTensor, betas: np.ndarray) -> np.ndarray:
+    """The rate kernel: the log-rate u . beta of every distinct state u (row
+    of ``stats.rows``, cast to float64 one block at a time), for one vector
+    (P,) or B columns (P, B)."""
     betas = np.asarray(betas, dtype=np.float64)
     P = stats.n_columns
     if betas.ndim not in (1, 2) or betas.shape[0] != P:
         raise ValueError(f"betas must have shape ({P},) or ({P}, B), got {betas.shape}")
-    eta = _design_product(stats.states, betas)
-    with np.errstate(over="ignore"):
-        return np.exp(eta, out=eta)
+    out = np.empty((len(stats.rows),) + betas.shape[1:])
+    for rows, block in _float_blocks(stats.rows):
+        np.matmul(block, betas, out=out[rows])
+    return out
+
+
+def _stops(stats: StatTensor) -> np.ndarray:
+    """Each run's stop row: the next run's start, or M where the next run is
+    a dyad's first (start 0) or there is none."""
+    M = stats.n_events
+    stop = np.append(stats.start[1:], stats.start.dtype.type(M))
+    stop[stop == 0] = M
+    return stop
 
 
 def _constants(stats: StatTensor, seq: EventSequence) -> tuple[np.ndarray, np.ndarray]:
-    """The per-fit constants of the likelihood: the exposures W_r, the waiting
-    time run r is at risk (T[stop] - T[start] with T = (t0, times)), and s, the
-    summed realized statistics (summed as float64)."""
+    """The per-fit constants of the likelihood: the pooled exposures W_u, the
+    summed waiting times T[stop] - T[start] of the runs in state u (with
+    T = (t0, times)), and s, the summed realized statistics (as float64)."""
     T = np.concatenate(([seq.t0], seq.times))
-    s = stats.states[stats.realized].sum(axis=0, dtype=np.float64)
-    return T[stats.stop] - T[stats.start], s
+    W = np.bincount(stats.ids, weights=T[_stops(stats)] - T[stats.start], minlength=len(stats.rows))
+    s = stats.rows[stats.realized].sum(axis=0, dtype=np.float64)
+    return W, s
 
 
 def _reduce(
     stats: StatTensor, W: np.ndarray, s: np.ndarray, beta: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """The log-likelihood s . beta - sum_r W_r e_r and the run weights
-    w_r = W_r e_r, the weight of run r in every derivative."""
-    e = run_rates(stats, beta)
-    with np.errstate(invalid="ignore"):
-        w = np.multiply(W, e, out=e)
+    """The log-likelihood s . beta - sum_u W_u e_u and the state weights
+    w_u = W_u e_u, the weight of state u in every derivative."""
+    eta = log_rates(stats, beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.multiply(W, np.exp(eta, out=eta), out=eta)
         return float(s @ beta - w.sum()), w
 
 
@@ -226,30 +231,28 @@ def log_likelihood(stats: StatTensor, seq: EventSequence, beta: np.ndarray) -> f
 def event_log_densities(stats: StatTensor, seq: EventSequence, draws: np.ndarray) -> np.ndarray:
     """(M, B) per-event log densities under each row of ``draws`` (B, P).
 
-    The rates are evaluated once per distinct state (U of them) and summed
-    through the (M + 1) x U step matrix, which holds +1 at each run's start
-    row and -1 at its stop row in the column of the run's state: its running
-    sum over rows times the rates is S_m. The draws go in blocks whose
-    (M + 1) x b and U x b working arrays stay near 64 MB each; no runs x
-    draws array is formed.
+    The rate kernel evaluates each draw once per distinct state (U of them),
+    and the rates are summed through the (M + 1) x U step matrix, which holds
+    +1 at each run's start row and -1 at its stop row in the column of the
+    run's state: its running sum over rows times the rates is S_m. The draws
+    go in blocks whose (M + 1) x b and U x b working arrays stay near 64 MB
+    each; no runs x draws array is formed.
     """
     import scipy.sparse
 
     draws = np.asarray(draws, dtype=np.float64)
-    rows, ids = stats.distinct_states()
-    M, R = stats.n_events, ids.size
+    M, R, U = stats.n_events, stats.ids.size, len(stats.rows)
     steps = scipy.sparse.csr_array(
-        (np.repeat([1.0, -1.0], R), (np.concatenate((stats.start, stats.stop)), np.tile(ids, 2))),
-        shape=(M + 1, len(rows)),
+        (np.repeat([1.0, -1.0], R), (np.concatenate((stats.start, _stops(stats))), np.tile(stats.ids, 2))),
+        shape=(M + 1, U),
     )
-    realized = ids[stats.realized]
     dt = np.diff(seq.times, prepend=seq.t0)[:, None]
     out = np.empty((M, len(draws)))
-    chunk = max(1, _DRAW_BLOCK // max(M + 1, len(rows)))
+    chunk = max(1, _DRAW_BLOCK // max(M + 1, U))
     for b0 in range(0, len(draws), chunk):
         block = out[:, b0 : b0 + chunk]
-        eta = _design_product(rows, draws[b0 : b0 + chunk].T)
-        block[...] = eta[realized]
+        eta = log_rates(stats, draws[b0 : b0 + chunk].T)
+        block[...] = eta[stats.realized]
         with np.errstate(over="ignore", invalid="ignore"):
             totals = steps @ np.exp(eta, out=eta)
             np.cumsum(totals, axis=0, out=totals)
@@ -260,11 +263,11 @@ def event_log_densities(stats: StatTensor, seq: EventSequence, draws: np.ndarray
 
 
 def _derivatives(U: np.ndarray, s: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient s - w . U and Hessian -(sqrt(w) U)'(sqrt(w) U) from the run
-    weights of one ``_reduce``. The Hessian is summed over blocks of runs, so
+    """Gradient s - w . U and Hessian -(sqrt(w) U)'(sqrt(w) U) from the state
+    weights of one ``_reduce``. The Hessian is summed over blocks of rows, so
     only one float64 block of the weighted design is held, and each block
     product is symmetric by construction. The gradient is summed one column
-    at a time over all runs, so it does not depend on the block size."""
+    at a time over all rows, so it does not depend on the block size."""
     hess = np.zeros((U.shape[1], U.shape[1]))
     for rows, block in _float_blocks(U):
         block *= np.sqrt(w[rows])[:, None]
@@ -281,7 +284,7 @@ def grad_and_hessian(
     W, s = _constants(stats, seq)
     value, w = _reduce(stats, W, s, beta)
     _require_finite(value, stats, seq, beta)
-    return _derivatives(stats.states, s, w)
+    return _derivatives(stats.rows, s, w)
 
 
 def _check_identifiable(info: np.ndarray, labels: tuple[str, ...]) -> None:
@@ -320,7 +323,7 @@ def fit_mle(
 ) -> ModelFit:
     """Newton MLE with step halving, from the intercept-only MLE.
 
-    The start is beta_0 = log(M / sum_r W_r) with every other coefficient 0
+    The start is beta_0 = log(M / sum_u W_u) with every other coefficient 0
     (beta = 0 when the total exposure is 0). With ridge = 0 a rank-deficient
     design is an error, found from the information at the start
     (identically-zero columns are named). The fit stops as converged when
@@ -330,17 +333,17 @@ def fit_mle(
     ``FLOAT_FLOOR`` x max(1, |ll|). It stops unconverged when a line search
     finds no improving step among ``LINE_SEARCH_STEPS`` candidates, or after
     ``MAX_ITER`` iterations. The rate kernel runs once per candidate point:
-    the accepted candidate's run weights give its gradient and Hessian. Each
+    the accepted candidate's state weights give its gradient and Hessian. Each
     Newton system ridge*I - H is factored once, retried with a 1e-8 jitter
     if it fails (recorded as a warning on the fit); the factor at the final
     beta gives the covariance. A column whose realized sum is 0 while its
-    exposure sum_r W_r u_rp is positive has its MLE at -inf; the fit names
+    exposure sum_u W_u u_p is positive has its MLE at -inf; the fit names
     such columns in a warning on the fit and a RuntimeWarning, and leaves
     ``converged`` as the stopping rule decided it.
     """
     opts = opts or FitOptions()
     M, P = stats.n_events, stats.n_columns
-    U = stats.states
+    U = stats.rows
     if U.dtype.kind == "f" and not np.isfinite(U).all():
         raise ValueError("statistics design contains non-finite values")
 

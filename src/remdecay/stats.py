@@ -4,7 +4,7 @@ Event row m holds the statistics in force on (t_{m-1}, t_m]: they are
 computed from events strictly before t_m, and drive both the hazard of the
 event at t_m and the survival increment over the waiting time. The design
 stores them as per-dyad runs of rows over which a dyad's statistics do not
-change (see ``StatTensor``).
+change, held as their distinct statistic vectors (see ``StatTensor``).
 
 All age arithmetic uses the canonical expressions
 
@@ -54,28 +54,29 @@ SECOND_ORDER = (StatisticKind.TRANSITIVITY, StatisticKind.CYCLIC)
 
 @dataclass
 class StatTensor:
-    """Run-length design: one row per run of a dyad's statistics.
+    """Run-length design held as its distinct states.
 
-    Run r covers the event rows [start[r], stop[r]) of dyad ``dyad[r]``, over
-    which that dyad's statistic vector ``states[r]`` does not change. Runs are
-    sorted by (dyad, start), and each dyad's runs tile [0, M). ``realized[m]``
-    is the run of the event's own dyad at row m. Column 0 is the intercept
-    (identically 1); the remaining columns are one block per statistic kind,
-    in declared order, with one column per memory interval. Memory grows with
-    the number of state changes, not with M x N(N-1).
+    A run is a span of event rows over which one dyad's statistic vector does
+    not change. Runs are sorted by (dyad, start row) and each dyad's runs tile
+    [0, M): a dyad's first run starts at row 0, and run r stops where run
+    r + 1 starts (at M when that run starts at row 0, or r is the last run).
+    ``rows`` holds the distinct statistic vectors, ``ids[r]`` is run r's row
+    and ``realized[m]`` the row of the event's own dyad at event row m. Column
+    0 is the intercept (identically 1); the remaining columns are one block
+    per statistic kind, in declared order, with one column per memory
+    interval. Memory grows with the number of state changes, not M x N(N-1).
 
     Every entry is an exact count, so ``compute_stepwise_stats`` stores
-    ``states`` column-major in the smallest unsigned integer type that holds
-    an upper bound of every count: the largest number of +1 difference-array
-    entries that one dyad receives in one column (``np.min_scalar_type``, so
-    uint8 up to 255, then uint16, ...). Consumers cast rows to float64 one
-    block at a time. Designs built by hand may hold any real dtype.
+    ``rows`` column-major in the smallest unsigned integer type that holds
+    its largest count (``np.min_scalar_type``: uint8 up to 255, then uint16,
+    ...), ``ids`` in the smallest unsigned type that holds U - 1, and
+    ``start`` as int32. Consumers cast rows to float64 one block at a time.
+    Designs built by hand may hold any real dtype.
     """
 
-    states: np.ndarray
-    dyad: np.ndarray
+    rows: np.ndarray
+    ids: np.ndarray
     start: np.ndarray
-    stop: np.ndarray
     realized: np.ndarray
     labels: tuple[str, ...]
     kinds: tuple[StatisticKind, ...]
@@ -89,7 +90,7 @@ class StatTensor:
 
     @property
     def n_columns(self) -> int:
-        return self.states.shape[1]
+        return self.rows.shape[1]
 
     def column_index(self, kind: StatisticKind, k: int = 1) -> int:
         """Column of interval k (1-based) of ``kind``; intercept is column 0."""
@@ -99,43 +100,25 @@ class StatTensor:
             raise IndexError(f"interval index {k} outside 1..{width}")
         return 1 + block * width + (k - 1)
 
-    def distinct_states(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct rows of ``states`` and each run's row among them, so
-        that ``rows[ids]`` equals ``states`` exactly.
 
-        Rows are told apart by one exact int64 key per run: the mixed-radix
-        number whose digits are the run's counts in the columns that vary
-        (a constant column, such as the intercept, is a digit of radix 1).
-        When a varying column of a real-valued design is not a nonnegative
-        integer, or the key space reaches 2^63, every run keeps its own row.
-        """
-        states = self.states
-        R = len(states)
-        key = np.zeros(R, dtype=np.int64)
-        space = 1
-        for col in states.T:
-            lo, hi = col.min(), col.max()
-            if lo == hi:
-                continue
-            exact = states.dtype.kind == "u" or (
-                lo >= 0.0 and hi < 2.0**63 and np.array_equal(col, np.floor(col))
-            )
-            if not exact:
-                return states, np.arange(R)
-            radix = int(hi) + 1
-            space *= radix
-            if space >= 2**63:
-                return states, np.arange(R)
-            key *= radix
-            key += col.astype(np.int64)
-        _, first, ids = np.unique(key, return_index=True, return_inverse=True)
-        return states[first], ids
-
-    def to_dense(self) -> np.ndarray:
-        """The (M, D, P) tensor values[m, dyad, column] these runs encode."""
-        M, D = self.n_events, len(self.risk_set)
-        dense = np.repeat(self.states, self.stop - self.start, axis=0)
-        return np.ascontiguousarray(dense.reshape(D, M, -1).swapaxes(0, 1))
+def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One position of each distinct value of ``key``, in increasing order of
+    the values, and each entry's index among the distinct values, in the
+    smallest unsigned type that holds it. Unlike np.unique(return_index=True,
+    return_inverse=True), it needs no stable sort, and its only key-length
+    intp array is the sort order."""
+    order = np.argsort(key)
+    ranked = key[order]
+    new = np.empty(ranked.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    del ranked
+    first = order[new]
+    index = np.empty(order.size, dtype=np.min_scalar_type(first.size - 1))
+    rank = np.cumsum(new, dtype=index.dtype)
+    rank -= 1
+    index[order] = rank
+    return first, index
 
 
 def _first_rows(times: np.ndarray, idx: np.ndarray, reached) -> np.ndarray:
@@ -311,9 +294,11 @@ def compute_stepwise_stats(
     Every count is a difference array: +1 on the dyads a contribution touches
     at the row it enters an interval, -1 at the row it leaves. A dyad's runs
     start at row 0 and at every row where it has such an entry; each run's
-    state is the dyad's running sum of its entries. The states are filled one
-    column at a time from that column's entries, so no runs x columns array
-    wider than the chosen integer type is formed.
+    state is the dyad's running sum of its entries. Each column's counts are
+    filled from that column's entries and kept in the smallest unsigned type
+    that holds them, and the distinct states are told apart by one exact
+    mixed-radix key per run whose digits are the run's counts, so no runs x
+    columns array in a type wider than the counts need is formed.
     """
     kinds = tuple(StatisticKind(k) for k in kinds)
     if len(set(kinds)) != len(kinds):
@@ -355,44 +340,53 @@ def compute_stepwise_stats(
                 emit(touched, ends[:, k], ends[:, k + 1])
 
     bounds = np.cumsum([k.size for k in keys])
-    # no count exceeds its dyad's number of +1 entries in the column
-    most = max((np.bincount(k // (M + 1), minlength=D).max() for k in keys[1::2]), default=0)
-    # the runs start at the distinct keys; unlike np.unique(return_inverse=True),
-    # this holds at most three entry-length arrays at a time
-    keys = np.concatenate(keys)
-    order = np.argsort(keys)
-    keys = keys[order]
-    new = np.append(True, keys[1:] != keys[:-1])
-    run_keys = keys[new]
-    del keys
-    # inverse[i]: the run of entry i
-    inverse = np.empty(order.size, dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    del order, new
+    # the runs start at the distinct keys; inverse[i] is the run of entry i.
+    # Keys are below D * (M + 1), so they sort in the smallest type holding it.
+    keys = np.concatenate(keys, dtype=np.min_scalar_type(D * (M + 1)), casting="unsafe")
+    first, inverse = _distinct(keys)
+    run_keys = keys[first]
+    del keys, first
     R = run_keys.size
-    dyad, start = np.divmod(run_keys, M + 1)
-    first = inverse[:D]
-    stop = np.append(start[1:], M)
-    stop[first[1:] - 1] = M
-
-    states = np.empty((R, P), dtype=np.min_scalar_type(most), order="F")
-    states[:, 0] = 1
-    for col in range(1, P):
-        enter, leave = (inverse[bounds[i - 1] : bounds[i]] for i in (2 * col - 1, 2 * col))
-        step = np.bincount(enter, minlength=R)
-        step -= np.bincount(leave, minlength=R)
-        # segmented running sum: cancel each dyad's total at the next dyad's first run
-        step[first[1:]] -= np.add.reduceat(step, first)[:-1]
-        states[:, col] = np.cumsum(step, out=step)
-
+    start = (run_keys % (M + 1)).astype(np.int32)
     event_positions = rs.event_positions(seq)
     realized = np.searchsorted(run_keys, event_positions * (M + 1) + np.arange(M), side="right") - 1
+    del run_keys
+    heads = np.flatnonzero(start == 0)  # each dyad's first run
+
+    # a column's digit has radix (largest count + 1); where the next digit
+    # would take the key space to 2^63, the partial key becomes its rank
+    # among the distinct partial keys
+    columns = []
+    key = np.zeros(R, dtype=np.int64)
+    space = 1
+    for col in range(1, P):
+        count = np.bincount(inverse[bounds[2 * col - 2] : bounds[2 * col - 1]], minlength=R)
+        count -= np.bincount(inverse[bounds[2 * col - 1] : bounds[2 * col]], minlength=R)
+        # segmented running sum: cancel each dyad's total at the next dyad's first run
+        count[heads[1:]] -= np.add.reduceat(count, heads)[:-1]
+        np.cumsum(count, out=count)
+        radix = int(count.max()) + 1
+        columns.append(count.astype(np.min_scalar_type(radix - 1)))
+        if space * radix >= 2**63:
+            partial, rank = _distinct(key)
+            space = partial.size
+            key = rank.astype(np.int64)
+        space *= radix
+        key *= radix
+        key += count
+    del inverse
+
+    first, ids = _distinct(key)
+    del key
+    rows = np.empty((first.size, P), dtype=np.result_type(np.uint8, *columns), order="F")
+    rows[:, 0] = 1
+    for col, values in enumerate(columns, start=1):
+        rows[:, col] = values[first]
     return StatTensor(
-        states=states,
-        dyad=dyad,
+        rows=rows,
+        ids=ids,
         start=start,
-        stop=stop,
-        realized=realized,
+        realized=ids[realized],
         labels=_labels(kinds, K),
         kinds=kinds,
         risk_set=rs,

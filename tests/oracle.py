@@ -10,6 +10,7 @@ agreement is expected to be exact, not approximate.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,29 +28,60 @@ def runs_from_dense(
     spec: IntervalSpec | None = None,
 ) -> StatTensor:
     """Run-length design of a dense values[m, dyad, column] tensor: each
-    dyad's runs start at row 0 and wherever its statistic vector changes."""
+    dyad's runs start at row 0 and wherever its statistic vector changes, and
+    the runs' states are told apart by ``np.unique``, so any real values work."""
     M, D, _ = values.shape
     by_dyad = values.swapaxes(0, 1)
     new = np.ones((D, M), dtype=bool)
     new[:, 1:] = (by_dyad[:, 1:] != by_dyad[:, :-1]).any(axis=2)
     dyad, start = np.nonzero(new)
-    last = np.append(dyad[1:] != dyad[:-1], True)
-    stop = np.where(last, M, np.append(start[1:], M))
-    keys = dyad * (M + 1) + start
+    rows, ids = np.unique(by_dyad[dyad, start], axis=0, return_inverse=True)
     event_positions = np.asarray(event_positions)
-    realized = np.searchsorted(keys, event_positions * (M + 1) + np.arange(M), side="right") - 1
     return StatTensor(
-        states=by_dyad[dyad, start].copy(),
-        dyad=dyad,
+        rows=rows,
+        ids=ids,
         start=start,
-        stop=stop,
-        realized=realized,
+        realized=ids[event_runs(dyad, start, event_positions)],
         labels=labels,
         kinds=kinds,
         risk_set=risk_set,
         event_positions=event_positions,
         spec=spec,
     )
+
+
+def event_runs(dyad: np.ndarray, start: np.ndarray, event_positions: np.ndarray) -> np.ndarray:
+    """The run of each event's own dyad at the event's row, for runs sorted
+    by (dyad, start)."""
+    M = event_positions.size
+    keys = dyad * (M + 1) + start
+    return np.searchsorted(keys, event_positions * (M + 1) + np.arange(M), side="right") - 1
+
+
+def run_bounds(stats: StatTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dyad, start, stop) of every run: a run whose start is 0 begins the
+    next dyad, and a run stops where the next run of its dyad starts."""
+    first = stats.start == 0
+    dyad = np.cumsum(first) - 1
+    stop = np.append(stats.start[1:], 0)
+    stop[np.append(first[1:], True)] = stats.n_events
+    return dyad, stats.start, stop
+
+
+def to_dense(stats: StatTensor) -> np.ndarray:
+    """The (M, D, P) tensor values[m, dyad, column] that a design encodes."""
+    M, D = stats.n_events, len(stats.risk_set)
+    _, start, stop = run_bounds(stats)
+    dense = np.repeat(stats.rows[stats.ids], stop - start, axis=0)
+    return np.ascontiguousarray(dense.reshape(D, M, -1).swapaxes(0, 1))
+
+
+def one_row_per_run(stats: StatTensor) -> StatTensor:
+    """The same design with every run holding its own row (ids 0..R-1), so
+    the likelihood sums over runs instead of pooling runs that share a state."""
+    dyad, start, _ = run_bounds(stats)
+    runs = event_runs(dyad, start, stats.event_positions)
+    return replace(stats, rows=stats.rows[stats.ids], ids=np.arange(stats.ids.size), realized=runs)
 
 
 def rescan_stepwise_stats(

@@ -24,7 +24,7 @@ from remdecay.intervals import IntervalSpec, equal_spec, locate_intervals
 from remdecay.likelihood import ModelFit, fit_mle
 from remdecay.stats import StatisticKind, compute_stepwise_stats
 
-from oracle import loop_log_density, random_sequence
+from oracle import loop_log_density, random_sequence, to_dense
 
 INERTIA = StatisticKind.INERTIA
 
@@ -118,7 +118,7 @@ class TestWaic:
         for pos, i in enumerate(range(L, M - A + 1)):
             for b in range(B):
                 lds[pos, b] = loop_log_density(
-                    stats.to_dense(), stats.event_positions, seq.times, seq.t0,
+                    to_dense(stats), stats.event_positions, seq.times, seq.t0,
                     draws[b], i + 1, i + A,
                 )
         lpd_hand = sum(
@@ -138,7 +138,7 @@ class TestWaic:
         draws = fit.beta_hat + rng.normal(0, 0.05, size=(B, fit.n_params))
         cfg = WaicConfig(burn_in=L, ahead=ahead, n_draws=B)
         elpd, lpd, p = waic_elpd(fit, stats, seq, cfg, draws=draws)
-        dense = stats.to_dense()
+        dense = to_dense(stats)
         lds = np.array([
             [loop_log_density(dense, stats.event_positions, seq.times, seq.t0, d, i + 1, i + ahead)
              for d in draws]

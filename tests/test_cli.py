@@ -82,6 +82,16 @@ class TestSimulate:
         assert rc == 1
         assert "refusing to overwrite" in capsys.readouterr().err
 
+    def test_invalid_config_reported_without_out(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        rc = main([
+            "simulate", "--out", str(out), "--n-actors", "1", "--beta0", "-3",
+            "--n-events", "10",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: need at least 2 actors\n"
+        assert not out.exists()
+
     def test_force_allows_rerun(self, tmp_path):
         out = tmp_path / "f"
         args = [

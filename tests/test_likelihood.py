@@ -9,6 +9,7 @@ from remdecay.decay import WeibullDecay
 from remdecay.events import EventSequence, RiskSet
 from remdecay.intervals import IntervalSpec, equal_spec
 from remdecay import likelihood
+from remdecay.bma import WaicConfig, waic_elpd
 from remdecay.likelihood import (
     FitOptions,
     LikelihoodOverflowError,
@@ -19,13 +20,13 @@ from remdecay.likelihood import (
     fit_mle,
     grad_and_hessian,
     log_likelihood,
-    run_rates,
+    log_rates,
 )
 from remdecay.sim import SimConfig, simulate
 from remdecay.stats import StatisticKind, compute_stepwise_stats
 
 from conftest import SIX_KINDS
-from oracle import random_sequence, runs_from_dense
+from oracle import one_row_per_run, random_sequence, runs_from_dense, to_dense
 
 KINDS2 = (StatisticKind.INERTIA, StatisticKind.RECIPROCITY)
 
@@ -84,7 +85,7 @@ class TestLogLikelihood:
 
 def dense_reference(stats, seq, betas):
     """Per-event terms, gradient and Hessian straight from the dense tensor."""
-    U = stats.to_dense()
+    U = to_dense(stats)
     M = len(seq)
     dt = np.diff(seq.times, prepend=seq.t0)
     eta = np.einsum("mdp,p...->md...", U, betas)
@@ -104,12 +105,12 @@ class TestRateKernel:
         seq, rs, stats = random_instance(rng, n_events=40)
         betas = rng.normal(0, 0.3, (stats.n_columns, 5))
         terms = event_terms(stats, seq, betas)
-        rates = run_rates(stats, betas)
-        assert terms.shape == (len(seq), 5) and rates.shape == (len(stats.states), 5)
+        eta = log_rates(stats, betas)
+        assert terms.shape == (len(seq), 5) and eta.shape == (len(stats.rows), 5)
         for b in range(5):
             t1 = event_terms(stats, seq, betas[:, b])
             np.testing.assert_allclose(terms[:, b], t1, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(rates[:, b], run_rates(stats, betas[:, b]), rtol=1e-12)
+            np.testing.assert_allclose(eta[:, b], log_rates(stats, betas[:, b]), rtol=1e-12, atol=1e-15)
             ll = log_likelihood(stats, seq, betas[:, b])
             assert terms[:, b].sum() == pytest.approx(ll, rel=1e-12)
             assert t1.sum() == pytest.approx(ll, rel=1e-12)
@@ -140,7 +141,7 @@ class TestRateKernel:
         whole = event_log_densities(stats, seq, draws)
         np.testing.assert_allclose(whole, event_terms(stats, seq, draws.T), rtol=0, atol=0)
         # two draws per block: three full blocks and a partial one
-        widest = max(stats.n_events + 1, len(stats.distinct_states()[0]))
+        widest = max(stats.n_events + 1, len(stats.rows))
         monkeypatch.setattr(likelihood, "_DRAW_BLOCK", 2 * widest)
         blocked = event_log_densities(stats, seq, draws)
         np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-12)
@@ -162,13 +163,13 @@ class TestRateKernel:
         finally:
             tracemalloc.stop()
         assert out.shape == (3000, B) and np.isfinite(out).all()
-        assert peak < len(stats.states) * B * 8
+        assert peak < stats.ids.size * B * 8
 
     def test_fit_holds_no_float_design(self, wide_seq):
         """Memory guard: on the six-kind K = 5 design of ``wide_seq`` (about
-        170k runs of small unsigned integers), the Newton fit casts the design
-        to float64 one block at a time and must peak below half of one
-        runs x columns float64 array."""
+        170k runs, 150k distinct states of small unsigned integers), the
+        Newton fit casts the design to float64 one block at a time and must
+        peak below half of one runs x columns float64 array."""
         stats = compute_stepwise_stats(wide_seq, RiskSet(10), SIX_KINDS, equal_spec(5, 20.0))
         tracemalloc.start()
         try:
@@ -176,16 +177,16 @@ class TestRateKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert fit.converged and stats.states.dtype.kind == "u"
-        assert peak < 0.5 * stats.states.size * 8
+        assert fit.converged and stats.rows.dtype.kind == "u"
+        assert peak < 0.5 * stats.ids.size * stats.n_columns * 8
 
     def test_hessian_blocks_match_one_block(self, rng, monkeypatch):
         seq, rs, stats = random_instance(rng, n_events=60)
         beta = rng.normal(0, 0.3, stats.n_columns)
         g1, H1 = grad_and_hessian(stats, seq, beta)
-        # seven runs per block: several full blocks and a partial one
+        # seven rows per block: several full blocks and a partial one
         monkeypatch.setattr(likelihood, "_ROW_BLOCK", 7)
-        assert len(stats.states) > 3 * 7 and len(stats.states) % 7
+        assert len(stats.rows) > 3 * 7 and len(stats.rows) % 7
         g2, H2 = grad_and_hessian(stats, seq, beta)
         np.testing.assert_array_equal(g2, g1)
         np.testing.assert_allclose(H2, H1, rtol=1e-12, atol=1e-12 * np.abs(H1).max())
@@ -260,14 +261,14 @@ class TestFit:
             fit_mle(stats, seq)
 
     def test_kernel_evaluated_once_per_candidate(self, rng, monkeypatch):
-        kernel = likelihood.run_rates
+        kernel = likelihood.log_rates
         seen = []
 
         def counting(stats, betas):
             seen.append(np.array(betas, dtype=np.float64))
             return kernel(stats, betas)
 
-        monkeypatch.setattr(likelihood, "run_rates", counting)
+        monkeypatch.setattr(likelihood, "log_rates", counting)
         rejected = 0
         # the 12-event instance's MLE lies far out, and its line search rejects a step
         for n_events in (12, 30, 60):
@@ -289,13 +290,19 @@ class TestFit:
             assert any(np.array_equal(b, fit.beta_hat) for b in seen)
             rejected += fit.halvings
         assert rejected > 0
+        # WAIC scores its draws through the same kernel, one call per block
+        seen.clear()
+        draws = fit.beta_hat + rng.normal(0, 0.05, (6, fit.n_params))
+        waic_elpd(fit, stats, seq, WaicConfig(burn_in=10, n_draws=6), draws=draws)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], draws.T)
 
     @pytest.mark.parametrize("seed", [0, 2, 4, 5])
     def test_never_realized_column_named(self, seed):
         # on these instances some interval never holds a realized event's
         # history but is at risk, so its coefficient runs off toward -inf
         seq, rs, stats = random_instance(np.random.default_rng(seed), n_events=12, K=3)
-        realized = stats.states[stats.realized].sum(axis=0)
+        realized = stats.rows[stats.realized].sum(axis=0)
         with pytest.warns(RuntimeWarning, match="never realized") as record:
             fit = fit_mle(stats, seq)
         assert fit.converged and fit.stop == "tolerance"
@@ -309,7 +316,7 @@ class TestFit:
 
     def test_stalled_line_search_ends_fit(self, rng, monkeypatch):
         seq, rs, stats = random_instance(rng, n_events=40)
-        kernel = likelihood.run_rates
+        kernel = likelihood.log_rates
         calls = []
 
         def overflow_after_start(stats, betas):
@@ -317,7 +324,7 @@ class TestFit:
             e = kernel(stats, betas)
             return e if len(calls) == 1 else np.full_like(e, np.inf)
 
-        monkeypatch.setattr(likelihood, "run_rates", overflow_after_start)
+        monkeypatch.setattr(likelihood, "log_rates", overflow_after_start)
         with pytest.warns(RuntimeWarning, match="line search"):
             fit = fit_mle(stats, seq)
         assert len(calls) == 1 + likelihood.LINE_SEARCH_STEPS <= 51
@@ -334,6 +341,22 @@ class TestFit:
         assert fit.converged and fit.stop == "float_floor"
         assert fit.iterations <= base.iterations + 1
         assert fit.loglik == pytest.approx(base.loglik, rel=1e-12)
+
+    def test_pooled_exposures_match_one_row_per_run(self, rng):
+        """The fit on distinct states with pooled exposures equals the fit on
+        the same design with every run its own row."""
+        for n_actors, n_events, kinds in ((4, 60, KINDS2), (5, 120, tuple(StatisticKind))):
+            seq = random_sequence(rng, n_actors, n_events)
+            span = seq.times[-1] - seq.times[0]
+            stats = compute_stepwise_stats(seq, RiskSet(n_actors), kinds, equal_spec(3, 0.8 * span))
+            runs = one_row_per_run(stats)
+            assert len(stats.rows) < len(runs.rows)
+            pooled, each = fit_mle(stats, seq), fit_mle(runs, seq)
+            assert pooled.loglik == pytest.approx(each.loglik, rel=1e-12)
+            np.testing.assert_allclose(pooled.beta_hat, each.beta_hat, rtol=1e-12, atol=1e-12)
+            scale = np.abs(each.cov_hat).max()
+            np.testing.assert_allclose(pooled.cov_hat, each.cov_hat, rtol=1e-12, atol=1e-12 * scale)
+            assert (pooled.iterations, pooled.stop) == (each.iterations, each.stop)
 
     def test_gradient_small_at_solution(self, rng):
         seq, rs, stats = random_instance(rng, n_events=60)
@@ -363,15 +386,23 @@ class TestFit:
 
     def test_duplicate_column_rejected(self, rng):
         seq, rs, stats = random_instance(rng, n_events=40)
-        dense = stats.to_dense()
+        dense = to_dense(stats)
         dup = np.concatenate([dense, dense[:, :, -1:]], axis=2)
         bad = runs_from_dense(dup, rs, stats.event_positions, stats.labels + ("dup",), stats.kinds)
         with pytest.raises(RankDeficiencyError, match="linearly dependent"):
             fit_mle(bad, seq)
 
+    def test_non_finite_design_rejected(self, rng):
+        seq, rs, stats = random_instance(rng, n_events=30)
+        dense = to_dense(stats).astype(np.float64)
+        dense[-1, 0, -1] = np.inf
+        bad = runs_from_dense(dense, rs, stats.event_positions, stats.labels, stats.kinds)
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_mle(bad, seq)
+
     def test_zero_column_named_and_ridge_recovers(self, rng):
         seq, rs, stats = random_instance(rng, n_events=50)
-        dense = stats.to_dense()
+        dense = to_dense(stats)
         padded = np.concatenate([dense, np.zeros_like(dense[:, :, :1])], axis=2)
         bad = runs_from_dense(padded, rs, stats.event_positions, stats.labels + ("ghost_stat",), stats.kinds)
         with pytest.raises(RankDeficiencyError, match="ghost_stat"):
@@ -386,7 +417,7 @@ class TestFit:
         perm = rng.permutation(len(rs))
         inv = np.argsort(perm)
         shuffled = runs_from_dense(
-            stats.to_dense()[:, perm, :], rs, inv[stats.event_positions], stats.labels, stats.kinds
+            to_dense(stats)[:, perm, :], rs, inv[stats.event_positions], stats.labels, stats.kinds
         )
         a = fit_mle(stats, seq)
         b = fit_mle(shuffled, seq)

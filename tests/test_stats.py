@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,8 @@ from oracle import (
     loop_stepwise_stats,
     random_sequence,
     rescan_stepwise_stats,
-    runs_from_dense,
+    run_bounds,
+    to_dense,
 )
 
 ALL_KINDS = tuple(StatisticKind)
@@ -81,7 +83,7 @@ class TestInertiaMicro:
         rs = RiskSet(3)
         spec = IntervalSpec(np.array([0.5, 2.0, 6.0]), kind="increasing")
         st_ = compute_stepwise_stats(seq, rs, [StatisticKind.INERTIA], spec)
-        row = st_.to_dense()[14, rs.index_of(0, 1)]
+        row = to_dense(st_)[14, rs.index_of(0, 1)]
         np.testing.assert_array_equal(row[1:], [1.0, 3.0, 2.0])
 
     def test_single_interval_recovers_plain_count(self):
@@ -89,14 +91,14 @@ class TestInertiaMicro:
         rs = RiskSet(3)
         spec = IntervalSpec(np.array([6.0]))
         st_ = compute_stepwise_stats(seq, rs, [StatisticKind.INERTIA], spec)
-        assert st_.to_dense()[14, rs.index_of(0, 1), 1] == 6.0
+        assert to_dense(st_)[14, rs.index_of(0, 1), 1] == 6.0
 
     def test_empty_history_row_is_zero(self):
         seq = three_interval_inertia_sequence()
         rs = RiskSet(3)
         st_ = compute_stepwise_stats(seq, rs, ALL_KINDS, equal_spec(3, 6.0))
-        assert st_.to_dense()[0, :, 0].min() == 1.0  # intercept
-        assert np.all(st_.to_dense()[0, :, 1:] == 0.0)
+        assert to_dense(st_)[0, :, 0].min() == 1.0  # intercept
+        assert np.all(to_dense(st_)[0, :, 1:] == 0.0)
 
 
 class TestClosureMicro:
@@ -105,14 +107,14 @@ class TestClosureMicro:
         rs = RiskSet(4)
         spec = IntervalSpec(np.array([15.0]))
         st_ = compute_stepwise_stats(seq, rs, [StatisticKind.TRANSITIVITY], spec)
-        assert st_.to_dense()[14, rs.index_of(0, 1), 1] == 3.0
+        assert to_dense(st_)[14, rs.index_of(0, 1), 1] == 3.0
 
     def test_interval_split_keeps_total(self):
         seq = closure_example_sequence()
         rs = RiskSet(4)
         spec = IntervalSpec(np.array([5.0, 15.0]))
         st_ = compute_stepwise_stats(seq, rs, [StatisticKind.TRANSITIVITY], spec)
-        row = st_.to_dense()[14, rs.index_of(0, 1)]
+        row = to_dense(st_)[14, rs.index_of(0, 1)]
         # newer mediation (age 2.2) in interval 1, older (age 6.8) in interval 2
         np.testing.assert_array_equal(row[1:], [1.0, 2.0])
 
@@ -122,7 +124,7 @@ class TestClosureMicro:
         spec = IntervalSpec(np.array([4.0, 9.0, 15.0]))
         kinds = [StatisticKind.TRANSITIVITY, StatisticKind.CYCLIC]
         st_ = compute_stepwise_stats(seq, rs, kinds, spec)
-        np.testing.assert_array_equal(st_.to_dense(), loop_stepwise_stats(seq, rs, kinds, spec))
+        np.testing.assert_array_equal(to_dense(st_), loop_stepwise_stats(seq, rs, kinds, spec))
 
 
 class TestOracleEquivalence:
@@ -136,7 +138,7 @@ class TestOracleEquivalence:
             rs = RiskSet(seq.n_actors)
             got = compute_stepwise_stats(seq, rs, ALL_KINDS, spec)
             np.testing.assert_array_equal(
-                got.to_dense(), loop_stepwise_stats(seq, rs, ALL_KINDS, spec)
+                to_dense(got), loop_stepwise_stats(seq, rs, ALL_KINDS, spec)
             )
 
     def test_medium_random_sequences_rescan_oracle(self, rng):
@@ -148,7 +150,7 @@ class TestOracleEquivalence:
             rs = RiskSet(seq.n_actors)
             got = compute_stepwise_stats(seq, rs, ALL_KINDS, spec)
             want = rescan_stepwise_stats(seq, rs, ALL_KINDS, spec)
-            np.testing.assert_array_equal(got.to_dense(), want.to_dense())
+            np.testing.assert_array_equal(to_dense(got), to_dense(want))
 
     def test_shared_triad_precompute_matches_fresh(self, rng):
         seq = random_sequence(rng, 5, 60)
@@ -160,7 +162,7 @@ class TestOracleEquivalence:
             spec = IntervalSpec(np.linspace(horizon / K, horizon, K))
             a = compute_stepwise_stats(seq, rs, ALL_KINDS, spec, triad_pairs=pairs)
             b = compute_stepwise_stats(seq, rs, ALL_KINDS, spec)
-            np.testing.assert_array_equal(a.to_dense(), b.to_dense())
+            np.testing.assert_array_equal(to_dense(a), to_dense(b))
 
     def test_triad_pairs_match_brute_force(self, rng):
         for _ in range(12):
@@ -195,17 +197,17 @@ class TestRunDesign:
             rs = RiskSet(seq.n_actors)
             st_ = compute_stepwise_stats(seq, rs, ALL_KINDS, spec)
             M, D = len(seq), len(rs)
-            assert len(st_.states) <= M * D
-            assert np.all(st_.start < st_.stop)
+            dyad, start, stop = run_bounds(st_)
+            assert st_.start.dtype == np.int32 and st_.ids.size <= M * D
+            # every dyad has a first run at row 0
+            assert dyad[-1] == D - 1 and np.all(start < stop)
             for d in range(D):
-                mine = st_.dyad == d
-                starts, stops = st_.start[mine], st_.stop[mine]
+                starts, stops = start[dyad == d], stop[dyad == d]
                 assert starts[0] == 0 and stops[-1] == M
                 np.testing.assert_array_equal(starts[1:], stops[:-1])
-            np.testing.assert_array_equal(np.argsort(st_.dyad, kind="stable"), np.arange(len(st_.dyad)))
-            dense = st_.to_dense()
+            dense = to_dense(st_)
             np.testing.assert_array_equal(
-                st_.states[st_.realized], dense[np.arange(M), st_.event_positions]
+                st_.rows[st_.realized], dense[np.arange(M), st_.event_positions]
             )
 
     def test_untouched_dyad_has_one_run(self, tiny_seq):
@@ -213,12 +215,13 @@ class TestRunDesign:
         seq = EventSequence(tiny_seq.times, tiny_seq.senders, tiny_seq.receivers, 4)
         kinds = (StatisticKind.INERTIA, StatisticKind.RECIPROCITY)
         st_ = compute_stepwise_stats(seq, rs, kinds, equal_spec(2, 4.0))
+        dyad, start, stop = run_bounds(st_)
         for a in range(3):
             for d in (rs.index_of(a, 3), rs.index_of(3, a)):
-                mine = np.flatnonzero(st_.dyad == d)
+                mine = np.flatnonzero(dyad == d)
                 assert mine.size == 1
-                assert (st_.start[mine[0]], st_.stop[mine[0]]) == (0, len(seq))
-                np.testing.assert_array_equal(st_.states[mine[0]], [1.0, 0, 0, 0, 0])
+                assert (start[mine[0]], stop[mine[0]]) == (0, len(seq))
+                np.testing.assert_array_equal(st_.rows[st_.ids[mine[0]]], [1.0, 0, 0, 0, 0])
 
     def test_design_memory_far_below_dense(self):
         """Scaling guard: 30 actors, 400 events, inertia and reciprocity at
@@ -237,7 +240,7 @@ class TestNarrowDesign:
     @pytest.mark.parametrize("n_events, dtype", [(255, np.uint8), (300, np.uint16)])
     def test_type_holds_the_largest_count(self, n_events, dtype):
         """n events on one dyad inside one interval: the last row counts n - 1
-        of them, and the type is chosen from the n entries that dyad gets."""
+        of them, and the type is the smallest that holds that count."""
         times = np.arange(1.0, n_events + 3.0)
         senders = np.r_[np.zeros(n_events, dtype=int), 1, 2]
         receivers = np.r_[np.ones(n_events, dtype=int), 2, 0]
@@ -245,10 +248,10 @@ class TestNarrowDesign:
         rs = RiskSet(3)
         spec = equal_spec(2, 2.0 * n_events)
         got = compute_stepwise_stats(seq, rs, (StatisticKind.INERTIA, StatisticKind.RECIPROCITY), spec)
-        assert got.states.dtype == dtype
+        assert got.rows.dtype == dtype
         want = rescan_stepwise_stats(seq, rs, (StatisticKind.INERTIA, StatisticKind.RECIPROCITY), spec)
-        np.testing.assert_array_equal(got.to_dense(), want.to_dense())
-        assert got.to_dense().max() == n_events
+        np.testing.assert_array_equal(to_dense(got), to_dense(want))
+        assert to_dense(got).max() == n_events
 
     def test_build_holds_no_float_design(self, wide_seq):
         """Memory guard: the six-kind build at K = 5 (closure precompute
@@ -259,49 +262,67 @@ class TestNarrowDesign:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert st_.states.dtype.kind == "u"
-        assert peak < 0.8 * st_.states.size * 8
+        assert st_.rows.dtype.kind == "u"
+        assert peak < 0.8 * st_.ids.size * st_.n_columns * 8
+
+
+def key_space(st_) -> int:
+    """The product over columns of (largest count + 1): the number of keys an
+    exact mixed-radix key of the rows needs."""
+    return math.prod(int(col.max()) + 1 for col in st_.rows.T)
 
 
 class TestDistinctStates:
+    def assert_rows_exact(self, got, want):
+        """The built rows are pairwise distinct, and each run's row is the
+        oracle's state of that run."""
+        assert len(np.unique(got.rows, axis=0)) == len(got.rows)
+        assert got.ids.max() == len(got.rows) - 1
+        assert got.ids.dtype == np.min_scalar_type(len(got.rows) - 1)
+        np.testing.assert_array_equal(got.start, want.start)
+        np.testing.assert_array_equal(got.rows[got.ids], want.rows[want.ids])
+        np.testing.assert_array_equal(got.rows[got.realized], want.rows[want.realized])
+
     def test_rows_reproduce_states_on_every_kind(self, rng):
         for kind in ALL_KINDS:
             seq = random_sequence(rng, 5, 80)
             span = seq.times[-1] - seq.times[0]
-            st_ = compute_stepwise_stats(seq, RiskSet(5), (kind,), equal_spec(3, 0.6 * span))
-            rows, ids = st_.distinct_states()
-            np.testing.assert_array_equal(rows[ids], st_.states)
-            # keyed, not the fallback: every row is distinct and some runs share one
-            assert len(np.unique(rows, axis=0)) == len(rows) < len(st_.states)
-            assert ids.min() == 0 and ids.max() == len(rows) - 1
+            rs, spec = RiskSet(5), equal_spec(3, 0.6 * span)
+            st_ = compute_stepwise_stats(seq, rs, (kind,), spec)
+            self.assert_rows_exact(st_, rescan_stepwise_stats(seq, rs, (kind,), spec))
+            assert len(st_.rows) < st_.ids.size  # some runs share a state
 
-    def test_non_integer_column_keeps_every_run(self, rng):
-        seq = random_sequence(rng, 4, 40)
-        rs = RiskSet(4)
-        st_ = compute_stepwise_stats(seq, rs, (StatisticKind.INERTIA,), equal_spec(2, 5.0))
-        dense = st_.to_dense()
-        halved = np.concatenate([dense, 0.5 * dense[:, :, -1:]], axis=2)
-        bad = runs_from_dense(halved, rs, st_.event_positions, st_.labels + ("half",))
-        assert (bad.states[:, -1] % 1 != 0).any()
-        rows, ids = bad.distinct_states()
-        assert rows is bad.states
-        np.testing.assert_array_equal(ids, np.arange(len(bad.states)))
+    def test_rows_exact_on_random_sequences(self, rng):
+        for _ in range(8):
+            seq = random_sequence(rng, int(rng.integers(2, 7)), int(rng.integers(5, 90)))
+            span = seq.times[-1] - seq.times[0]
+            spec = IntervalSpec(np.unique(np.sort(rng.uniform(0.02 * span, 1.5 * span, 4))))
+            rs = RiskSet(seq.n_actors)
+            got = compute_stepwise_stats(seq, rs, ALL_KINDS, spec)
+            self.assert_rows_exact(got, rescan_stepwise_stats(seq, rs, ALL_KINDS, spec))
 
-    def test_key_space_above_2_63_keeps_every_run(self, rng):
-        seq = random_sequence(rng, 3, 30)
-        rs = RiskSet(3)
-        st_ = compute_stepwise_stats(seq, rs, (StatisticKind.INERTIA,), equal_spec(2, 5.0))
-        dense = st_.to_dense()
-        for scale, keyed in ((2.0**20, True), (2.0**40, False)):
-            # every varying column ranges over 0..scale or wider: at 2^40, two
-            # such digits already need more than 63 bits
-            wide = dense.astype(np.float64)
-            wide[:, :, 1:] *= scale
-            design = runs_from_dense(wide, rs, st_.event_positions, st_.labels)
-            rows, ids = design.distinct_states()
-            np.testing.assert_array_equal(rows[ids], design.states)
-            assert (len(rows) < len(design.states)) is keyed
-            assert np.array_equal(ids, np.arange(len(design.states))) is not keyed
+    def test_rows_exact_above_2_63_key_space(self, rng):
+        """The six-kind K = 5 design of 240 events among 6 actors, with the
+        horizon over the whole sequence: its counts need a key space above
+        2^63, so compute_stepwise_stats re-ranks its partial key on the way."""
+        seq = random_sequence(rng, 6, 240)
+        rs, spec = RiskSet(6), equal_spec(5, seq.times[-1] - seq.times[0])
+        got = compute_stepwise_stats(seq, rs, SIX_KINDS, spec)
+        assert key_space(got) >= 2**63
+        self.assert_rows_exact(got, rescan_stepwise_stats(seq, rs, SIX_KINDS, spec))
+
+
+    def test_rows_exact_where_a_wrapped_key_collides(self):
+        """15 events on one dyad within 0.15, then one event on another dyad
+        at every half age 0.5, 1.5, ..., 16.5: each of 17 unit inertia
+        intervals holds all 15 at some row, so every digit has radix 16, and
+        an unranked key would wrap the first digit to 0 mod 16^16 = 2^64."""
+        times = np.r_[np.arange(15) * 0.01, np.arange(17) + 0.5]
+        seq = EventSequence(times, [0] * 15 + [1] * 17, [1] * 15 + [2] * 17, 3)
+        rs, spec = RiskSet(3), IntervalSpec(np.arange(1.0, 18.0))
+        got = compute_stepwise_stats(seq, rs, (StatisticKind.INERTIA,), spec)
+        assert all(col.max() == 15 for col in got.rows.T[1:])
+        self.assert_rows_exact(got, rescan_stepwise_stats(seq, rs, (StatisticKind.INERTIA,), spec))
 
 
 def continuous_stats(seq, rs, kinds, decay_per_kind):
@@ -332,7 +353,7 @@ class TestContinuous:
         unit = StepwiseDecay(spec, (1.0,))
         cont = continuous_stats(seq, rs, ALL_KINDS, {k: unit for k in ALL_KINDS})
         step = compute_stepwise_stats(seq, rs, ALL_KINDS, spec)
-        np.testing.assert_array_equal(cont, step.to_dense())
+        np.testing.assert_array_equal(cont, to_dense(step))
 
     def test_zero_decay_gives_zeros(self, rng):
         seq = random_sequence(rng, 3, 15)
@@ -406,8 +427,8 @@ def test_interval_additivity_property(data):
     if cut <= lo or cut >= spec.gamma[k]:
         return
     refined = IntervalSpec(np.sort(np.append(spec.gamma, cut)))
-    base = compute_stepwise_stats(seq, rs, ALL_KINDS, spec).to_dense()
-    fine = compute_stepwise_stats(seq, rs, ALL_KINDS, refined).to_dense()
+    base = to_dense(compute_stepwise_stats(seq, rs, ALL_KINDS, spec))
+    fine = to_dense(compute_stepwise_stats(seq, rs, ALL_KINDS, refined))
     K, Kf = spec.size, refined.size
     for b, kind in enumerate(ALL_KINDS):
         coarse_block = base[:, :, 1 + b * K : 1 + (b + 1) * K]
@@ -430,17 +451,13 @@ def test_union_and_horizon_monotonicity_property(data):
     growing the horizon never decreases any count."""
     seq, spec, _ = data
     rs = RiskSet(seq.n_actors)
-    multi = compute_stepwise_stats(seq, rs, ALL_KINDS, spec).to_dense()
-    single = compute_stepwise_stats(
-        seq, rs, ALL_KINDS, IntervalSpec(spec.gamma[-1:])
-    ).to_dense()
+    multi = to_dense(compute_stepwise_stats(seq, rs, ALL_KINDS, spec))
+    single = to_dense(compute_stepwise_stats(seq, rs, ALL_KINDS, IntervalSpec(spec.gamma[-1:])))
     K = spec.size
     for b in range(len(ALL_KINDS)):
         block_sum = multi[:, :, 1 + b * K : 1 + (b + 1) * K].sum(axis=2)
         np.testing.assert_array_equal(block_sum, single[:, :, 1 + b])
-    bigger = compute_stepwise_stats(
-        seq, rs, ALL_KINDS, IntervalSpec(spec.gamma[-1:] * 1.7)
-    ).to_dense()
+    bigger = to_dense(compute_stepwise_stats(seq, rs, ALL_KINDS, IntervalSpec(spec.gamma[-1:] * 1.7)))
     assert np.all(bigger[:, :, 1:] >= single[:, :, 1:])
 
 
@@ -460,8 +477,8 @@ def test_no_lookahead_property(data):
     perm = rng.permutation(tail)
     senders[tail], receivers[tail] = senders[perm], receivers[perm]
     other = EventSequence(seq.times, senders, receivers, seq.n_actors)
-    a = compute_stepwise_stats(seq, rs, ALL_KINDS, spec).to_dense()
-    b = compute_stepwise_stats(other, rs, ALL_KINDS, spec).to_dense()
+    a = to_dense(compute_stepwise_stats(seq, rs, ALL_KINDS, spec))
+    b = to_dense(compute_stepwise_stats(other, rs, ALL_KINDS, spec))
     np.testing.assert_array_equal(a[:m_cut], b[:m_cut])
 
 
