@@ -22,7 +22,7 @@ import numpy as np
 
 from .events import EventSequence, RiskSet
 from .intervals import IntervalSpec, locate_intervals
-from .likelihood import FitOptions, ModelFit, event_log_densities, fit_mle
+from .likelihood import FitOptions, ModelFit, event_log_density_blocks, fit_mle
 from .stats import (
     SECOND_ORDER,
     StatTensor,
@@ -33,6 +33,7 @@ from .stats import (
 )
 
 __all__ = [
+    "P_WAIC_WARN",
     "ModelBag",
     "PosteriorDraws",
     "PosteriorTrend",
@@ -42,6 +43,7 @@ __all__ = [
     "effective_model_count",
     "fit_bag",
     "waic_elpd",
+    "waic_pointwise",
     "waic_model_rng",
     "weights_from_elpds",
     "sample_posterior",
@@ -52,6 +54,7 @@ __all__ = [
 
 _WAIC_STREAM = 101
 _DRAW_STREAM = 202
+P_WAIC_WARN = 0.4  # per-point p_waic above which WAIC is unreliable (Vehtari, Gelman & Gabry 2017)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -124,21 +127,25 @@ def _check_window(cfg: WaicConfig, M: int) -> None:
         )
 
 
-def waic_elpd(
+def waic_pointwise(
     fit: ModelFit,
     stats: StatTensor,
     seq: EventSequence,
     cfg: WaicConfig,
     draws: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
-) -> tuple[float, float, float]:
-    """(elpd_hat, lpd_hat, p_waic) for one model.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lpd_i, p_i) for each scoring point of one model.
 
     For each i in burn_in..M-ahead the predictive log density of the next
     ``ahead`` realized events given the history through event i is evaluated
     under every posterior draw, on the statistics of the full sequence.
-    lpd_hat sums the per-point log mean densities, p_waic the per-point
-    sample variances of the log densities.
+    lpd_i is the log mean density over the draws and p_i the sample variance
+    of the log densities. The per-event densities are reduced one block of
+    events at a time, as they are made; the last ahead - 1 rows of a block
+    are carried into the next, so windows span block boundaries. When the
+    draws come in more than one chunk, each point's (max, sum of exp) and
+    (mean, summed squared deviation) are merged across chunks.
     """
     _check_window(cfg, len(seq))
     M, L, A = len(seq), cfg.burn_in, cfg.ahead
@@ -151,20 +158,68 @@ def waic_elpd(
     if B < 2:
         raise ValueError("need at least 2 draws for a variance")
 
-    hz = event_log_densities(stats, seq, draws)
-    # (n_points, B) log predictive densities: the point after event i
-    # (1-based, i = L..M-A) sums the terms of events i+1..i+A
-    ld = hz[L : M - A + 1]
-    for a in range(1, A):
-        ld = ld + hz[L + a : M - A + 1 + a]
-    mx = ld.max(axis=1, keepdims=True)
+    n_points = M - A - L + 1
+    mx, total, mean, m2 = (np.empty(n_points) for _ in range(4))
+    for draw_rows, events, block in event_log_density_blocks(stats, seq, draws):
+        if events.start == 0:
+            tail = block[:0]
+        recent = np.concatenate((tail, block)) if len(tail) else block
+        first = events.start - len(tail)  # the event of recent[0]
+        tail = recent[max(0, len(recent) - A + 1) :]
+        # the points (1-based, after event i) whose window of events
+        # i+1..i+A ends in this block
+        i0, i1 = max(L, events.start - A + 1), events.stop - A + 1
+        if i0 >= i1:
+            continue
+        ld = recent[i0 - first : i1 - first]
+        for a in range(1, A):
+            ld = ld + recent[i0 - first + a : i1 - first + a]
+        b = ld.shape[1]
+        # sum / b and the summed squared deviations repeat np.mean's and
+        # np.var's arithmetic, so with one chunk of draws lpd_i and p_i are
+        # bit for bit those of the whole (n_points, B) array
+        with np.errstate(invalid="ignore"):
+            mx_c = ld.max(axis=1, keepdims=True)
+            shifted = ld - mx_c
+            mean_c = shifted.sum(axis=1, keepdims=True) / b
+            dev = shifted - mean_c
+            m2_c = np.multiply(dev, dev, out=dev).sum(axis=1)
+            total_c = np.exp(shifted, out=shifted).sum(axis=1)
+            mx_c, mean_c = mx_c[:, 0], mean_c[:, 0] + mx_c[:, 0]
+            pts = slice(i0 - L, i1 - L)
+            if draw_rows.start == 0:
+                mx[pts], total[pts], mean[pts], m2[pts] = mx_c, total_c, mean_c, m2_c
+            else:
+                # merge with the draws before this chunk (Chan et al. for m2)
+                n_a = draw_rows.start
+                top = np.maximum(mx[pts], mx_c)
+                total[pts] = total[pts] * np.exp(mx[pts] - top) + total_c * np.exp(mx_c - top)
+                delta = mean_c - mean[pts]
+                mean[pts] += delta * (b / (n_a + b))
+                m2[pts] += m2_c + delta * delta * (n_a * b / (n_a + b))
+                mx[pts] = top
     with np.errstate(invalid="ignore"):
-        shifted = ld - mx
-        p_i = shifted.var(axis=1, ddof=1)
-        lpd_i = np.log(np.exp(shifted, out=shifted).mean(axis=1)) + mx[:, 0]
-    lpd = float(lpd_i.sum())
-    p_waic = float(p_i.sum())
+        lpd_i = np.log(total / B) + mx
+    return lpd_i, m2 / (B - 1)
+
+
+def _waic_totals(lpd_i: np.ndarray, p_i: np.ndarray) -> tuple[float, float, float]:
+    lpd, p_waic = float(lpd_i.sum()), float(p_i.sum())
     return lpd - p_waic, lpd, p_waic
+
+
+def waic_elpd(
+    fit: ModelFit,
+    stats: StatTensor,
+    seq: EventSequence,
+    cfg: WaicConfig,
+    draws: np.ndarray | None = None,
+    rng: np.random.Generator | None = None,
+) -> tuple[float, float, float]:
+    """(elpd_hat, lpd_hat, p_waic) for one model: lpd_hat sums the per-point
+    log mean densities of ``waic_pointwise``, p_waic their per-point sample
+    variances, and elpd_hat = lpd_hat - p_waic."""
+    return _waic_totals(*waic_pointwise(fit, stats, seq, cfg, draws, rng))
 
 
 def _converged_scores(fits: Sequence[ModelFit], scores: np.ndarray) -> np.ndarray:
@@ -247,8 +302,10 @@ class _BagRunner:
         stats = compute_stepwise_stats(self.seq, self.rs, self.kinds, spec, triad_pairs=pairs)
         fit = fit_mle(stats, self.seq, self.opts)
         if self.waic is not None and fit.converged:
-            fit.waic, _, _ = waic_elpd(fit, stats, self.seq, self.waic,
-                                       rng=waic_model_rng(self.waic.seed, q))
+            lpd_i, p_i = waic_pointwise(fit, stats, self.seq, self.waic,
+                                        rng=waic_model_rng(self.waic.seed, q))
+            fit.waic = _waic_totals(lpd_i, p_i)[0]
+            fit.n_high_p_waic = int(np.count_nonzero(p_i > P_WAIC_WARN))
         return q, fit, time.perf_counter() - t_start
 
 
@@ -276,9 +333,11 @@ def fit_bag(
     ``(q, fit, seconds)`` in bag order.
 
     Model q is the stepwise model of ``kinds`` on ``specs[q]``. With ``waic``
-    set, each converged fit is scored and its elpd stored on ``fit.waic``,
-    using the draw stream ``waic_model_rng(waic.seed, q)``, so the results do
-    not depend on ``jobs``. ``jobs > 1`` spreads the models over that many
+    set, each converged fit is scored: its elpd is stored on ``fit.waic`` and
+    its count of points with p_waic_i > ``P_WAIC_WARN`` on
+    ``fit.n_high_p_waic``. Model q uses the draw stream
+    ``waic_model_rng(waic.seed, q)``, so the results do not depend on
+    ``jobs``. ``jobs > 1`` spreads the models over that many
     worker processes (never more than there are models). Only one design per
     process is alive at a time. The options are validated by this call,
     before any model runs.

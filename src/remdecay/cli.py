@@ -19,6 +19,7 @@ from collections import Counter
 import numpy as np
 
 from .bma import (
+    P_WAIC_WARN,
     ModelBag,
     WaicConfig,
     bag_weights,
@@ -194,7 +195,8 @@ def cmd_fit_bag(cfg: dict) -> dict:
             fits.append(fit)
             log.write(event="fit", model=q, seconds=seconds, loglik=fit.loglik,
                       converged=fit.converged, elpd=fit.waic, iterations=fit.iterations,
-                      halvings=fit.halvings, max_abs_grad=fit.max_abs_grad, jitter=fit.jittered)
+                      halvings=fit.halvings, max_abs_grad=fit.max_abs_grad, jitter=fit.jittered,
+                      high_p_waic=fit.n_high_p_waic)
         wall = time.perf_counter() - t0
 
         n_converged = sum(f.converged for f in fits)
@@ -283,6 +285,28 @@ def _newton_line(fits: list[ModelFit]) -> str:
     )
 
 
+def _waic_reliability_line(fits: list[ModelFit]) -> str:
+    """One report line counting the WAIC points whose p_waic_i is too large."""
+    counts = {q: f.n_high_p_waic for q, f in enumerate(fits) if f.n_high_p_waic is not None}
+    head = f"- WAIC points with p_waic_i > {P_WAIC_WARN}: "
+    if not counts:
+        return head + "unrecorded"
+    worst = max(counts, key=counts.get)
+    which = f" (model {worst})" if counts[worst] else ""
+    return head + f"{sum(counts.values())} over the bag, at most {counts[worst]} in one model{which}"
+
+
+def _monotone_line(fits: list[ModelFit]) -> str:
+    """One report line listing the fits with a column at risk but never
+    realized; they keep their weight."""
+    ids = [q for q, f in enumerate(fits) if f.monotone]
+    listed = f"; model ids {', '.join(map(str, ids))}" if ids else ""
+    return (
+        f"- fits with a column at risk but never realized (MLE at -inf, weight kept): "
+        f"{len(ids)}{listed}"
+    )
+
+
 def cmd_report(cfg: dict) -> dict:
     out = cfg["out"]
     report_path = os.path.join(out, "report.md")
@@ -297,6 +321,9 @@ def cmd_report(cfg: dict) -> dict:
         f"(1/sum w^2): {effective_model_count(bag.weights):.2f}"
     )
     lines.append(_newton_line(bag.fits))
+    lines.append(_monotone_line(bag.fits))
+    if bag.weighting_kind == "waic":
+        lines.append(_waic_reliability_line(bag.fits))
     lines.append("")
     lines.append("| rank | model | kind | K | BIC | elpd | weight |")
     lines.append("|------|-------|------|---|-----|------|--------|")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "log_rates",
     "event_terms",
     "event_log_densities",
+    "event_log_density_blocks",
     "log_likelihood",
     "grad_and_hessian",
     "fit_mle",
@@ -55,7 +57,9 @@ MAX_ITER = 100
 LINE_SEARCH_STEPS = 50  # candidates per line search; the step is halved after each rejection
 FLOAT_FLOOR = 64 * np.finfo(np.float64).eps  # predicted gain, relative to max(1, |ll|), that ll cannot resolve
 _JITTER_NOTE = "hessian factorization required a 1e-8 jitter"
-_DRAW_BLOCK = 8_000_000  # entries of the largest per-block working array
+_NEVER_REALIZED_NOTE = "column(s) at risk but never realized"
+_DRAW_BLOCK = 8_000_000  # entries of the largest per-chunk working array of draws
+_EVENT_BLOCK = 128  # event rows per block of the per-event densities
 _ROW_BLOCK = 4096  # distinct states per float64 block of the design
 
 
@@ -79,7 +83,11 @@ class ModelFit:
     and ``stop``: "tolerance" or "float_floor" for a converged fit, "stalled"
     (a line search found no improving step) or "max_iter" otherwise. Fits
     loaded from files written before these fields existed have ``halvings``
-    0 and ``max_abs_grad`` and ``stop`` None.
+    0 and ``max_abs_grad`` and ``stop`` None. ``n_high_p_waic`` counts the
+    WAIC scoring points whose per-point p_waic exceeds 0.4, where that
+    point's WAIC term is unreliable (Vehtari, Gelman & Gabry 2017); it is None
+    for a fit that was not WAIC-scored or was loaded from an older file.
+    ``monotone`` tells whether some column is at risk but never realized.
     """
 
     spec: IntervalSpec | None
@@ -98,11 +106,17 @@ class ModelFit:
     halvings: int = 0
     max_abs_grad: float | None = None
     stop: str | None = None
+    n_high_p_waic: int | None = None
 
     @property
     def jittered(self) -> bool:
         """Whether a Newton system needed the diagonal jitter to factor."""
         return _JITTER_NOTE in self.warnings
+
+    @property
+    def monotone(self) -> bool:
+        """Whether some column is at risk but never realized (its MLE is -inf)."""
+        return any(n.startswith(_NEVER_REALIZED_NOTE) for n in self.warnings)
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,6 +136,7 @@ class ModelFit:
             "halvings": self.halvings,
             "max_abs_grad": self.max_abs_grad,
             "stop": self.stop,
+            "n_high_p_waic": self.n_high_p_waic,
         }
 
     @classmethod
@@ -144,6 +159,7 @@ class ModelFit:
             halvings=d.get("halvings", 0),
             max_abs_grad=d.get("max_abs_grad"),
             stop=d.get("stop"),
+            n_high_p_waic=d.get("n_high_p_waic"),
         )
 
 
@@ -228,15 +244,23 @@ def log_likelihood(stats: StatTensor, seq: EventSequence, beta: np.ndarray) -> f
     return value
 
 
-def event_log_densities(stats: StatTensor, seq: EventSequence, draws: np.ndarray) -> np.ndarray:
-    """(M, B) per-event log densities under each row of ``draws`` (B, P).
+def event_log_density_blocks(
+    stats: StatTensor, seq: EventSequence, draws: np.ndarray
+) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """The (M, B) per-event log densities under each row of ``draws`` (B, P),
+    one block at a time: yields ``(draw_rows, events, block)`` with ``block``
+    the densities of events ``events`` under draws ``draw_rows``. Blocks come
+    in draw-chunk order and, within a chunk, in event order.
 
-    The rate kernel evaluates each draw once per distinct state (U of them),
-    and the rates are summed through the (M + 1) x U step matrix, which holds
-    +1 at each run's start row and -1 at its stop row in the column of the
-    run's state: its running sum over rows times the rates is S_m. The draws
-    go in blocks whose (M + 1) x b and U x b working arrays stay near 64 MB
-    each; no runs x draws array is formed.
+    The rate kernel evaluates each chunk of draws once per distinct state (U
+    of them); the chunks are sized so that its U x b array stays near 64 MB.
+    The rates are summed through the (M + 1) x U step matrix, which
+    holds +1 at each run's start row and -1 at its stop row in the column of
+    the run's state: its running sum over rows times the rates is S_m. The
+    matrix is applied to ``_EVENT_BLOCK`` rows at a time, and the running sum
+    carries the previous block's last total into the block's first row, so
+    every value is bitwise that of one running sum over all M rows. No
+    events x draws or runs x draws array is formed.
     """
     import scipy.sparse
 
@@ -247,18 +271,35 @@ def event_log_densities(stats: StatTensor, seq: EventSequence, draws: np.ndarray
         shape=(M + 1, U),
     )
     dt = np.diff(seq.times, prepend=seq.t0)[:, None]
-    out = np.empty((M, len(draws)))
-    chunk = max(1, _DRAW_BLOCK // max(M + 1, U))
+    # the realized states, so that the rates can overwrite the log-rates
+    realized, which = np.unique(stats.realized, return_inverse=True)
+    chunk = max(1, _DRAW_BLOCK // U)
     for b0 in range(0, len(draws), chunk):
-        block = out[:, b0 : b0 + chunk]
-        eta = log_rates(stats, draws[b0 : b0 + chunk].T)
-        block[...] = eta[stats.realized]
-        with np.errstate(over="ignore", invalid="ignore"):
-            totals = steps @ np.exp(eta, out=eta)
-            np.cumsum(totals, axis=0, out=totals)
-            totals = totals[:M]
-            totals *= dt
-            block -= totals
+        draw_rows = slice(b0, min(b0 + chunk, len(draws)))
+        eta = log_rates(stats, draws[draw_rows].T)
+        realized_eta = eta[realized]
+        with np.errstate(over="ignore"):
+            rates = np.exp(eta, out=eta)
+        carry = 0.0  # the running sum through the previous block
+        for m0 in range(0, M, _EVENT_BLOCK):
+            events = slice(m0, min(m0 + _EVENT_BLOCK, M))
+            with np.errstate(over="ignore", invalid="ignore"):
+                totals = steps[events] @ rates
+                totals[0] += carry
+                np.cumsum(totals, axis=0, out=totals)
+                carry = totals[-1].copy()
+                totals *= dt[events]
+                block = realized_eta[which[events]]
+                block -= totals
+            yield draw_rows, events, block
+
+
+def event_log_densities(stats: StatTensor, seq: EventSequence, draws: np.ndarray) -> np.ndarray:
+    """(M, B) per-event log densities under each row of ``draws`` (B, P): the
+    blocks of ``event_log_density_blocks`` put together."""
+    out = np.empty((stats.n_events, len(draws)))
+    for draw_rows, events, block in event_log_density_blocks(stats, seq, draws):
+        out[events, draw_rows] = block
     return out
 
 
@@ -395,7 +436,7 @@ def fit_mle(
     notes = [_JITTER_NOTE] if jitter_used else []
     if never_realized.size:
         names = ", ".join(stats.labels[p] for p in never_realized)
-        notes.append(f"column(s) at risk but never realized: {names}; the MLE of each is -inf")
+        notes.append(f"{_NEVER_REALIZED_NOTE}: {names}; the MLE of each is -inf")
         warnings.warn(notes[-1], RuntimeWarning, stacklevel=2)
     converged = stop in ("tolerance", "float_floor")
     if stop == "stalled":

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from remdecay import bma
+from remdecay import bma, likelihood
 from remdecay.bma import (
     ModelBag,
     PosteriorDraws,
@@ -99,6 +99,19 @@ def small_fit_setup(rng):
     return seq, rs, spec, stats, fit
 
 
+def oracle_waic(stats, seq, draws, burn_in, ahead):
+    """(lpd, p_waic) from the loop oracle's window log densities."""
+    dense = to_dense(stats)
+    lds = np.array([
+        [loop_log_density(dense, stats.event_positions, seq.times, seq.t0, d, i + 1, i + ahead)
+         for d in draws]
+        for i in range(burn_in, len(seq) - ahead + 1)
+    ])
+    mx = lds.max(axis=1, keepdims=True)
+    lpd = float(np.sum(np.log(np.exp(lds - mx).mean(axis=1)) + mx[:, 0]))
+    return lpd, float(lds.var(axis=1, ddof=1).sum())
+
+
 class TestWaic:
     def test_zero_variance_draws_give_zero_p_waic(self, small_fit_setup):
         seq, rs, spec, stats, fit = small_fit_setup
@@ -138,17 +151,36 @@ class TestWaic:
         draws = fit.beta_hat + rng.normal(0, 0.05, size=(B, fit.n_params))
         cfg = WaicConfig(burn_in=L, ahead=ahead, n_draws=B)
         elpd, lpd, p = waic_elpd(fit, stats, seq, cfg, draws=draws)
-        dense = to_dense(stats)
-        lds = np.array([
-            [loop_log_density(dense, stats.event_positions, seq.times, seq.t0, d, i + 1, i + ahead)
-             for d in draws]
-            for i in range(L, M - ahead + 1)
-        ])
-        mx = lds.max(axis=1, keepdims=True)
-        lpd_ref = float(np.sum(np.log(np.exp(lds - mx).mean(axis=1)) + mx[:, 0]))
-        p_ref = float(lds.var(axis=1, ddof=1).sum())
+        lpd_ref, p_ref = oracle_waic(stats, seq, draws, L, ahead)
         assert lpd == pytest.approx(lpd_ref, rel=1e-12)
         assert p == pytest.approx(p_ref, rel=1e-10)
+
+    @pytest.mark.parametrize("ahead", [1, 3])
+    def test_event_blocks_and_draw_chunks_match_one_block(self, small_fit_setup, rng,
+                                                          monkeypatch, ahead):
+        """Windows that span event blocks and draws split into chunks give
+        the oracle's WAIC; with one draw chunk, bit for bit the one-block
+        result, and with split draws, within 1e-12 of it."""
+        seq, rs, spec, stats, fit = small_fit_setup
+        B, L, M = 7, 12, len(seq)
+        draws = fit.beta_hat + rng.normal(0, 0.05, size=(B, fit.n_params))
+        cfg = WaicConfig(burn_in=L, ahead=ahead, n_draws=B)
+        lpd_ref, p_ref = oracle_waic(stats, seq, draws, L, ahead)
+        monkeypatch.setattr(likelihood, "_EVENT_BLOCK", M + 5)
+        whole = waic_elpd(fit, stats, seq, cfg, draws=draws)
+        for rows in (1, 7, M + 5):
+            monkeypatch.setattr(likelihood, "_EVENT_BLOCK", rows)
+            for chunk in (B, 2):
+                monkeypatch.setattr(likelihood, "_DRAW_BLOCK", chunk * len(stats.rows))
+                got = waic_elpd(fit, stats, seq, cfg, draws=draws)
+                if chunk == B:
+                    assert got == whole
+                else:
+                    np.testing.assert_allclose(got, whole, rtol=1e-12, atol=0)
+                elpd, lpd, p = got
+                assert lpd == pytest.approx(lpd_ref, rel=1e-12)
+                assert p == pytest.approx(p_ref, rel=1e-10)
+                assert elpd == lpd - p
 
     def test_identical_models_shared_stream_equal_weights(self, small_fit_setup):
         seq, rs, spec, stats, fit = small_fit_setup
@@ -175,6 +207,10 @@ class TestWaic:
         np.testing.assert_array_equal(fits[0].beta_hat, fit.beta_hat)
         elpd, _, _ = waic_elpd(fit, stats, seq, cfg, rng=waic_model_rng(cfg.seed, 0))
         assert fits[0].waic == elpd
+        # and its count of unreliable points comes from the same per-point terms
+        lpd_i, p_i = bma.waic_pointwise(fit, stats, seq, cfg, rng=waic_model_rng(cfg.seed, 0))
+        assert lpd_i.sum() - p_i.sum() == elpd
+        assert fits[0].n_high_p_waic == np.count_nonzero(p_i > bma.P_WAIC_WARN)
         # shift invariance of the softmax over elpds
         w2 = weights_from_elpds(fits, np.array([f.waic + 7.5 for f in fits]))
         np.testing.assert_allclose(w, w2, atol=1e-12)

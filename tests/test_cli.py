@@ -13,6 +13,9 @@ from remdecay.bma import WaicConfig, bag_weights, extract_trend, fit_bag, sample
 from remdecay.cli import _load_bag, main
 from remdecay.events import load_events
 from remdecay.intervals import bag_from_json
+from remdecay.likelihood import fit_mle
+
+from test_likelihood import random_instance
 
 EFFECTS = json.dumps(
     {"inertia": {"variant": "weibull", "scale": 4.0, "shape": 1.0, "peak": 0.3}}
@@ -216,6 +219,17 @@ class TestFitBag:
         assert log_lines[0]["event"] == "start"
         assert log_lines[-1]["event"] == "done"
         assert all("seconds" in l for l in log_lines if l["event"] == "fit")
+        fits = json.loads((out / "fits.json").read_text())["fits"]
+        counts = [l["high_p_waic"] for l in log_lines if l["event"] == "fit"]
+        assert counts == [f["n_high_p_waic"] for f in fits]
+        assert all(isinstance(c, int) and 0 <= c <= 50 - 10 for c in counts)
+        run(["report", "--out", str(out)])
+        worst = max(range(len(counts)), key=counts.__getitem__)
+        which = f" (model {worst})" if counts[worst] else ""
+        assert (
+            f"- WAIC points with p_waic_i > 0.4: {sum(counts)} over the bag, "
+            f"at most {counts[worst]} in one model{which}\n"
+        ) in (out / "report.md").read_text()
 
     def test_default_burn_in_leaves_room_for_ahead(self, sim_dir, tmp_path):
         # 50 events: the default burn-in must leave 3 events to score ahead
@@ -331,6 +345,24 @@ class TestReportAndConfig:
             f"{sum(halvings)} step halvings (at most {max(halvings)} per model), "
             f"largest final max|grad| {grad:.3g}; stops: {counts}; jittered fits: 0\n"
         ) in text
+
+    def test_report_lists_monotone_fits(self, fitted_dir, tmp_path):
+        # the 12-event instance has a column at risk but never realized
+        seq, _, stats = random_instance(np.random.default_rng(0), n_events=12, K=3)
+        with pytest.warns(RuntimeWarning, match="never realized"):
+            monotone = fit_mle(stats, seq)
+        fits = json.loads((fitted_dir / "fits.json").read_text())["fits"][:2]
+        fits.insert(1, monotone.to_json_dict())
+        assert monotone.monotone and monotone.converged
+        out = tmp_path / "mono"
+        out.mkdir()
+        (out / "fits.json").write_text(json.dumps({"weighting": "bic", "fits": fits}))
+        run(["report", "--out", str(out)])
+        text = (out / "report.md").read_text()
+        assert "- fits with a column at risk but never realized (MLE at -inf, weight kept): 1; model ids 1\n" in text
+        assert "WAIC points" not in text
+        run(["report", "--fits", str(fitted_dir / "fits.json"), "--out", str(tmp_path / "plain")])
+        assert "never realized (MLE at -inf, weight kept): 0\n" in (tmp_path / "plain" / "report.md").read_text()
 
     def test_report_creates_out(self, fitted_dir, tmp_path):
         out = tmp_path / "new" / "dir"

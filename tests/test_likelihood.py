@@ -100,6 +100,19 @@ def dense_reference(stats, seq, betas):
     return terms, grad, hess
 
 
+@pytest.fixture(scope="module")
+def inertia_design():
+    """(seq, stats, draws): 3000 events among 10 actors with an inertia
+    effect, its K = 5 inertia design (about 17k runs, 147 distinct states)
+    and 200 draws near the truth."""
+    effects = {StatisticKind.INERTIA: WeibullDecay(scale=4.0, shape=1.0, peak=0.6)}
+    seq = simulate(SimConfig(n_actors=10, beta0=-3.9, effects=effects, horizon=20.0,
+                             n_events=3000, seed=3))
+    stats = compute_stepwise_stats(seq, RiskSet(10), (StatisticKind.INERTIA,), equal_spec(5, 20.0))
+    draws = np.random.default_rng(0).normal([-3.9, 0.5, 0.3, 0.2, 0.1, 0.0], 0.05, (200, 6))
+    return seq, stats, draws
+
+
 class TestRateKernel:
     def test_columns_match_single_evaluations(self, rng):
         seq, rs, stats = random_instance(rng, n_events=40)
@@ -140,30 +153,42 @@ class TestRateKernel:
         draws = rng.normal(0, 0.3, (7, stats.n_columns))
         whole = event_log_densities(stats, seq, draws)
         np.testing.assert_allclose(whole, event_terms(stats, seq, draws.T), rtol=0, atol=0)
-        # two draws per block: three full blocks and a partial one
-        widest = max(stats.n_events + 1, len(stats.rows))
-        monkeypatch.setattr(likelihood, "_DRAW_BLOCK", 2 * widest)
+        # two draws per chunk: three full chunks and a partial one
+        monkeypatch.setattr(likelihood, "_DRAW_BLOCK", 2 * len(stats.rows))
         blocked = event_log_densities(stats, seq, draws)
         np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-12)
 
-    def test_draw_densities_hold_no_runs_by_draws_array(self):
+    def test_draw_densities_hold_no_runs_by_draws_array(self, inertia_design):
         """Memory guard: on a 3000-event, 10-actor inertia design at K = 5
         (about 17k runs), the densities of 200 draws must peak below one
         runs x draws float64 array; the rates are evaluated per distinct state."""
-        effects = {StatisticKind.INERTIA: WeibullDecay(scale=4.0, shape=1.0, peak=0.6)}
-        seq = simulate(SimConfig(n_actors=10, beta0=-3.9, effects=effects, horizon=20.0,
-                                 n_events=3000, seed=3))
-        stats = compute_stepwise_stats(seq, RiskSet(10), (StatisticKind.INERTIA,), equal_spec(5, 20.0))
-        B = 200
-        draws = np.random.default_rng(0).normal([-3.9, 0.5, 0.3, 0.2, 0.1, 0.0], 0.05, (B, 6))
+        seq, stats, draws = inertia_design
         tracemalloc.start()
         try:
             out = event_log_densities(stats, seq, draws)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.shape == (3000, B) and np.isfinite(out).all()
-        assert peak < stats.ids.size * B * 8
+        assert out.shape == (3000, len(draws)) and np.isfinite(out).all()
+        assert peak < stats.ids.size * len(draws) * 8
+
+    @pytest.mark.parametrize("ahead", [1, 3])
+    def test_waic_holds_no_events_by_draws_array(self, inertia_design, ahead):
+        """Memory guard: WAIC reduces the per-event densities one block of
+        events at a time, so on the same design it must peak below one
+        events x draws float64 array."""
+        seq, stats, draws = inertia_design
+        fit = fit_mle(stats, seq)
+        cfg = WaicConfig.default_for(len(seq), ahead=ahead, n_draws=len(draws))
+        waic_elpd(fit, stats, seq, cfg, draws=draws)  # the lazy scipy.sparse import is not traced
+        tracemalloc.start()
+        try:
+            elpd = waic_elpd(fit, stats, seq, cfg, draws=draws)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(elpd)
+        assert peak < stats.n_events * len(draws) * 8
 
     def test_fit_holds_no_float_design(self, wide_seq):
         """Memory guard: on the six-kind K = 5 design of ``wide_seq`` (about
@@ -437,9 +462,11 @@ class TestFit:
         assert again.max_abs_grad == fit.max_abs_grad and fit.stop in ("tolerance", "float_floor")
         # a file written before the Newton diagnostics existed still loads
         d = fit.to_json_dict()
-        for key in ("halvings", "max_abs_grad", "stop"):
+        for key in ("halvings", "max_abs_grad", "stop", "n_high_p_waic"):
             del d[key]
         old = ModelFit.from_json_dict(json.loads(json.dumps(d)))
         np.testing.assert_array_equal(old.beta_hat, fit.beta_hat)
         assert old.iterations == fit.iterations
-        assert (old.halvings, old.max_abs_grad, old.stop) == (0, None, None)
+        assert (old.halvings, old.max_abs_grad, old.stop, old.n_high_p_waic) == (0, None, None, None)
+        fit.n_high_p_waic = 3
+        assert ModelFit.from_json_dict(json.loads(json.dumps(fit.to_json_dict()))).n_high_p_waic == 3
