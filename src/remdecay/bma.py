@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import math
 import time
 import warnings
@@ -23,14 +24,7 @@ import numpy as np
 from .events import EventSequence, RiskSet
 from .intervals import IntervalSpec, locate_intervals
 from .likelihood import FitOptions, ModelFit, event_log_density_blocks, fit_mle
-from .stats import (
-    SECOND_ORDER,
-    StatTensor,
-    StatisticKind,
-    TriadPairs,
-    build_triad_pairs,
-    compute_stepwise_stats,
-)
+from .stats import StatTensor, StatisticKind, compute_stepwise_stats
 
 __all__ = [
     "P_WAIC_WARN",
@@ -274,51 +268,19 @@ def effective_model_count(weights: np.ndarray) -> float:
     return float(1.0 / np.dot(w, w))
 
 
-class _BagRunner:
-    """Builds, fits and optionally WAIC-scores one model of a bag at a time.
-
-    The closure precompute depends only on the sequence and the horizon, so it
-    is cached per horizon for the runner's lifetime; each design is dropped as
-    soon as its model is scored.
-    """
-
-    def __init__(self, seq: EventSequence, kinds: tuple[StatisticKind, ...],
-                 waic: WaicConfig | None, opts: FitOptions):
-        self.seq = seq
-        self.rs = RiskSet(seq.n_actors)
-        self.kinds = kinds
-        self.waic = waic
-        self.opts = opts
-        self.pairs: dict[float, TriadPairs] = {}
-
-    def __call__(self, task: tuple[int, IntervalSpec]) -> tuple[int, ModelFit, float]:
-        q, spec = task
-        t_start = time.perf_counter()
-        pairs = None
-        if any(k in SECOND_ORDER for k in self.kinds):
-            if spec.horizon not in self.pairs:
-                self.pairs[spec.horizon] = build_triad_pairs(self.seq, self.rs, spec.horizon)
-            pairs = self.pairs[spec.horizon]
-        stats = compute_stepwise_stats(self.seq, self.rs, self.kinds, spec, triad_pairs=pairs)
-        fit = fit_mle(stats, self.seq, self.opts)
-        if self.waic is not None and fit.converged:
-            lpd_i, p_i = waic_pointwise(fit, stats, self.seq, self.waic,
-                                        rng=waic_model_rng(self.waic.seed, q))
-            fit.waic = _waic_totals(lpd_i, p_i)[0]
-            fit.n_high_p_waic = int(np.count_nonzero(p_i > P_WAIC_WARN))
-        return q, fit, time.perf_counter() - t_start
-
-
-_worker_runner: _BagRunner | None = None  # set in each pool worker by _start_worker
-
-
-def _start_worker(*args) -> None:
-    global _worker_runner
-    _worker_runner = _BagRunner(*args)
-
-
-def _run_in_worker(task: tuple[int, IntervalSpec]) -> tuple[int, ModelFit, float]:
-    return _worker_runner(task)
+def _fit_model(seq: EventSequence, kinds: tuple[StatisticKind, ...], waic: WaicConfig | None,
+               opts: FitOptions, task: tuple[int, IntervalSpec]) -> tuple[int, ModelFit, float]:
+    """Build, fit and optionally WAIC-score model q of a bag, with its design
+    (closure pairs included) built for it alone and dropped on return."""
+    q, spec = task
+    t_start = time.perf_counter()
+    stats = compute_stepwise_stats(seq, RiskSet(seq.n_actors), kinds, spec)
+    fit = fit_mle(stats, seq, opts)
+    if waic is not None and fit.converged:
+        lpd_i, p_i = waic_pointwise(fit, stats, seq, waic, rng=waic_model_rng(waic.seed, q))
+        fit.waic = _waic_totals(lpd_i, p_i)[0]
+        fit.n_high_p_waic = int(np.count_nonzero(p_i > P_WAIC_WARN))
+    return q, fit, time.perf_counter() - t_start
 
 
 def fit_bag(
@@ -353,13 +315,12 @@ def fit_bag(
 
 def _run_bag(args: tuple, tasks: list[tuple[int, IntervalSpec]], workers: int
              ) -> Iterator[tuple[int, ModelFit, float]]:
+    run = functools.partial(_fit_model, *args)
     if workers <= 1:
-        yield from map(_BagRunner(*args), tasks)
+        yield from map(run, tasks)
         return
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=_start_worker, initargs=args
-    ) as pool:
-        yield from pool.map(_run_in_worker, tasks, chunksize=max(1, len(tasks) // (8 * workers)))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(run, tasks, chunksize=max(1, len(tasks) // (8 * workers)))
 
 
 @dataclass

@@ -93,7 +93,8 @@ def cmd_simulate(cfg: dict) -> dict:
     out = cfg["out"]
     events_path = os.path.join(out, "events.csv")
     manifest_path = os.path.join(out, "manifest.json")
-    _ensure_outputs([events_path, manifest_path], cfg.get("force", False))
+    _ensure_outputs([events_path, manifest_path, os.path.join(out, "config.json")],
+                    cfg.get("force", False))
 
     effects = {
         StatisticKind(k): decay_from_json(v) for k, v in cfg.get("effects", {}).items()
@@ -136,7 +137,7 @@ def _write_interval_bag(cfg: dict, bag: list[IntervalSpec], path: str) -> None:
 def cmd_gen_intervals(cfg: dict) -> dict:
     out = cfg["out"]
     path = os.path.join(out, "intervals.json")
-    _ensure_outputs([path], cfg.get("force", False))
+    _ensure_outputs([path, os.path.join(out, "config.json")], cfg.get("force", False))
     bag = _interval_bag(cfg)
     os.makedirs(out, exist_ok=True)
     _write_interval_bag(cfg, bag, path)
@@ -153,7 +154,12 @@ def cmd_fit_bag(cfg: dict) -> dict:
     fits_path = os.path.join(out, "fits.json")
     weights_path = os.path.join(out, "weights.csv")
     log_path = os.path.join(out, "log.ndjson")
-    _ensure_outputs([fits_path, weights_path], cfg.get("force", False))
+    intervals_path = os.path.join(out, "intervals.json")
+    inline_bag = not cfg.get("intervals_file")
+    outputs = [fits_path, weights_path, log_path, os.path.join(out, "config.json")]
+    if inline_bag:
+        outputs.append(intervals_path)
+    _ensure_outputs(outputs, cfg.get("force", False))
 
     seq = _load_sequence(cfg)
     kinds = _parse_kinds(cfg.get("kinds", "inertia"))
@@ -161,7 +167,6 @@ def cmd_fit_bag(cfg: dict) -> dict:
     if weighting not in ("bic", "waic"):
         raise CliError(f"unknown weighting {weighting!r}")
 
-    inline_bag = not cfg.get("intervals_file")
     if inline_bag:
         if cfg.get("gamma_max") is None:
             raise CliError("need --intervals-file or --gamma-max to build a bag")
@@ -186,7 +191,7 @@ def cmd_fit_bag(cfg: dict) -> dict:
     runs = fit_bag(seq, bag, kinds, waic=waic_cfg, ridge=cfg.get("ridge", 0.0), jobs=jobs)
     os.makedirs(out, exist_ok=True)
     if inline_bag:
-        _write_interval_bag(cfg, bag, os.path.join(out, "intervals.json"))
+        _write_interval_bag(cfg, bag, intervals_path)
     with _NdjsonLog(log_path) as log:
         log.write(event="start", n_models=len(bag), weighting=weighting, jobs=jobs)
         t0 = time.perf_counter()
@@ -247,7 +252,8 @@ def cmd_trend(cfg: dict) -> dict:
     out = cfg["out"]
     csv_path = os.path.join(out, "trend.csv")
     json_path = os.path.join(out, "trend.json")
-    _ensure_outputs([csv_path, json_path], cfg.get("force", False))
+    _ensure_outputs([csv_path, json_path, os.path.join(out, "trend_config.json")],
+                    cfg.get("force", False))
 
     bag = _load_bag(cfg.get("fits") or cfg["out"])
     draws = sample_posterior(bag, cfg.get("n_draws", 10000), seed=cfg.get("seed", 0))

@@ -33,7 +33,6 @@ __all__ = [
     "RankDeficiencyError",
     "log_rates",
     "event_terms",
-    "event_log_densities",
     "event_log_density_blocks",
     "log_likelihood",
     "grad_and_hessian",
@@ -229,10 +228,14 @@ def _require_finite(value: float, stats: StatTensor, seq: EventSequence, beta: n
 def event_terms(stats: StatTensor, seq: EventSequence, betas: np.ndarray) -> np.ndarray:
     """Per-event log-likelihood terms at ``betas`` (P,) or (P, B): the realized
     log-rate minus dt_m x the total rate S_m of the runs in force at row m.
-    Overflow is returned as non-finite values, not raised.
+    Overflow is returned as non-finite values, not raised. The blocks of
+    ``event_log_density_blocks`` are put together into one array.
     """
     betas = np.asarray(betas, dtype=np.float64)
-    terms = event_log_densities(stats, seq, betas.reshape(len(betas), -1).T)
+    draws = betas.reshape(len(betas), -1).T
+    terms = np.empty((stats.n_events, len(draws)))
+    for draw_rows, events, block in event_log_density_blocks(stats, seq, draws):
+        terms[events, draw_rows] = block
     return terms.reshape((stats.n_events,) + betas.shape[1:])
 
 
@@ -292,15 +295,6 @@ def event_log_density_blocks(
                 block = realized_eta[which[events]]
                 block -= totals
             yield draw_rows, events, block
-
-
-def event_log_densities(stats: StatTensor, seq: EventSequence, draws: np.ndarray) -> np.ndarray:
-    """(M, B) per-event log densities under each row of ``draws`` (B, P): the
-    blocks of ``event_log_density_blocks`` put together."""
-    out = np.empty((stats.n_events, len(draws)))
-    for draw_rows, events, block in event_log_density_blocks(stats, seq, draws):
-        out[events, draw_rows] = block
-    return out
 
 
 def _derivatives(U: np.ndarray, s: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

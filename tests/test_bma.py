@@ -226,13 +226,12 @@ class TestWaic:
 
 
 class FakePool:
-    """Records max_workers and runs the initializer and map in this process."""
+    """Records max_workers and runs the map in this process."""
 
     seen: list[int] = []
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers):
         FakePool.seen.append(max_workers)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -255,7 +254,6 @@ class TestFitBagJobs:
         seq, _, spec, _, _ = small_fit_setup
         specs = [spec, equal_spec(3, spec.horizon), equal_spec(4, spec.horizon)]
         monkeypatch.setattr(bma.concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(bma, "_worker_runner", None)
         monkeypatch.setattr(FakePool, "seen", [])
         serial = list(fit_bag(seq, specs, [INERTIA], jobs=1))
         assert FakePool.seen == []
@@ -268,6 +266,25 @@ class TestFitBagJobs:
         # a one-model bag runs serially whatever jobs asks for
         list(fit_bag(seq, specs[:1], [INERTIA], jobs=8))
         assert len(FakePool.seen) == 3
+
+    def test_two_horizons_with_closure_kind(self, rng, monkeypatch):
+        """Specs of two interleaved horizons with a closure kind: every fit,
+        serial or through the pool, equals the direct fit of its own design."""
+        seq = random_sequence(rng, 4, 80)
+        span = seq.times[-1] - seq.times[0]
+        kinds = (INERTIA, StatisticKind.TRANSITIVITY)
+        specs = [equal_spec(K, frac * span) for K in (2, 3) for frac in (0.3, 0.6)]
+        monkeypatch.setattr(bma.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(FakePool, "seen", [])
+        for jobs in (1, 2):
+            runs = list(fit_bag(seq, specs, kinds, jobs=jobs))
+            assert [q for q, _, _ in runs] == [0, 1, 2, 3]
+            for (_, fit, _), spec in zip(runs, specs):
+                want = fit_mle(compute_stepwise_stats(seq, RiskSet(4), kinds, spec), seq)
+                assert fit.spec.horizon == spec.horizon
+                np.testing.assert_array_equal(fit.beta_hat, want.beta_hat)
+                assert fit.loglik == want.loglik
+        assert FakePool.seen == [2]
 
 
 class TestSamplePosterior:

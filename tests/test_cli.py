@@ -244,8 +244,8 @@ class TestFitBag:
         assert (out / "weights.csv").read_text().splitlines()[1].split(",")[4] != ""
 
 
-# WAIC weighting and a closure kind, so that the per-worker triad cache and the
-# per-model WAIC draw streams are both exercised.
+# WAIC weighting and a closure kind, so that each model's own closure
+# precompute and the per-model WAIC draw streams are both exercised.
 WAIC_CLOSURE_BAG = [
     "--kinds", "inertia,transitivity_closure", "--k-values", "2", "--per-kind-count", "1",
     "--min-size", "0.05", "--gamma-max", "12", "--weighting", "waic",
@@ -413,6 +413,33 @@ class TestReportAndConfig:
         rc = main(["simulate", "--n-actors", "3", "--beta0", "-3", "--n-events", "5"])
         assert rc == 1
         assert "output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name", [
+    ("simulate", "config.json"),
+    ("gen-intervals", "config.json"),
+    ("fit-bag", "config.json"),
+    ("fit-bag", "log.ndjson"),
+    ("fit-bag", "intervals.json"),
+    ("trend", "trend_config.json"),
+])
+def test_every_output_needs_force(sim_dir, fitted_dir, tmp_path, capsys, command, name):
+    """No command writes over any file it makes unless --force is given."""
+    argv = {
+        "simulate": ["--n-actors", "3", "--beta0", "-3", "--n-events", "5"],
+        "gen-intervals": ["--k-values", "2", "--per-kind-count", "1", "--gamma-max", "12"],
+        "fit-bag": ["--events", str(sim_dir / "events.csv"), "--k-values", "2",
+                    "--per-kind-count", "1", "--gamma-max", "12"],
+        "trend": ["--fits", str(fitted_dir / "fits.json"), "--n-draws", "50", "--grid-size", "5"],
+    }[command]
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).write_text("kept\n")
+    assert main([command, "--out", str(out), *argv]) == 1
+    assert f"refusing to overwrite {out / name}" in capsys.readouterr().err
+    assert os.listdir(out) == [name] and (out / name).read_text() == "kept\n"
+    run([command, "--out", str(out), *argv, "--force"])
+    assert (out / name).read_text() != "kept\n"
 
 
 def test_cli_import_loads_no_scipy(sim_dir, tmp_path):

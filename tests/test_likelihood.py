@@ -15,7 +15,6 @@ from remdecay.likelihood import (
     LikelihoodOverflowError,
     ModelFit,
     RankDeficiencyError,
-    event_log_densities,
     event_terms,
     fit_mle,
     grad_and_hessian,
@@ -151,11 +150,10 @@ class TestRateKernel:
     def test_blocks_of_draws_match_one_block(self, rng, monkeypatch):
         seq, rs, stats = random_instance(rng, n_events=40)
         draws = rng.normal(0, 0.3, (7, stats.n_columns))
-        whole = event_log_densities(stats, seq, draws)
-        np.testing.assert_allclose(whole, event_terms(stats, seq, draws.T), rtol=0, atol=0)
+        whole = event_terms(stats, seq, draws.T)
         # two draws per chunk: three full chunks and a partial one
         monkeypatch.setattr(likelihood, "_DRAW_BLOCK", 2 * len(stats.rows))
-        blocked = event_log_densities(stats, seq, draws)
+        blocked = event_terms(stats, seq, draws.T)
         np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-12)
 
     def test_draw_densities_hold_no_runs_by_draws_array(self, inertia_design):
@@ -165,7 +163,7 @@ class TestRateKernel:
         seq, stats, draws = inertia_design
         tracemalloc.start()
         try:
-            out = event_log_densities(stats, seq, draws)
+            out = event_terms(stats, seq, draws.T)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
