@@ -33,11 +33,9 @@ from .decay import (
     half_life,
 )
 from .events import (
-    Event,
     EventDataError,
     EventSequence,
     RiskSet,
-    build_risk_set,
     load_events,
     spread_ties,
 )
@@ -48,7 +46,6 @@ from .intervals import (
     bag_to_json,
     equal_spec,
     generate_interval_bag,
-    locate_interval,
     locate_intervals,
 )
 from .likelihood import (

@@ -135,17 +135,22 @@ def waic_pointwise(
     ``ahead`` realized events given the history through event i is evaluated
     under every posterior draw, on the statistics of the full sequence.
     lpd_i is the log mean density over the draws and p_i the sample variance
-    of the log densities. The per-event densities are reduced one block of
-    events at a time, as they are made; the last ahead - 1 rows of a block
-    are carried into the next, so windows span block boundaries. When the
-    draws come in more than one chunk, each point's (max, sum of exp) and
-    (mean, summed squared deviation) are merged across chunks.
+    of the log densities. The draws are ``draws`` (B, P), or ``cfg.n_draws``
+    draws from the fit's normal approximation made with ``rng``; one of the
+    two is required, and ``fit_bag`` scores model q with
+    ``rng=waic_model_rng(cfg.seed, q)``.
+
+    The per-event densities are reduced one block of events at a time, as
+    they are made; the last ahead - 1 rows of a block are carried into the
+    next, so windows span block boundaries. When the draws come in more than
+    one chunk, each point's (max, sum of exp) and (mean, summed squared
+    deviation) are merged across chunks.
     """
     _check_window(cfg, len(seq))
     M, L, A = len(seq), cfg.burn_in, cfg.ahead
     if draws is None:
         if rng is None:
-            rng = np.random.default_rng(cfg.seed)
+            raise ValueError("need draws or an rng such as waic_model_rng(seed, q)")
         draws = _mvn_draws(fit.beta_hat, fit.cov_hat, cfg.n_draws, rng)
     draws = np.asarray(draws, dtype=np.float64)
     B = draws.shape[0]

@@ -1,10 +1,17 @@
 """Batch front-end: simulate, generate interval bags, fit, weight, trend.
 
+The pipeline is simulate (or your own events.csv) -> gen-intervals ->
+fit-bag -> trend -> report. ``gen-intervals`` draws the randomized bag of
+interval specs once, and ``fit-bag`` fits and weights the bag it reads from
+that intervals.json (``--intervals-file``), so BIC and WAIC can weight the
+same bag.
+
 Every subcommand is a pure function of (config, input files, seed): rerunning
 with the same inputs reproduces the data artifacts byte for byte (the timing
 log is the one exception). Each checks its options and inputs before it
-creates ``--out``, so a command that fails there leaves nothing behind. Config comes from an optional flat JSON file, and
-any field can be overridden by the flag of the same name.
+creates ``--out``, so a command that fails there leaves nothing behind.
+Config comes from an optional flat JSON file, and any field can be overridden
+by the flag of the same name.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .bma import (
 )
 from .decay import decay_from_json
 from .events import EventSequence, load_events
-from .intervals import IntervalSpec, bag_from_json, bag_to_json, generate_interval_bag
+from .intervals import bag_from_json, bag_to_json, generate_interval_bag
 from .likelihood import ModelFit
 from .sim import SimConfig, SimulationError, simulate
 from .stats import StatisticKind
@@ -120,27 +127,19 @@ def cmd_simulate(cfg: dict) -> dict:
 # gen-intervals
 
 
-def _interval_bag(cfg: dict) -> list[IntervalSpec]:
-    return generate_interval_bag(
+def cmd_gen_intervals(cfg: dict) -> dict:
+    out = cfg["out"]
+    path = os.path.join(out, "intervals.json")
+    _ensure_outputs([path, os.path.join(out, "config.json")], cfg.get("force", False))
+    bag = generate_interval_bag(
         K_values=cfg.get("k_values", [3, 4, 5]),
         per_kind_count=cfg.get("per_kind_count", 250),
         min_size=cfg.get("min_size", 0.05),
         gamma_K=cfg["gamma_max"],
         rng_seed=cfg.get("seed", 0),
     )
-
-
-def _write_interval_bag(cfg: dict, bag: list[IntervalSpec], path: str) -> None:
-    _write_json(path, {"gamma_max": cfg["gamma_max"], "specs": bag_to_json(bag)})
-
-
-def cmd_gen_intervals(cfg: dict) -> dict:
-    out = cfg["out"]
-    path = os.path.join(out, "intervals.json")
-    _ensure_outputs([path, os.path.join(out, "config.json")], cfg.get("force", False))
-    bag = _interval_bag(cfg)
     os.makedirs(out, exist_ok=True)
-    _write_interval_bag(cfg, bag, path)
+    _write_json(path, {"gamma_max": cfg["gamma_max"], "specs": bag_to_json(bag)})
     _echo_config(out, cfg)
     return {"intervals": path, "n_specs": len(bag)}
 
@@ -154,12 +153,8 @@ def cmd_fit_bag(cfg: dict) -> dict:
     fits_path = os.path.join(out, "fits.json")
     weights_path = os.path.join(out, "weights.csv")
     log_path = os.path.join(out, "log.ndjson")
-    intervals_path = os.path.join(out, "intervals.json")
-    inline_bag = not cfg.get("intervals_file")
-    outputs = [fits_path, weights_path, log_path, os.path.join(out, "config.json")]
-    if inline_bag:
-        outputs.append(intervals_path)
-    _ensure_outputs(outputs, cfg.get("force", False))
+    _ensure_outputs([fits_path, weights_path, log_path, os.path.join(out, "config.json")],
+                    cfg.get("force", False))
 
     seq = _load_sequence(cfg)
     kinds = _parse_kinds(cfg.get("kinds", "inertia"))
@@ -167,13 +162,8 @@ def cmd_fit_bag(cfg: dict) -> dict:
     if weighting not in ("bic", "waic"):
         raise CliError(f"unknown weighting {weighting!r}")
 
-    if inline_bag:
-        if cfg.get("gamma_max") is None:
-            raise CliError("need --intervals-file or --gamma-max to build a bag")
-        bag = _interval_bag(cfg)
-    else:
-        with open(cfg["intervals_file"]) as f:
-            bag = bag_from_json(json.load(f)["specs"])
+    with open(cfg["intervals_file"]) as f:
+        bag = bag_from_json(json.load(f)["specs"])
 
     waic_cfg = None
     if weighting == "waic":
@@ -190,8 +180,6 @@ def cmd_fit_bag(cfg: dict) -> dict:
     # validates the fit options before anything is written
     runs = fit_bag(seq, bag, kinds, waic=waic_cfg, ridge=cfg.get("ridge", 0.0), jobs=jobs)
     os.makedirs(out, exist_ok=True)
-    if inline_bag:
-        _write_interval_bag(cfg, bag, intervals_path)
     with _NdjsonLog(log_path) as log:
         log.write(event="start", n_models=len(bag), weighting=weighting, jobs=jobs)
         t0 = time.perf_counter()
@@ -279,13 +267,11 @@ def _newton_line(fits: list[ModelFit]) -> str:
     """One report line summarizing the Newton diagnostics of every fit."""
     iters = [f.iterations for f in fits]
     halvings = [f.halvings for f in fits]
-    grads = [f.max_abs_grad for f in fits if f.max_abs_grad is not None]
-    grad = f"{max(grads):.3g}" if grads else "unrecorded"
-    stops = Counter(f.stop or "unrecorded" for f in fits)
+    stops = Counter(f.stop for f in fits)
     return (
         f"- newton: {sum(iters)} iterations (at most {max(iters)} per model), "
         f"{sum(halvings)} step halvings (at most {max(halvings)} per model), "
-        f"largest final max|grad| {grad}; stops: "
+        f"largest final max|grad| {max(f.max_abs_grad for f in fits):.3g}; stops: "
         + ", ".join(f"{reason} {n}" for reason, n in sorted(stops.items()))
         + f"; jittered fits: {sum(f.jittered for f in fits)}"
     )
@@ -295,8 +281,6 @@ def _waic_reliability_line(fits: list[ModelFit]) -> str:
     """One report line counting the WAIC points whose p_waic_i is too large."""
     counts = {q: f.n_high_p_waic for q, f in enumerate(fits) if f.n_high_p_waic is not None}
     head = f"- WAIC points with p_waic_i > {P_WAIC_WARN}: "
-    if not counts:
-        return head + "unrecorded"
     worst = max(counts, key=counts.get)
     which = f" (model {worst})" if counts[worst] else ""
     return head + f"{sum(counts.values())} over the bag, at most {counts[worst]} in one model{which}"
@@ -391,11 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-bag", help="fit every stepwise model and weight the bag")
     _add_common(p)
     p.add_argument("--events", help="input events.csv")
-    p.add_argument("--intervals-file", dest="intervals_file")
-    p.add_argument("--k-values", dest="k_values")
-    p.add_argument("--per-kind-count", dest="per_kind_count", type=int)
-    p.add_argument("--min-size", dest="min_size", type=float)
-    p.add_argument("--gamma-max", dest="gamma_max", type=float)
+    p.add_argument("--intervals-file", dest="intervals_file",
+                   help="intervals.json written by gen-intervals")
     p.add_argument("--kinds", help="comma-separated statistic kinds")
     p.add_argument("--weighting", choices=["bic", "waic"])
     p.add_argument("--waic-burn-in", dest="waic_burn_in", type=int)
@@ -420,6 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# options without a default, given as a flag or a config field
+_REQUIRED = {
+    "simulate": ("n_actors", "beta0"),
+    "gen-intervals": ("gamma_max",),
+    "fit-bag": ("events", "intervals_file"),
+}
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     cfg: dict = {}
     if args.config:
@@ -435,6 +424,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
         cfg["effects"] = json.loads(cfg["effects"])
     if not cfg.get("out"):
         raise CliError("an output directory is required (--out or config 'out')")
+    for key in _REQUIRED.get(args.command, ()):
+        if cfg.get(key) is None:
+            raise CliError(f"missing required option --{key.replace('_', '-')}")
     return cfg
 
 

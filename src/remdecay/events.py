@@ -6,38 +6,21 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Event",
     "EventSequence",
     "RiskSet",
     "EventDataError",
     "load_events",
     "spread_ties",
-    "build_risk_set",
 ]
 
 
 class EventDataError(ValueError):
     """Raised for malformed event input (bad rows, ordering, self-loops)."""
-
-
-@dataclass(frozen=True)
-class Event:
-    """One directed interaction: sender acts on receiver at a point in time."""
-
-    sender: int
-    receiver: int
-    time: float
-
-    def __post_init__(self) -> None:
-        if self.sender == self.receiver:
-            raise EventDataError(f"self-loop event ({self.sender} -> {self.receiver})")
-        if not self.time >= 0:
-            raise EventDataError(f"negative event time {self.time}")
 
 
 class EventSequence:
@@ -105,12 +88,6 @@ class EventSequence:
     def __len__(self) -> int:
         return self.times.size
 
-    def __getitem__(self, m: int) -> Event:
-        return Event(int(self.senders[m]), int(self.receivers[m]), float(self.times[m]))
-
-    def __iter__(self) -> Iterator[Event]:
-        return (self[m] for m in range(len(self)))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventSequence):
             return NotImplemented
@@ -122,14 +99,6 @@ class EventSequence:
             and np.array_equal(self.senders, other.senders)
             and np.array_equal(self.receivers, other.receivers)
         )
-
-    @property
-    def actors(self) -> frozenset[int]:
-        return frozenset(range(self.n_actors))
-
-    @property
-    def events(self) -> list[Event]:
-        return list(self)
 
     def to_csv(self, path_or_buf) -> None:
         """Write ``time,sender,receiver`` rows; floats use repr for round-trip."""
@@ -196,29 +165,16 @@ class RiskSet:
         return self.positions(seq.senders, seq.receivers)
 
 
-def build_risk_set(actors: int | Iterable[int]) -> RiskSet:
-    """Risk set over a dense actor set given as a count or an id collection."""
-    if isinstance(actors, (int, np.integer)):
-        n = int(actors)
-    else:
-        ids = sorted(set(int(a) for a in actors))
-        if ids != list(range(len(ids))):
-            raise EventDataError("actor ids must be dense 0..N-1; re-index with load_events")
-        n = len(ids)
-    return RiskSet(n)
+def spread_ties(times: np.ndarray, unit: float = 1.0) -> np.ndarray:
+    """Spread each block of n equal times d to d + k*unit/(n+1), k = 1..n.
 
-
-def spread_ties(seq: EventSequence | "_RawRows", unit: float = 1.0) -> EventSequence:
-    """Spread each block of n equal-time events at time d to d + k*unit/(n+1).
-
-    Input order within a block is preserved; singleton blocks are left
-    untouched. Raises if a spread block would reach past the next distinct
-    timestamp (unit too large for the data's resolution).
+    ``times`` must be nondecreasing; the spread copy keeps the input order
+    within a block and leaves singleton blocks untouched. Raises if a spread
+    block would reach past the next distinct time (unit too large for the
+    data's resolution).
     """
     if unit <= 0:
         raise EventDataError("spread unit must be positive")
-    times, senders, receivers = seq.times, seq.senders, seq.receivers
-    n_actors, t0, labels = seq.n_actors, seq.t0, seq.labels
     if np.any(np.diff(times) < 0):
         raise EventDataError("times must be nondecreasing before spreading")
     new_times = np.array(times, dtype=np.float64)
@@ -234,19 +190,7 @@ def spread_ties(seq: EventSequence | "_RawRows", unit: float = 1.0) -> EventSequ
                 f"spreading {n} events at t={d} with unit={unit} overlaps next time {nxt}"
             )
         new_times[start : start + n] = spread
-    return EventSequence(new_times, senders, receivers, n_actors, t0=t0, labels=labels)
-
-
-@dataclass
-class _RawRows:
-    """Pre-validation row holder (may contain tied times)."""
-
-    times: np.ndarray
-    senders: np.ndarray
-    receivers: np.ndarray
-    n_actors: int
-    t0: float
-    labels: tuple[str, ...]
+    return new_times
 
 
 def load_events(
@@ -331,21 +275,16 @@ def load_events(
     if not times:
         raise EventDataError("no event rows found")
     labels = tuple(sorted(label_ids, key=label_ids.get))
-    raw = _RawRows(
-        times=np.asarray(times, dtype=np.float64),
-        senders=np.asarray(senders, dtype=np.int64),
-        receivers=np.asarray(receivers, dtype=np.int64),
-        n_actors=len(labels),
-        t0=float(t0) if t0 is not None else 0.0,
-        labels=labels,
-    )
+    times = np.asarray(times, dtype=np.float64)
     if tie_policy == "spread":
-        return spread_ties(raw, unit=tie_unit)
-    dup = np.flatnonzero(np.diff(raw.times) == 0)
-    if dup.size:
-        raise EventDataError(
-            f"row {int(dup[0]) + 2}: tied timestamp {raw.times[dup[0]]} (tie_policy='error')"
-        )
+        times = spread_ties(times, unit=tie_unit)
+    else:
+        dup = np.flatnonzero(np.diff(times) == 0)
+        if dup.size:
+            raise EventDataError(
+                f"row {int(dup[0]) + 2}: tied timestamp {times[dup[0]]} (tie_policy='error')"
+            )
     return EventSequence(
-        raw.times, raw.senders, raw.receivers, raw.n_actors, t0=raw.t0, labels=raw.labels
+        times, senders, receivers, len(labels),
+        t0=float(t0) if t0 is not None else 0.0, labels=labels,
     )

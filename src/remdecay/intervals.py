@@ -11,7 +11,6 @@ __all__ = [
     "IntervalSpec",
     "IntervalSpecError",
     "generate_interval_bag",
-    "locate_interval",
     "locate_intervals",
     "equal_spec",
     "bag_to_json",
@@ -93,22 +92,15 @@ def equal_spec(n_intervals: int, gamma_max: float) -> IntervalSpec:
     return IntervalSpec(g, kind="equal")
 
 
-def locate_interval(spec: IntervalSpec, age: float) -> int | None:
-    """1-based interval index holding transpired time ``age``; None beyond g_K.
+def locate_intervals(spec: IntervalSpec, ages: np.ndarray) -> np.ndarray:
+    """1-based index of the interval holding each transpired time, 0 beyond g_K.
 
     Intervals are left-open right-closed, so an age exactly on a boundary
     belongs to the earlier interval, and age 0 belongs to interval 1.
     """
-    if age < 0:
-        raise IntervalSpecError(f"transpired time must be nonnegative, got {age}")
-    if age > spec.horizon:
-        return None
-    return int(np.searchsorted(spec.gamma, age, side="left")) + 1
-
-
-def locate_intervals(spec: IntervalSpec, ages: np.ndarray) -> np.ndarray:
-    """Vectorized locate: 1-based indices, 0 marking ages beyond the horizon."""
     ages = np.asarray(ages, dtype=np.float64)
+    if np.any(ages < 0):
+        raise IntervalSpecError(f"transpired time must be nonnegative, got {ages.min()}")
     k = np.searchsorted(spec.gamma, ages, side="left").astype(np.int64) + 1
     k[ages > spec.horizon] = 0
     return k

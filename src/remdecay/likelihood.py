@@ -80,12 +80,10 @@ class ModelFit:
     The Newton diagnostics are ``iterations``, ``halvings`` (rejected line
     search candidates over the whole fit), ``max_abs_grad`` (at ``beta_hat``)
     and ``stop``: "tolerance" or "float_floor" for a converged fit, "stalled"
-    (a line search found no improving step) or "max_iter" otherwise. Fits
-    loaded from files written before these fields existed have ``halvings``
-    0 and ``max_abs_grad`` and ``stop`` None. ``n_high_p_waic`` counts the
-    WAIC scoring points whose per-point p_waic exceeds 0.4, where that
-    point's WAIC term is unreliable (Vehtari, Gelman & Gabry 2017); it is None
-    for a fit that was not WAIC-scored or was loaded from an older file.
+    (a line search found no improving step) or "max_iter" otherwise.
+    ``n_high_p_waic`` counts the WAIC scoring points whose per-point p_waic
+    exceeds 0.4, where that point's WAIC term is unreliable (Vehtari, Gelman &
+    Gabry 2017); it is None for a fit that was not WAIC-scored.
     ``monotone`` tells whether some column is at risk but never realized.
     """
 
@@ -151,14 +149,14 @@ class ModelFit:
             n_params=P,
             n_events=d["n_events"],
             bic=d["bic"],
-            waic=d.get("waic"),
+            waic=d["waic"],
             converged=d["converged"],
             iterations=d["iterations"],
-            warnings=tuple(d.get("warnings", ())),
-            halvings=d.get("halvings", 0),
-            max_abs_grad=d.get("max_abs_grad"),
-            stop=d.get("stop"),
-            n_high_p_waic=d.get("n_high_p_waic"),
+            warnings=tuple(d["warnings"]),
+            halvings=d["halvings"],
+            max_abs_grad=d["max_abs_grad"],
+            stop=d["stop"],
+            n_high_p_waic=d["n_high_p_waic"],
         )
 
 

@@ -80,8 +80,6 @@ class StatTensor:
     realized: np.ndarray
     labels: tuple[str, ...]
     kinds: tuple[StatisticKind, ...]
-    risk_set: RiskSet
-    event_positions: np.ndarray
     spec: IntervalSpec | None = None
 
     @property
@@ -91,14 +89,6 @@ class StatTensor:
     @property
     def n_columns(self) -> int:
         return self.rows.shape[1]
-
-    def column_index(self, kind: StatisticKind, k: int = 1) -> int:
-        """Column of interval k (1-based) of ``kind``; intercept is column 0."""
-        block = self.kinds.index(StatisticKind(kind))
-        width = (self.n_columns - 1) // len(self.kinds)
-        if not 1 <= k <= width:
-            raise IndexError(f"interval index {k} outside 1..{width}")
-        return 1 + block * width + (k - 1)
 
 
 def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -389,7 +379,5 @@ def compute_stepwise_stats(
         realized=ids[realized],
         labels=_labels(kinds, K),
         kinds=kinds,
-        risk_set=rs,
-        event_positions=event_positions,
         spec=spec,
     )

@@ -21,7 +21,6 @@ from remdecay.stats import StatisticKind, StatTensor
 
 def runs_from_dense(
     values: np.ndarray,
-    risk_set: RiskSet,
     event_positions: np.ndarray,
     labels: tuple[str, ...],
     kinds: tuple = (),
@@ -29,7 +28,9 @@ def runs_from_dense(
 ) -> StatTensor:
     """Run-length design of a dense values[m, dyad, column] tensor: each
     dyad's runs start at row 0 and wherever its statistic vector changes, and
-    the runs' states are told apart by ``np.unique``, so any real values work."""
+    the runs' states are told apart by ``np.unique``, so any real values work.
+    ``event_positions[m]`` is the dyad of event m, as ``RiskSet.event_positions``
+    gives it."""
     M, D, _ = values.shape
     by_dyad = values.swapaxes(0, 1)
     new = np.ones((D, M), dtype=bool)
@@ -44,8 +45,6 @@ def runs_from_dense(
         realized=ids[event_runs(dyad, start, event_positions)],
         labels=labels,
         kinds=kinds,
-        risk_set=risk_set,
-        event_positions=event_positions,
         spec=spec,
     )
 
@@ -69,18 +68,19 @@ def run_bounds(stats: StatTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def to_dense(stats: StatTensor) -> np.ndarray:
-    """The (M, D, P) tensor values[m, dyad, column] that a design encodes."""
-    M, D = stats.n_events, len(stats.risk_set)
+    """The (M, D, P) tensor values[m, dyad, column] that a design encodes;
+    each of the D dyads has one run that starts at row 0."""
+    M, D = stats.n_events, np.count_nonzero(stats.start == 0)
     _, start, stop = run_bounds(stats)
     dense = np.repeat(stats.rows[stats.ids], stop - start, axis=0)
     return np.ascontiguousarray(dense.reshape(D, M, -1).swapaxes(0, 1))
 
 
-def one_row_per_run(stats: StatTensor) -> StatTensor:
+def one_row_per_run(stats: StatTensor, event_positions: np.ndarray) -> StatTensor:
     """The same design with every run holding its own row (ids 0..R-1), so
     the likelihood sums over runs instead of pooling runs that share a state."""
     dyad, start, _ = run_bounds(stats)
-    runs = event_runs(dyad, start, stats.event_positions)
+    runs = event_runs(dyad, start, event_positions)
     return replace(stats, rows=stats.rows[stats.ids], ids=np.arange(stats.ids.size), realized=runs)
 
 
@@ -130,7 +130,6 @@ def rescan_stepwise_stats(
 
     return runs_from_dense(
         values,
-        rs,
         rs.event_positions(seq),
         labels=("intercept",)
         + tuple(f"{k.value}_k{j + 1}" for k in kinds for j in range(K)),

@@ -102,8 +102,9 @@ def small_fit_setup(rng):
 def oracle_waic(stats, seq, draws, burn_in, ahead):
     """(lpd, p_waic) from the loop oracle's window log densities."""
     dense = to_dense(stats)
+    positions = RiskSet(seq.n_actors).event_positions(seq)
     lds = np.array([
-        [loop_log_density(dense, stats.event_positions, seq.times, seq.t0, d, i + 1, i + ahead)
+        [loop_log_density(dense, positions, seq.times, seq.t0, d, i + 1, i + ahead)
          for d in draws]
         for i in range(burn_in, len(seq) - ahead + 1)
     ])
@@ -131,7 +132,7 @@ class TestWaic:
         for pos, i in enumerate(range(L, M - A + 1)):
             for b in range(B):
                 lds[pos, b] = loop_log_density(
-                    to_dense(stats), stats.event_positions, seq.times, seq.t0,
+                    to_dense(stats), rs.event_positions(seq), seq.times, seq.t0,
                     draws[b], i + 1, i + A,
                 )
         lpd_hand = sum(
@@ -214,6 +215,14 @@ class TestWaic:
         # shift invariance of the softmax over elpds
         w2 = weights_from_elpds(fits, np.array([f.waic + 7.5 for f in fits]))
         np.testing.assert_allclose(w, w2, atol=1e-12)
+
+    def test_draws_or_rng_required(self, small_fit_setup):
+        # no default stream: each bag model scores with its own waic_model_rng
+        seq, rs, spec, stats, fit = small_fit_setup
+        cfg = WaicConfig(burn_in=10, ahead=1, n_draws=5)
+        for score in (waic_elpd, bma.waic_pointwise):
+            with pytest.raises(ValueError, match="rng"):
+                score(fit, stats, seq, cfg)
 
     def test_burn_in_bounds_checked(self, small_fit_setup):
         seq, rs, spec, stats, fit = small_fit_setup

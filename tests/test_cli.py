@@ -42,12 +42,22 @@ def sim_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def fitted_dir(sim_dir, tmp_path_factory):
+def bag_file(tmp_path_factory):
+    """The bag that every fit-bag run here reads: K = 2, one spec of each kind."""
+    out = tmp_path_factory.mktemp("iv")
+    run([
+        "gen-intervals", "--out", str(out), "--k-values", "2", "--per-kind-count", "1",
+        "--min-size", "0.05", "--gamma-max", "12", "--seed", "7",
+    ])
+    return out / "intervals.json"
+
+
+@pytest.fixture(scope="module")
+def fitted_dir(sim_dir, bag_file, tmp_path_factory):
     out = tmp_path_factory.mktemp("fits")
     run([
         "fit-bag", "--events", str(sim_dir / "events.csv"), "--out", str(out),
-        "--kinds", "inertia", "--k-values", "2,3", "--per-kind-count", "1",
-        "--min-size", "0.05", "--gamma-max", "12", "--weighting", "bic",
+        "--kinds", "inertia", "--intervals-file", str(bag_file), "--weighting", "bic",
         "--seed", "7", "--jobs", "1",
     ])
     return out
@@ -121,13 +131,12 @@ class TestGenIntervals:
 
 
 class TestFitBag:
-    def test_small_bag_fast_and_consistent(self, sim_dir, tmp_path):
+    def test_small_bag_fast_and_consistent(self, sim_dir, bag_file, tmp_path):
         out = tmp_path / "quick"
         t0 = time.perf_counter()
         run([
             "fit-bag", "--events", str(sim_dir / "events.csv"), "--out", str(out),
-            "--kinds", "inertia", "--k-values", "2", "--per-kind-count", "1",
-            "--min-size", "0.05", "--gamma-max", "12", "--weighting", "bic",
+            "--kinds", "inertia", "--intervals-file", str(bag_file), "--weighting", "bic",
             "--seed", "7", "--jobs", "1",
         ])
         assert time.perf_counter() - t0 < 10.0
@@ -149,12 +158,11 @@ class TestFitBag:
             assert 1 <= record["iterations"] and 0 <= record["halvings"]
             assert record["jitter"] is any("jitter" in note for note in fit["warnings"])
 
-    def test_rerun_byte_identical(self, sim_dir, fitted_dir, tmp_path):
+    def test_rerun_byte_identical(self, sim_dir, bag_file, fitted_dir, tmp_path):
         out2 = tmp_path / "again"
         run([
             "fit-bag", "--events", str(sim_dir / "events.csv"), "--out", str(out2),
-            "--kinds", "inertia", "--k-values", "2,3", "--per-kind-count", "1",
-            "--min-size", "0.05", "--gamma-max", "12", "--weighting", "bic",
+            "--kinds", "inertia", "--intervals-file", str(bag_file), "--weighting", "bic",
             "--seed", "7", "--jobs", "1",
         ])
         assert sha(fitted_dir / "weights.csv") == sha(out2 / "weights.csv")
@@ -181,23 +189,21 @@ class TestFitBag:
         (["--jobs", "0"], "jobs"),
         (["--weighting", "waic", "--waic-burn-in", "500"], "burn_in"),
     ])
-    def test_invalid_fit_option_is_error(self, sim_dir, tmp_path, capsys, flags, name):
+    def test_invalid_fit_option_is_error(self, sim_dir, bag_file, tmp_path, capsys, flags, name):
         rc = main([
             "fit-bag", "--events", str(sim_dir / "events.csv"), "--out", str(tmp_path / "bad"),
-            "--kinds", "inertia", "--k-values", "2", "--per-kind-count", "0",
-            "--min-size", "0.05", "--gamma-max", "12", "--seed", "7", *flags,
+            "--kinds", "inertia", "--intervals-file", str(bag_file), "--seed", "7", *flags,
         ])
         assert rc == 1
         assert name in capsys.readouterr().err
         # the options are checked before --out is created
         assert not (tmp_path / "bad").exists()
 
-    def test_window_error_names_its_cause(self, sim_dir, tmp_path, capsys):
+    def test_window_error_names_its_cause(self, sim_dir, bag_file, tmp_path, capsys):
         # 50 events leave no default burn-in that can score 100 events ahead
         rc = main([
             "fit-bag", "--events", str(sim_dir / "events.csv"), "--out", str(tmp_path / "bad"),
-            "--kinds", "inertia", "--k-values", "2", "--per-kind-count", "0",
-            "--min-size", "0.05", "--gamma-max", "12", "--seed", "7",
+            "--kinds", "inertia", "--intervals-file", str(bag_file), "--seed", "7",
             "--weighting", "waic", "--waic-ahead", "100",
         ])
         assert rc == 1
@@ -205,12 +211,11 @@ class TestFitBag:
         assert "1 <= burn_in < M - ahead" in err and "M=50" in err and "ahead=100" in err
         assert not (tmp_path / "bad").exists()
 
-    def test_waic_weighting_runs(self, sim_dir, tmp_path):
+    def test_waic_weighting_runs(self, sim_dir, bag_file, tmp_path):
         out = tmp_path / "waic"
         run([
             "fit-bag", "--events", str(sim_dir / "events.csv"), "--out", str(out),
-            "--kinds", "inertia", "--k-values", "2", "--per-kind-count", "1",
-            "--min-size", "0.05", "--gamma-max", "12", "--weighting", "waic",
+            "--kinds", "inertia", "--intervals-file", str(bag_file), "--weighting", "waic",
             "--waic-burn-in", "10", "--waic-draws", "25", "--seed", "7", "--jobs", "1",
         ])
         rows = (out / "weights.csv").read_text().splitlines()[1:]
@@ -231,13 +236,12 @@ class TestFitBag:
             f"at most {counts[worst]} in one model{which}\n"
         ) in (out / "report.md").read_text()
 
-    def test_default_burn_in_leaves_room_for_ahead(self, sim_dir, tmp_path):
+    def test_default_burn_in_leaves_room_for_ahead(self, sim_dir, bag_file, tmp_path):
         # 50 events: the default burn-in must leave 3 events to score ahead
         out = tmp_path / "ahead"
         run([
             "fit-bag", "--events", str(sim_dir / "events.csv"), "--out", str(out),
-            "--kinds", "inertia", "--k-values", "2", "--per-kind-count", "0",
-            "--min-size", "0.05", "--gamma-max", "12", "--weighting", "waic",
+            "--kinds", "inertia", "--intervals-file", str(bag_file), "--weighting", "waic",
             "--waic-ahead", "3", "--waic-draws", "20", "--seed", "7",
         ])
         assert WaicConfig.default_for(50, ahead=3).burn_in == 46
@@ -247,31 +251,30 @@ class TestFitBag:
 # WAIC weighting and a closure kind, so that each model's own closure
 # precompute and the per-model WAIC draw streams are both exercised.
 WAIC_CLOSURE_BAG = [
-    "--kinds", "inertia,transitivity_closure", "--k-values", "2", "--per-kind-count", "1",
-    "--min-size", "0.05", "--gamma-max", "12", "--weighting", "waic",
+    "--kinds", "inertia,transitivity_closure", "--weighting", "waic",
     "--waic-burn-in", "10", "--waic-draws", "25", "--seed", "7",
 ]
 
 
 @pytest.fixture(scope="module")
-def waic_closure_dirs(sim_dir, tmp_path_factory):
+def waic_closure_dirs(sim_dir, bag_file, tmp_path_factory):
     dirs = {}
     for jobs in (1, 2):
         dirs[jobs] = tmp_path_factory.mktemp(f"jobs{jobs}")
         run(["fit-bag", "--events", str(sim_dir / "events.csv"), "--out", str(dirs[jobs]),
-             "--jobs", str(jobs)] + WAIC_CLOSURE_BAG)
+             "--intervals-file", str(bag_file), "--jobs", str(jobs)] + WAIC_CLOSURE_BAG)
     return dirs
 
 
 class TestBagRunner:
     def test_parallel_matches_serial(self, waic_closure_dirs):
-        for name in ("intervals.json", "fits.json", "weights.csv"):
+        for name in ("fits.json", "weights.csv"):
             assert sha(waic_closure_dirs[1] / name) == sha(waic_closure_dirs[2] / name)
 
-    def test_library_runner_matches_cli_weights(self, sim_dir, waic_closure_dirs):
+    def test_library_runner_matches_cli_weights(self, sim_dir, bag_file, waic_closure_dirs):
         out = waic_closure_dirs[1]
         seq = load_events(str(sim_dir / "events.csv"))
-        specs = bag_from_json(json.loads((out / "intervals.json").read_text())["specs"])
+        specs = bag_from_json(json.loads(bag_file.read_text())["specs"])
         kinds = ["inertia", "transitivity_closure"]
         waic = WaicConfig(burn_in=10, n_draws=25, seed=7)
         fits = [fit for _, fit, _ in fit_bag(seq, specs, kinds, waic=waic)]
@@ -415,23 +418,28 @@ class TestReportAndConfig:
         assert "output directory" in capsys.readouterr().err
 
 
+@pytest.fixture
+def command_args(sim_dir, bag_file, fitted_dir):
+    """Options with which each command runs on this module's small inputs."""
+    return {
+        "simulate": ["--n-actors", "3", "--beta0", "-3", "--n-events", "5"],
+        "gen-intervals": ["--k-values", "2", "--per-kind-count", "1", "--gamma-max", "12"],
+        "fit-bag": ["--events", str(sim_dir / "events.csv"), "--intervals-file", str(bag_file)],
+        "trend": ["--fits", str(fitted_dir / "fits.json"), "--n-draws", "50", "--grid-size", "5"],
+    }
+
+
 @pytest.mark.parametrize("command, name", [
     ("simulate", "config.json"),
     ("gen-intervals", "config.json"),
+    ("gen-intervals", "intervals.json"),
     ("fit-bag", "config.json"),
     ("fit-bag", "log.ndjson"),
-    ("fit-bag", "intervals.json"),
     ("trend", "trend_config.json"),
 ])
-def test_every_output_needs_force(sim_dir, fitted_dir, tmp_path, capsys, command, name):
+def test_every_output_needs_force(command_args, tmp_path, capsys, command, name):
     """No command writes over any file it makes unless --force is given."""
-    argv = {
-        "simulate": ["--n-actors", "3", "--beta0", "-3", "--n-events", "5"],
-        "gen-intervals": ["--k-values", "2", "--per-kind-count", "1", "--gamma-max", "12"],
-        "fit-bag": ["--events", str(sim_dir / "events.csv"), "--k-values", "2",
-                    "--per-kind-count", "1", "--gamma-max", "12"],
-        "trend": ["--fits", str(fitted_dir / "fits.json"), "--n-draws", "50", "--grid-size", "5"],
-    }[command]
+    argv = command_args[command]
     out = tmp_path / "out"
     out.mkdir()
     (out / name).write_text("kept\n")
@@ -442,7 +450,25 @@ def test_every_output_needs_force(sim_dir, fitted_dir, tmp_path, capsys, command
     assert (out / name).read_text() != "kept\n"
 
 
-def test_cli_import_loads_no_scipy(sim_dir, tmp_path):
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--n-actors"),
+    ("simulate", "--beta0"),
+    ("gen-intervals", "--gamma-max"),
+    ("fit-bag", "--events"),
+    ("fit-bag", "--intervals-file"),
+])
+def test_missing_required_option_named(command_args, tmp_path, capsys, command, flag):
+    """A missing option without a default is named; the command creates nothing."""
+    argv = command_args[command]
+    at = argv.index(flag)
+    del argv[at : at + 2]
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), *argv]) == 1
+    assert capsys.readouterr().err == f"error: missing required option {flag}\n"
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy(sim_dir, bag_file, tmp_path):
     """Every command pays the CLI's import, so it loads no scipy module, and
     neither does a BIC fit-bag run; scipy.sparse is imported only where WAIC
     needs it."""
@@ -453,8 +479,8 @@ def test_cli_import_loads_no_scipy(sim_dir, tmp_path):
     loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     fit_bag = [
         "fit-bag", "--events", str(sim_dir / "events.csv"), "--out", str(tmp_path / "bic"),
-        "--kinds", "inertia,reciprocity", "--k-values", "2", "--per-kind-count", "0",
-        "--min-size", "0.05", "--gamma-max", "12", "--weighting", "bic", "--jobs", "1",
+        "--kinds", "inertia,reciprocity", "--intervals-file", str(bag_file),
+        "--weighting", "bic", "--jobs", "1",
     ]
     for code in (
         f"import remdecay.cli, sys; {loaded}",

@@ -14,7 +14,7 @@ from remdecay.decay import (
     decay_to_json,
     half_life,
 )
-from remdecay.intervals import IntervalSpec, equal_spec, locate_interval
+from remdecay.intervals import IntervalSpec, equal_spec, locate_intervals
 
 
 class TestLinear:
@@ -78,9 +78,9 @@ class TestStepwise:
     def test_matches_locate_plus_level_lookup(self, rng):
         spec = IntervalSpec(np.array([2.0, 5.0, 11.0]))
         fn = StepwiseDecay(spec, (0.5, 0.2, 0.1))
-        for age in np.concatenate([rng.uniform(0, 15, 300), spec.gamma, [0.0]]):
-            k = locate_interval(spec, float(age))
-            expected = 0.0 if k is None else fn.levels[k - 1]
+        ages = np.concatenate([rng.uniform(0, 15, 300), spec.gamma, [0.0]])
+        for age, k in zip(ages, locate_intervals(spec, ages)):
+            expected = 0.0 if k == 0 else fn.levels[k - 1]
             assert fn(float(age)) == expected
 
     def test_level_count_must_match(self):

@@ -7,15 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remdecay.events import (
-    Event,
-    EventDataError,
-    EventSequence,
-    RiskSet,
-    build_risk_set,
-    load_events,
-    spread_ties,
-)
+from remdecay.events import EventDataError, EventSequence, RiskSet, load_events, spread_ties
 
 CSV3 = "time,sender,receiver\n1.0,a,b\n2.0,b,c\n3.5,c,a\n"
 
@@ -35,7 +27,7 @@ class TestLoadEvents:
             rows.append(f"{m + 1}.0,{labels[m % 10]},{labels[(m + 3) % 10]}")
         seq = load_events("\n".join(rows))
         assert seq.n_actors == 10
-        assert len(build_risk_set(seq.n_actors)) == 90
+        assert len(RiskSet(seq.n_actors)) == 90
 
     def test_spread_policy_three_same_day(self):
         csv = "time,sender,receiver\n7,a,b\n7,b,a\n7,a,c\n"
@@ -77,9 +69,8 @@ class TestLoadEvents:
 
 class TestSpreadTies:
     def test_single_event_unchanged(self):
-        seq = EventSequence([5.0], [0], [1], 2)
-        out = spread_ties(seq, unit=1.0)
-        assert out.times[0] == 5.0
+        out = spread_ties(np.array([5.0]), unit=1.0)
+        assert out[0] == 5.0
 
     def test_two_events_at_zero(self):
         csv = "time,sender,receiver\n0,a,b\n0,b,a\n"
@@ -107,20 +98,20 @@ class TestSpreadTies:
 
 class TestRiskSet:
     def test_two_actors(self):
-        rs = build_risk_set(2)
+        rs = RiskSet(2)
         assert [tuple(d) for d in rs.dyads] == [(0, 1), (1, 0)]
 
     def test_ten_actors_ninety_dyads(self):
-        assert len(build_risk_set(10)) == 90
+        assert len(RiskSet(10)) == 90
 
     def test_three_actors_lexicographic(self):
-        rs = build_risk_set(3)
+        rs = RiskSet(3)
         assert [tuple(d) for d in rs.dyads] == [
             (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1),
         ]
 
     def test_index_of_matches_order(self):
-        rs = build_risk_set(5)
+        rs = RiskSet(5)
         for pos, (s, r) in enumerate(rs.dyads):
             assert rs.index_of(int(s), int(r)) == pos
         pos = rs.positions(rs.senders, rs.receivers)
@@ -128,7 +119,7 @@ class TestRiskSet:
 
     def test_too_few_actors(self):
         with pytest.raises(EventDataError):
-            build_risk_set(1)
+            RiskSet(1)
 
     def test_every_event_dyad_is_member(self, tiny_seq, tiny_rs):
         pos = tiny_rs.event_positions(tiny_seq)
@@ -139,10 +130,10 @@ class TestRiskSet:
 
 class TestEventSequence:
     def test_event_validation(self):
-        with pytest.raises(EventDataError):
-            Event(1, 1, 0.5)
-        with pytest.raises(EventDataError):
-            Event(0, 1, -1.0)
+        with pytest.raises(EventDataError, match="self-loop"):
+            EventSequence([0.5], [1], [1], 2)
+        with pytest.raises(EventDataError, match="nonnegative"):
+            EventSequence([-1.0], [0], [1], 2)
 
     def test_strictly_increasing_enforced(self):
         with pytest.raises(EventDataError, match="strictly increasing"):

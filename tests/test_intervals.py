@@ -12,7 +12,6 @@ from remdecay.intervals import (
     bag_to_json,
     equal_spec,
     generate_interval_bag,
-    locate_interval,
     locate_intervals,
 )
 
@@ -47,23 +46,21 @@ class TestIntervalSpec:
 class TestLocate:
     def test_boundary_is_right_closed(self):
         spec = equal_spec(4, 180.0)
-        assert locate_interval(spec, 45.0) == 1
-        assert locate_interval(spec, 45.0001) == 2
-        assert locate_interval(spec, 181.0) is None
-        assert locate_interval(spec, 0.0) == 1
-        assert locate_interval(spec, 180.0) == 4
+        ages = [45.0, 45.0001, 181.0, 0.0, 180.0]
+        np.testing.assert_array_equal(locate_intervals(spec, ages), [1, 2, 0, 1, 4])
 
-    def test_vectorized_matches_scalar(self, rng):
+    def test_matches_first_bound_at_or_above(self, rng):
         spec = IntervalSpec(np.array([1.5, 4.0, 9.0, 20.0]))
         ages = np.concatenate([rng.uniform(0, 25, 200), spec.gamma, [0.0]])
         vec = locate_intervals(spec, ages)
         for age, k in zip(ages, vec):
-            scalar = locate_interval(spec, float(age))
-            assert (scalar is None and k == 0) or scalar == k
+            want = next((j for j, g in enumerate(spec.gamma, start=1) if age <= g), 0)
+            assert k == want
 
     def test_negative_age_rejected(self):
-        with pytest.raises(IntervalSpecError):
-            locate_interval(equal_spec(2, 10.0), -0.5)
+        for ages in ([-0.5], [-0.5, 0.0, 5.0, 11.0], [3.0, -1e-300]):
+            with pytest.raises(IntervalSpecError, match="nonnegative"):
+                locate_intervals(equal_spec(2, 10.0), ages)
 
 
 class TestGenerator:

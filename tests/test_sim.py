@@ -125,8 +125,9 @@ class TestThinningEnvelope:
                             effects={kind: decays[trial % 2]})
             for m in (10, 20, 30):
                 state = _HistoryState(cfg, rs)
-                for ev in list(seq)[:m]:
-                    state.append(ev.time, ev.sender, ev.receiver)
+                for t, s, r in zip(seq.times[:m].tolist(), seq.senders[:m].tolist(),
+                                   seq.receivers[:m].tolist()):
+                    state.append(t, s, r)
                 t = seq.times[m - 1]
                 env = state.log_rates(t, dominating=True)
                 # increasing query times: log_rates drops events past the horizon

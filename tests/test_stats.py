@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from remdecay.bma import _model_columns
 from remdecay.decay import LinearDecay, StepwiseDecay, WeibullDecay
 from remdecay.events import EventSequence, RiskSet
 from remdecay.intervals import IntervalSpec, equal_spec
@@ -207,7 +209,7 @@ class TestRunDesign:
                 np.testing.assert_array_equal(starts[1:], stops[:-1])
             dense = to_dense(st_)
             np.testing.assert_array_equal(
-                st_.rows[st_.realized], dense[np.arange(M), st_.event_positions]
+                st_.rows[st_.realized], dense[np.arange(M), rs.event_positions(seq)]
             )
 
     def test_untouched_dyad_has_one_run(self, tiny_seq):
@@ -338,9 +340,10 @@ def continuous_stats(seq, rs, kinds, decay_per_kind):
         cfg = SimConfig(n_actors=seq.n_actors, beta0=0.0, n_events=1,
                         effects={kind: decay_per_kind[kind]})
         state = _HistoryState(cfg, rs)
-        for m, ev in enumerate(seq):
-            values[m, :, 1 + c] = state.log_rates(ev.time)
-            state.append(ev.time, ev.sender, ev.receiver)
+        events = zip(seq.times.tolist(), seq.senders.tolist(), seq.receivers.tolist())
+        for m, (t, s, r) in enumerate(events):
+            values[m, :, 1 + c] = state.log_rates(t)
+            state.append(t, s, r)
     return values
 
 
@@ -487,6 +490,11 @@ def test_column_index_lookup(rng):
     rs = RiskSet(3)
     kinds = [StatisticKind.INERTIA, StatisticKind.RECIPROCITY]
     st_ = compute_stepwise_stats(seq, rs, kinds, equal_spec(3, 5.0))
-    assert st_.column_index(StatisticKind.INERTIA, 1) == 1
-    assert st_.column_index(StatisticKind.RECIPROCITY, 3) == 6
-    assert st_.labels[st_.column_index(StatisticKind.RECIPROCITY, 2)] == "reciprocity_k2"
+    assert st_.labels.index("inertia_k1") == 1
+    assert st_.labels.index("reciprocity_k3") == 6
+    assert st_.labels[5] == "reciprocity_k2"
+    # the trend reads a fit's columns with the same layout
+    fit = SimpleNamespace(n_params=st_.n_columns, kinds=st_.kinds, spec=st_.spec)
+    for kind in kinds:
+        cols = _model_columns(fit, kind, st_.spec.gamma)
+        assert [st_.labels[c] for c in cols] == [f"{kind.value}_k{k}" for k in (1, 2, 3)]
