@@ -23,7 +23,7 @@ import numpy as np
 
 from .events import EventSequence, RiskSet
 from .intervals import IntervalSpec, locate_intervals
-from .likelihood import FitOptions, ModelFit, event_log_density_blocks, fit_mle
+from .likelihood import FitOptions, ModelFit, event_derivatives, fit_mle
 from .stats import StatTensor, StatisticKind, compute_stepwise_stats
 
 __all__ = [
@@ -84,7 +84,9 @@ def _mvn_draws(
 @dataclass(frozen=True)
 class WaicConfig:
     """Predictive scoring window: start after ``burn_in`` events, score
-    ``ahead`` events per point, with ``n_draws`` posterior draws per model."""
+    ``ahead`` events per point. WAIC is computed in closed form, so
+    ``n_draws`` and ``seed`` have no effect; they are accepted for callers
+    written against the sampled WAIC."""
 
     burn_in: int
     ahead: int = 1
@@ -96,8 +98,6 @@ class WaicConfig:
             raise ValueError("burn_in must be >= 1")
         if self.ahead < 1:
             raise ValueError("ahead must be >= 1")
-        if self.n_draws < 2:
-            raise ValueError("need at least 2 posterior draws for a variance")
 
     @classmethod
     def default_for(cls, n_events: int, ahead: int = 1, n_draws: int = 500, seed: int = 0):
@@ -126,80 +126,31 @@ def waic_pointwise(
     stats: StatTensor,
     seq: EventSequence,
     cfg: WaicConfig,
-    draws: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(lpd_i, p_i) for each scoring point of one model.
+    """(lpd_i, p_i) for each scoring point of one model, in closed form.
 
-    For each i in burn_in..M-ahead the predictive log density of the next
-    ``ahead`` realized events given the history through event i is evaluated
-    under every posterior draw, on the statistics of the full sequence.
-    lpd_i is the log mean density over the draws and p_i the sample variance
-    of the log densities. The draws are ``draws`` (B, P), or ``cfg.n_draws``
-    draws from the fit's normal approximation made with ``rng``; one of the
-    two is required, and ``fit_bag`` scores model q with
-    ``rng=waic_model_rng(cfg.seed, q)``.
-
-    The per-event densities are reduced one block of events at a time, as
-    they are made; the last ahead - 1 rows of a block are carried into the
-    next, so windows span block boundaries. When the draws come in more than
-    one chunk, each point's (max, sum of exp) and (mean, summed squared
-    deviation) are merged across chunks.
+    Point i in burn_in..M-ahead scores the next ``ahead`` realized events
+    given the history through event i, on the statistics of the full
+    sequence. Under the fit's normal approximation N(beta_hat, cov_hat), the
+    window's log density l_i(beta) has, to second order around beta_hat,
+    log mean density lpd_i = l_i + tr(cov H_i) / 2 + g_i' cov g_i / 2 and
+    variance p_i = g_i' cov g_i, where l_i, g_i and H_i sum the per-event
+    terms, gradients and Hessians of the window's events at beta_hat. This
+    is the second-order form of WAIC, asymptotically equivalent to
+    leave-one-out (Watanabe 2010); it takes no draws, so ``rng`` and
+    ``cfg.n_draws`` have no effect and the result is deterministic.
     """
     _check_window(cfg, len(seq))
     M, L, A = len(seq), cfg.burn_in, cfg.ahead
-    if draws is None:
-        if rng is None:
-            raise ValueError("need draws or an rng such as waic_model_rng(seed, q)")
-        draws = _mvn_draws(fit.beta_hat, fit.cov_hat, cfg.n_draws, rng)
-    draws = np.asarray(draws, dtype=np.float64)
-    B = draws.shape[0]
-    if B < 2:
-        raise ValueError("need at least 2 draws for a variance")
-
-    n_points = M - A - L + 1
-    mx, total, mean, m2 = (np.empty(n_points) for _ in range(4))
-    for draw_rows, events, block in event_log_density_blocks(stats, seq, draws):
-        if events.start == 0:
-            tail = block[:0]
-        recent = np.concatenate((tail, block)) if len(tail) else block
-        first = events.start - len(tail)  # the event of recent[0]
-        tail = recent[max(0, len(recent) - A + 1) :]
-        # the points (1-based, after event i) whose window of events
-        # i+1..i+A ends in this block
-        i0, i1 = max(L, events.start - A + 1), events.stop - A + 1
-        if i0 >= i1:
-            continue
-        ld = recent[i0 - first : i1 - first]
-        for a in range(1, A):
-            ld = ld + recent[i0 - first + a : i1 - first + a]
-        b = ld.shape[1]
-        # sum / b and the summed squared deviations repeat np.mean's and
-        # np.var's arithmetic, so with one chunk of draws lpd_i and p_i are
-        # bit for bit those of the whole (n_points, B) array
-        with np.errstate(invalid="ignore"):
-            mx_c = ld.max(axis=1, keepdims=True)
-            shifted = ld - mx_c
-            mean_c = shifted.sum(axis=1, keepdims=True) / b
-            dev = shifted - mean_c
-            m2_c = np.multiply(dev, dev, out=dev).sum(axis=1)
-            total_c = np.exp(shifted, out=shifted).sum(axis=1)
-            mx_c, mean_c = mx_c[:, 0], mean_c[:, 0] + mx_c[:, 0]
-            pts = slice(i0 - L, i1 - L)
-            if draw_rows.start == 0:
-                mx[pts], total[pts], mean[pts], m2[pts] = mx_c, total_c, mean_c, m2_c
-            else:
-                # merge with the draws before this chunk (Chan et al. for m2)
-                n_a = draw_rows.start
-                top = np.maximum(mx[pts], mx_c)
-                total[pts] = total[pts] * np.exp(mx[pts] - top) + total_c * np.exp(mx_c - top)
-                delta = mean_c - mean[pts]
-                mean[pts] += delta * (b / (n_a + b))
-                m2[pts] += m2_c + delta * delta * (n_a * b / (n_a + b))
-                mx[pts] = top
-    with np.errstate(invalid="ignore"):
-        lpd_i = np.log(total / B) + mx
-    return lpd_i, m2 / (B - 1)
+    terms, grads, curvatures = event_derivatives(stats, seq, fit.beta_hat, fit.cov_hat)
+    points = slice(L, M - A + 1)  # the first row of each point's window
+    ll, g, tr_h = terms[points], grads[points], curvatures[points]
+    for a in range(1, A):
+        window = slice(L + a, M - A + 1 + a)
+        ll, g, tr_h = ll + terms[window], g + grads[window], tr_h + curvatures[window]
+    p_i = np.einsum("ip,pq,iq->i", g, fit.cov_hat, g)
+    return ll + 0.5 * tr_h + 0.5 * p_i, p_i
 
 
 def _waic_totals(lpd_i: np.ndarray, p_i: np.ndarray) -> tuple[float, float, float]:
@@ -212,13 +163,12 @@ def waic_elpd(
     stats: StatTensor,
     seq: EventSequence,
     cfg: WaicConfig,
-    draws: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float, float]:
     """(elpd_hat, lpd_hat, p_waic) for one model: lpd_hat sums the per-point
-    log mean densities of ``waic_pointwise``, p_waic their per-point sample
-    variances, and elpd_hat = lpd_hat - p_waic."""
-    return _waic_totals(*waic_pointwise(fit, stats, seq, cfg, draws, rng))
+    log mean densities of ``waic_pointwise``, p_waic their per-point
+    variances, and elpd_hat = lpd_hat - p_waic. ``rng`` has no effect."""
+    return _waic_totals(*waic_pointwise(fit, stats, seq, cfg, rng))
 
 
 def _converged_scores(fits: Sequence[ModelFit], scores: np.ndarray) -> np.ndarray:
@@ -246,8 +196,9 @@ def bic_weights(fits: Sequence[ModelFit]) -> np.ndarray:
 
 
 def waic_model_rng(seed: int, model_index: int) -> np.random.Generator:
-    """Deterministic draw stream for one model's WAIC, independent of the
-    order in which models are processed (parallel-safe)."""
+    """A deterministic random stream per (seed, model). WAIC takes no draws,
+    so passing it as ``rng`` has no effect; it is kept for callers written
+    against the sampled WAIC."""
     return np.random.default_rng(np.random.SeedSequence((seed, _WAIC_STREAM, model_index)))
 
 
@@ -282,7 +233,7 @@ def _fit_model(seq: EventSequence, kinds: tuple[StatisticKind, ...], waic: WaicC
     stats = compute_stepwise_stats(seq, RiskSet(seq.n_actors), kinds, spec)
     fit = fit_mle(stats, seq, opts)
     if waic is not None and fit.converged:
-        lpd_i, p_i = waic_pointwise(fit, stats, seq, waic, rng=waic_model_rng(waic.seed, q))
+        lpd_i, p_i = waic_pointwise(fit, stats, seq, waic)
         fit.waic = _waic_totals(lpd_i, p_i)[0]
         fit.n_high_p_waic = int(np.count_nonzero(p_i > P_WAIC_WARN))
     return q, fit, time.perf_counter() - t_start
@@ -302,9 +253,8 @@ def fit_bag(
     Model q is the stepwise model of ``kinds`` on ``specs[q]``. With ``waic``
     set, each converged fit is scored: its elpd is stored on ``fit.waic`` and
     its count of points with p_waic_i > ``P_WAIC_WARN`` on
-    ``fit.n_high_p_waic``. Model q uses the draw stream
-    ``waic_model_rng(waic.seed, q)``, so the results do not depend on
-    ``jobs``. ``jobs > 1`` spreads the models over that many
+    ``fit.n_high_p_waic``. Every result is deterministic, so none depends
+    on ``jobs``. ``jobs > 1`` spreads the models over that many
     worker processes (never more than there are models). Only one design per
     process is alive at a time. The options are validated by this call,
     before any model runs.

@@ -80,6 +80,20 @@ class _NdjsonLog:
         self._f.close()
 
 
+def _read_json(path: str, expected: str, parse):
+    """``parse`` of the JSON document in ``path``; a file that is not JSON or
+    lacks what ``parse`` reads is an error naming the file and ``expected``."""
+    with open(path) as f:
+        try:
+            return parse(json.load(f))
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{path} is not JSON ({exc}); expected {expected}") from exc
+        except KeyError as exc:
+            raise CliError(f"{path} has no field {exc}; expected {expected}") from exc
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"{path} is malformed ({exc}); expected {expected}") from exc
+
+
 def _parse_kinds(text: str) -> tuple[StatisticKind, ...]:
     return tuple(StatisticKind(k.strip()) for k in text.split(",") if k.strip())
 
@@ -162,8 +176,8 @@ def cmd_fit_bag(cfg: dict) -> dict:
     if weighting not in ("bic", "waic"):
         raise CliError(f"unknown weighting {weighting!r}")
 
-    with open(cfg["intervals_file"]) as f:
-        bag = bag_from_json(json.load(f)["specs"])
+    bag = _read_json(cfg["intervals_file"], "the intervals.json that gen-intervals writes",
+                     lambda doc: bag_from_json(doc["specs"]))
 
     waic_cfg = None
     if weighting == "waic":
@@ -172,8 +186,6 @@ def cmd_fit_bag(cfg: dict) -> dict:
         waic_cfg = WaicConfig(
             burn_in=burn_in if burn_in is not None else WaicConfig.default_for(len(seq), ahead).burn_in,
             ahead=ahead,
-            n_draws=cfg.get("waic_draws", 500),
-            seed=cfg.get("seed", 0),
         )
 
     jobs = int(cfg.get("jobs", 1))
@@ -229,10 +241,10 @@ def _load_bag(out_or_fits: str) -> ModelBag:
         if out_or_fits.endswith(".json")
         else os.path.join(out_or_fits, "fits.json")
     )
-    with open(fits_path) as f:
-        doc = json.load(f)
-    fits = [ModelFit.from_json_dict(d) for d in doc["fits"]]
-    weighting = doc["weighting"]
+    fits, weighting = _read_json(
+        fits_path, "the fits.json that fit-bag writes",
+        lambda doc: ([ModelFit.from_json_dict(d) for d in doc["fits"]], doc["weighting"]),
+    )
     return ModelBag(fits=fits, weights=bag_weights(fits, weighting), weighting_kind=weighting)
 
 
@@ -305,7 +317,8 @@ def cmd_report(cfg: dict) -> dict:
     order = np.argsort(-bag.weights)
     lines = ["# Model bag report", ""]
     lines.append(f"- models: {len(bag.fits)} ({sum(f.converged for f in bag.fits)} converged)")
-    lines.append(f"- weighting: {bag.weighting_kind}")
+    estimator = " (elpd by second-order WAIC at each fit's normal approximation, no draws)"
+    lines.append(f"- weighting: {bag.weighting_kind}{estimator if bag.weighting_kind == 'waic' else ''}")
     lines.append(
         f"- max weight: {bag.weights.max():.4f}; effective number of models "
         f"(1/sum w^2): {effective_model_count(bag.weights):.2f}"
@@ -381,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weighting", choices=["bic", "waic"])
     p.add_argument("--waic-burn-in", dest="waic_burn_in", type=int)
     p.add_argument("--waic-ahead", dest="waic_ahead", type=int)
-    p.add_argument("--waic-draws", dest="waic_draws", type=int)
+    p.add_argument("--waic-draws", dest="waic_draws", type=int,
+                   help="no effect: WAIC is computed in closed form, without draws")
     p.add_argument("--ridge", type=float)
     p.add_argument("--tie-policy", dest="tie_policy", choices=["error", "spread"])
     p.add_argument("--tie-unit", dest="tie_unit", type=float)

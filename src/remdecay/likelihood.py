@@ -15,10 +15,11 @@ log-likelihood.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -33,7 +34,7 @@ __all__ = [
     "RankDeficiencyError",
     "log_rates",
     "event_terms",
-    "event_log_density_blocks",
+    "event_derivatives",
     "log_likelihood",
     "grad_and_hessian",
     "fit_mle",
@@ -57,8 +58,6 @@ LINE_SEARCH_STEPS = 50  # candidates per line search; the step is halved after e
 FLOAT_FLOOR = 64 * np.finfo(np.float64).eps  # predicted gain, relative to max(1, |ll|), that ll cannot resolve
 _JITTER_NOTE = "hessian factorization required a 1e-8 jitter"
 _NEVER_REALIZED_NOTE = "column(s) at risk but never realized"
-_DRAW_BLOCK = 8_000_000  # entries of the largest per-chunk working array of draws
-_EVENT_BLOCK = 128  # event rows per block of the per-event densities
 _ROW_BLOCK = 4096  # distinct states per float64 block of the design
 
 
@@ -223,18 +222,61 @@ def _require_finite(value: float, stats: StatTensor, seq: EventSequence, beta: n
         raise LikelihoodOverflowError(int(bad[0]))
 
 
+def _step_sums(stats: StatTensor, columns: Iterable[np.ndarray], n_columns: int) -> np.ndarray:
+    """The (M, C) sums, over the runs in force at each event row, of
+    ``n_columns`` per-state columns (each of length U). A column is added at
+    its runs' start rows and taken off at their stop rows, one
+    ``np.bincount`` each, and the differences are summed down the rows; no
+    runs x columns array is formed. Non-finite values give non-finite sums
+    from their first row on, without a warning."""
+    M = stats.n_events
+    ids, starts, stops = (np.asarray(a, dtype=np.intp) for a in (stats.ids, stats.start, _stops(stats)))
+    out = np.empty((M, n_columns))
+    with np.errstate(invalid="ignore"):
+        for c, column in enumerate(columns):
+            w = column.take(ids)
+            delta = np.bincount(starts, w, minlength=M + 1) - np.bincount(stops, w, minlength=M + 1)
+            np.cumsum(delta[:M], out=out[:, c])
+    return out
+
+
 def event_terms(stats: StatTensor, seq: EventSequence, betas: np.ndarray) -> np.ndarray:
     """Per-event log-likelihood terms at ``betas`` (P,) or (P, B): the realized
-    log-rate minus dt_m x the total rate S_m of the runs in force at row m.
-    Overflow is returned as non-finite values, not raised. The blocks of
-    ``event_log_density_blocks`` are put together into one array.
-    """
+    log-rate minus dt_m x the total rate S_m of the runs in force at row m
+    (``_step_sums`` of the rates). Overflow is returned as non-finite values,
+    not raised."""
     betas = np.asarray(betas, dtype=np.float64)
-    draws = betas.reshape(len(betas), -1).T
-    terms = np.empty((stats.n_events, len(draws)))
-    for draw_rows, events, block in event_log_density_blocks(stats, seq, draws):
-        terms[events, draw_rows] = block
+    eta = log_rates(stats, betas.reshape(len(betas), -1))
+    realized = eta[stats.realized]
+    dt = np.diff(seq.times, prepend=seq.t0)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = realized - dt * _step_sums(stats, np.exp(eta, out=eta).T, eta.shape[1])
     return terms.reshape((stats.n_events,) + betas.shape[1:])
+
+
+def event_derivatives(
+    stats: StatTensor, seq: EventSequence, beta: np.ndarray, cov: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-event terms l_m, gradients g_m (M, P) and curvatures tr(cov H_m)
+    at ``beta``, with H_m = -dt_m sum e_u u u' over the runs in force at row m.
+
+    They are the ``_step_sums`` of the P + 2 per-state columns
+    e_u (1, u, u' cov u), with e_u = exp(u . beta): the total rate, the
+    rate-weighted statistics and the rate-weighted quadratic forms. Each
+    column is made as it is summed, and the quadratic forms are taken one
+    float64 block of distinct states at a time."""
+    U, P = stats.rows, stats.n_columns
+    eta = log_rates(stats, beta)
+    e = np.exp(eta)
+    quad = np.empty(len(U))
+    for rows, block in _float_blocks(U):
+        quad[rows] = np.einsum("up,up->u", block @ cov, block)
+    quad *= e
+    sums = _step_sums(stats, itertools.chain([e], (e * U[:, p] for p in range(P)), [quad]), P + 2)
+    dt = np.diff(seq.times, prepend=seq.t0)
+    terms = eta[stats.realized] - dt * sums[:, 0]
+    grads = U[stats.realized] - dt[:, None] * sums[:, 1 : P + 1]
+    return terms, grads, -dt * sums[:, P + 1]
 
 
 def log_likelihood(stats: StatTensor, seq: EventSequence, beta: np.ndarray) -> float:
@@ -243,56 +285,6 @@ def log_likelihood(stats: StatTensor, seq: EventSequence, beta: np.ndarray) -> f
     value = _reduce(stats, *_constants(stats, seq), beta)[0]
     _require_finite(value, stats, seq, beta)
     return value
-
-
-def event_log_density_blocks(
-    stats: StatTensor, seq: EventSequence, draws: np.ndarray
-) -> Iterator[tuple[slice, slice, np.ndarray]]:
-    """The (M, B) per-event log densities under each row of ``draws`` (B, P),
-    one block at a time: yields ``(draw_rows, events, block)`` with ``block``
-    the densities of events ``events`` under draws ``draw_rows``. Blocks come
-    in draw-chunk order and, within a chunk, in event order.
-
-    The rate kernel evaluates each chunk of draws once per distinct state (U
-    of them); the chunks are sized so that its U x b array stays near 64 MB.
-    The rates are summed through the (M + 1) x U step matrix, which
-    holds +1 at each run's start row and -1 at its stop row in the column of
-    the run's state: its running sum over rows times the rates is S_m. The
-    matrix is applied to ``_EVENT_BLOCK`` rows at a time, and the running sum
-    carries the previous block's last total into the block's first row, so
-    every value is bitwise that of one running sum over all M rows. No
-    events x draws or runs x draws array is formed.
-    """
-    import scipy.sparse
-
-    draws = np.asarray(draws, dtype=np.float64)
-    M, R, U = stats.n_events, stats.ids.size, len(stats.rows)
-    steps = scipy.sparse.csr_array(
-        (np.repeat([1.0, -1.0], R), (np.concatenate((stats.start, _stops(stats))), np.tile(stats.ids, 2))),
-        shape=(M + 1, U),
-    )
-    dt = np.diff(seq.times, prepend=seq.t0)[:, None]
-    # the realized states, so that the rates can overwrite the log-rates
-    realized, which = np.unique(stats.realized, return_inverse=True)
-    chunk = max(1, _DRAW_BLOCK // U)
-    for b0 in range(0, len(draws), chunk):
-        draw_rows = slice(b0, min(b0 + chunk, len(draws)))
-        eta = log_rates(stats, draws[draw_rows].T)
-        realized_eta = eta[realized]
-        with np.errstate(over="ignore"):
-            rates = np.exp(eta, out=eta)
-        carry = 0.0  # the running sum through the previous block
-        for m0 in range(0, M, _EVENT_BLOCK):
-            events = slice(m0, min(m0 + _EVENT_BLOCK, M))
-            with np.errstate(over="ignore", invalid="ignore"):
-                totals = steps[events] @ rates
-                totals[0] += carry
-                np.cumsum(totals, axis=0, out=totals)
-                carry = totals[-1].copy()
-                totals *= dt[events]
-                block = realized_eta[which[events]]
-                block -= totals
-            yield draw_rows, events, block
 
 
 def _derivatives(U: np.ndarray, s: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

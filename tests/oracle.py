@@ -328,6 +328,43 @@ def loop_log_density(values, event_positions, times, t0, beta, first, last):
     return total
 
 
+def loop_window_derivatives(values, event_positions, times, t0, beta, first, last):
+    """(l, g, H): the log density, gradient and Hessian at ``beta`` of the
+    1-based events first..last, summed by explicit loops over dyads."""
+    P = values.shape[2]
+    total, grad, hess = 0.0, np.zeros(P), np.zeros((P, P))
+    for j in range(first, last + 1):
+        row = j - 1
+        dt = times[row] - (times[row - 1] if row > 0 else t0)
+        grad += values[row, event_positions[row]]
+        for d in range(values.shape[1]):
+            u = values[row, d]
+            lam = math.exp(float(np.dot(u, beta)))
+            if d == event_positions[row]:
+                total += math.log(lam)
+            total -= dt * lam
+            grad -= dt * lam * u
+            hess -= dt * lam * np.outer(u, u)
+    return total, grad, hess
+
+
+def oracle_waic(stats, seq, draws, burn_in, ahead):
+    """(lpd, p_waic) of the sampled WAIC: the summed log mean density and
+    sample variance, over ``draws`` (B, P), of each scoring point's window
+    log density. The densities come from the dense design; each is what
+    ``loop_log_density`` gives for events i+1..i+ahead, i = burn_in..M-ahead."""
+    dense = to_dense(stats)
+    M = len(seq)
+    positions = RiskSet(seq.n_actors).event_positions(seq)
+    dt = np.diff(seq.times, prepend=seq.t0)
+    eta = np.einsum("mdp,bp->mdb", dense, draws)
+    terms = eta[np.arange(M), positions] - dt[:, None] * np.exp(eta).sum(axis=1)
+    lds = sum(terms[burn_in + a : M - ahead + 1 + a] for a in range(ahead))
+    mx = lds.max(axis=1, keepdims=True)
+    lpd = float(np.sum(np.log(np.exp(lds - mx).mean(axis=1)) + mx[:, 0]))
+    return lpd, float(lds.var(axis=1, ddof=1).sum())
+
+
 def random_sequence(rng: np.random.Generator, n_actors: int, n_events: int) -> EventSequence:
     gaps = rng.exponential(scale=float(rng.uniform(0.2, 2.0)), size=n_events)
     times = np.cumsum(gaps)

@@ -235,6 +235,22 @@ class TestFitBag:
             f"- WAIC points with p_waic_i > 0.4: {sum(counts)} over the bag, "
             f"at most {counts[worst]} in one model{which}\n"
         ) in (out / "report.md").read_text()
+        assert (
+            "- weighting: waic (elpd by second-order WAIC at each fit's normal approximation, "
+            "no draws)\n"
+        ) in (out / "report.md").read_text()
+
+    def test_waic_needs_no_seed(self, sim_dir, bag_file, tmp_path):
+        """WAIC takes no draws: fits.json and weights.csv do not depend on --seed."""
+        outs = [tmp_path / f"seed{seed}" for seed in (1, 2)]
+        for seed, out in zip((1, 2), outs):
+            run([
+                "fit-bag", "--events", str(sim_dir / "events.csv"), "--out", str(out),
+                "--kinds", "inertia", "--intervals-file", str(bag_file), "--weighting", "waic",
+                "--waic-burn-in", "10", "--seed", str(seed), "--jobs", "1",
+            ])
+        for name in ("fits.json", "weights.csv"):
+            assert sha(outs[0] / name) == sha(outs[1] / name)
 
     def test_default_burn_in_leaves_room_for_ahead(self, sim_dir, bag_file, tmp_path):
         # 50 events: the default burn-in must leave 3 events to score ahead
@@ -470,23 +486,55 @@ def test_missing_required_option_named(command_args, tmp_path, capsys, command, 
 
 def test_cli_import_loads_no_scipy(sim_dir, bag_file, tmp_path):
     """Every command pays the CLI's import, so it loads no scipy module, and
-    neither does a BIC fit-bag run; scipy.sparse is imported only where WAIC
-    needs it."""
+    neither does a BIC or a WAIC fit-bag run."""
     import remdecay
 
     src = os.path.dirname(os.path.dirname(remdecay.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     fit_bag = [
-        "fit-bag", "--events", str(sim_dir / "events.csv"), "--out", str(tmp_path / "bic"),
-        "--kinds", "inertia,reciprocity", "--intervals-file", str(bag_file),
-        "--weighting", "bic", "--jobs", "1",
+        "fit-bag", "--events", str(sim_dir / "events.csv"),
+        "--kinds", "inertia,reciprocity", "--intervals-file", str(bag_file), "--jobs", "1",
     ]
+    bic = fit_bag + ["--out", str(tmp_path / "bic"), "--weighting", "bic"]
+    waic = fit_bag + ["--out", str(tmp_path / "waic"), "--weighting", "waic", "--waic-burn-in", "10"]
     for code in (
         f"import remdecay.cli, sys; {loaded}",
-        f"import sys; from remdecay.cli import main; assert main({fit_bag!r}) == 0; {loaded}",
+        f"import sys; from remdecay.cli import main; assert main({bic!r}) == 0; {loaded}",
+        f"import sys; from remdecay.cli import main; assert main({waic!r}) == 0; {loaded}",
     ):
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.splitlines()[-1] == "[]"
     assert (tmp_path / "bic" / "weights.csv").exists()
+    assert (tmp_path / "waic" / "weights.csv").exists()
+
+
+def _without_halvings(fitted_dir, tmp_path):
+    doc = json.loads((fitted_dir / "fits.json").read_text())
+    for fit in doc["fits"]:
+        del fit["halvings"]
+    path = tmp_path / "old_fits.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("case", ["gen-intervals config", "events csv", "fits without halvings"])
+def test_malformed_input_file_named(sim_dir, bag_file, fitted_dir, tmp_path, capsys, case):
+    """A JSON input that is not what the command reads names the file and
+    what was expected; the command exits 1 and creates nothing."""
+    out = tmp_path / "out"
+    if case == "fits without halvings":
+        path = _without_halvings(fitted_dir, tmp_path)
+        argv = ["report", "--fits", str(path), "--out", str(out)]
+        detail, expected = "has no field 'halvings'", "the fits.json that fit-bag writes"
+    else:
+        path = bag_file.parent / "config.json" if case == "gen-intervals config" else sim_dir / "events.csv"
+        argv = ["fit-bag", "--events", str(sim_dir / "events.csv"), "--intervals-file", str(path),
+                "--out", str(out)]
+        detail = "has no field 'specs'" if case == "gen-intervals config" else "is not JSON"
+        expected = "the intervals.json that gen-intervals writes"
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} {detail}") and err.endswith(f"; expected {expected}\n")
+    assert not out.exists()

@@ -146,15 +146,6 @@ class TestRateKernel:
                 event_terms(stats, seq, betas), want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
             )
 
-    def test_blocks_of_draws_match_one_block(self, rng, monkeypatch):
-        seq, rs, stats = random_instance(rng, n_events=40)
-        draws = rng.normal(0, 0.3, (7, stats.n_columns))
-        whole = event_terms(stats, seq, draws.T)
-        # two draws per chunk: three full chunks and a partial one
-        monkeypatch.setattr(likelihood, "_DRAW_BLOCK", 2 * len(stats.rows))
-        blocked = event_terms(stats, seq, draws.T)
-        np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-12)
-
     def test_draw_densities_hold_no_runs_by_draws_array(self, inertia_design):
         """Memory guard: on a 3000-event, 10-actor inertia design at K = 5
         (about 17k runs), the densities of 200 draws must peak below one
@@ -171,21 +162,22 @@ class TestRateKernel:
 
     @pytest.mark.parametrize("ahead", [1, 3])
     def test_waic_holds_no_events_by_draws_array(self, inertia_design, ahead):
-        """Memory guard: WAIC reduces the per-event densities one block of
-        events at a time, so on the same design it must peak below one
-        events x draws float64 array."""
+        """Memory guard: WAIC takes no draws and sums its P + 2 per-state
+        columns through the runs one column at a time, so on the same design
+        it must peak below one runs x (P + 2) float64 array, and far below
+        the events x draws array that sampled scoring would fill."""
         seq, stats, draws = inertia_design
         fit = fit_mle(stats, seq)
-        cfg = WaicConfig.default_for(len(seq), ahead=ahead, n_draws=len(draws))
-        waic_elpd(fit, stats, seq, cfg, draws=draws)  # the lazy scipy.sparse import is not traced
+        cfg = WaicConfig.default_for(len(seq), ahead=ahead)
         tracemalloc.start()
         try:
-            elpd = waic_elpd(fit, stats, seq, cfg, draws=draws)[0]
+            elpd = waic_elpd(fit, stats, seq, cfg)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert math.isfinite(elpd)
-        assert peak < stats.n_events * len(draws) * 8
+        assert peak < stats.ids.size * (stats.n_columns + 2) * 8
+        assert peak < stats.n_events * len(draws) * 8 / 4
 
     def test_fit_holds_no_float_design(self, wide_seq):
         """Memory guard: on the six-kind K = 5 design of ``wide_seq`` (about
@@ -312,12 +304,11 @@ class TestFit:
             assert any(np.array_equal(b, fit.beta_hat) for b in seen)
             rejected += fit.halvings
         assert rejected > 0
-        # WAIC scores its draws through the same kernel, one call per block
+        # WAIC evaluates the same kernel once, at beta_hat
         seen.clear()
-        draws = fit.beta_hat + rng.normal(0, 0.05, (6, fit.n_params))
-        waic_elpd(fit, stats, seq, WaicConfig(burn_in=10, n_draws=6), draws=draws)
+        waic_elpd(fit, stats, seq, WaicConfig(burn_in=10))
         assert len(seen) == 1
-        np.testing.assert_array_equal(seen[0], draws.T)
+        np.testing.assert_array_equal(seen[0], fit.beta_hat)
 
     @pytest.mark.parametrize("seed", [0, 2, 4, 5])
     def test_never_realized_column_named(self, seed):
