@@ -23,7 +23,14 @@ import numpy as np
 
 from .events import EventSequence, RiskSet
 from .intervals import IntervalSpec, locate_intervals
-from .likelihood import FitOptions, ModelFit, event_derivatives, fit_mle
+from .likelihood import (
+    FitOptions,
+    LikelihoodOverflowError,
+    ModelFit,
+    RankDeficiencyError,
+    event_derivatives,
+    fit_mle,
+)
 from .stats import StatTensor, StatisticKind, compute_stepwise_stats
 
 __all__ = [
@@ -65,10 +72,8 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 def _mvn_draws(
     mean: np.ndarray, cov: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """n draws from MVN(mean, cov) via Cholesky; a zero covariance is exact."""
+    """n >= 1 draws from MVN(mean, cov) via Cholesky; a zero covariance is exact."""
     P = mean.size
-    if n == 0:
-        return np.empty((0, P))
     if not cov.any():
         return np.tile(mean, (n, 1))
     try:
@@ -227,11 +232,22 @@ def effective_model_count(weights: np.ndarray) -> float:
 def _fit_model(seq: EventSequence, kinds: tuple[StatisticKind, ...], waic: WaicConfig | None,
                opts: FitOptions, task: tuple[int, IntervalSpec]) -> tuple[int, ModelFit, float]:
     """Build, fit and optionally WAIC-score model q of a bag, with its design
-    (closure pairs included) built for it alone and dropped on return."""
+    (closure pairs included) built for it alone and dropped on return. A
+    model whose fit raises ``RankDeficiencyError`` or
+    ``LikelihoodOverflowError`` is returned as an unconverged fit with stop
+    "error", the error text as its warning and NaN estimates, so the rest of
+    the bag still runs and the model gets zero weight."""
     q, spec = task
     t_start = time.perf_counter()
     stats = compute_stepwise_stats(seq, RiskSet(seq.n_actors), kinds, spec)
-    fit = fit_mle(stats, seq, opts)
+    try:
+        fit = fit_mle(stats, seq, opts)
+    except (RankDeficiencyError, LikelihoodOverflowError) as exc:
+        P, M = stats.n_columns, stats.n_events
+        fit = ModelFit(spec=stats.spec, kinds=stats.kinds, labels=stats.labels,
+                       beta_hat=np.full(P, np.nan), cov_hat=np.full((P, P), np.nan),
+                       loglik=math.nan, n_params=P, n_events=M, bic=math.nan,
+                       converged=False, warnings=(str(exc),), stop="error")
     if waic is not None and fit.converged:
         lpd_i, p_i = waic_pointwise(fit, stats, seq, waic)
         fit.waic = _waic_totals(lpd_i, p_i)[0]
@@ -253,11 +269,12 @@ def fit_bag(
     Model q is the stepwise model of ``kinds`` on ``specs[q]``. With ``waic``
     set, each converged fit is scored: its elpd is stored on ``fit.waic`` and
     its count of points with p_waic_i > ``P_WAIC_WARN`` on
-    ``fit.n_high_p_waic``. Every result is deterministic, so none depends
-    on ``jobs``. ``jobs > 1`` spreads the models over that many
-    worker processes (never more than there are models). Only one design per
-    process is alive at a time. The options are validated by this call,
-    before any model runs.
+    ``fit.n_high_p_waic``. A model whose fit raises a rank-deficiency or
+    overflow error is yielded as an unconverged fit with stop "error".
+    Every result is deterministic, so none depends on ``jobs``. ``jobs > 1``
+    spreads the models over that many worker processes (never more than
+    there are models). Only one design per process is alive at a time. The
+    options are validated by this call, before any model runs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs!r}")

@@ -61,23 +61,10 @@ def _write_json(path: str, obj) -> None:
         f.write("\n")
 
 
-def _echo_config(out_dir: str, cfg: dict, name: str = "config.json") -> None:
-    _write_json(os.path.join(out_dir, name), cfg)
-
-
-class _NdjsonLog:
-    def __init__(self, path: str):
-        self._f = open(path, "w")
-
-    def write(self, **record) -> None:
-        self._f.write(json.dumps(record, sort_keys=True) + "\n")
-        self._f.flush()
-
-    def __enter__(self) -> "_NdjsonLog":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._f.close()
+def _log(f, **record) -> None:
+    """Append one JSON record to the open log ``f`` and flush it."""
+    f.write(json.dumps(record, sort_keys=True) + "\n")
+    f.flush()
 
 
 def _read_json(path: str, expected: str, parse):
@@ -133,7 +120,7 @@ def cmd_simulate(cfg: dict) -> dict:
     os.makedirs(out, exist_ok=True)
     seq.to_csv(events_path)
     _write_json(manifest_path, {"generator": sim_cfg.to_json_dict(), "n_events": len(seq)})
-    _echo_config(out, cfg)
+    _write_json(os.path.join(out, "config.json"), cfg)
     return {"events": events_path, "manifest": manifest_path, "n_events": len(seq)}
 
 
@@ -154,7 +141,7 @@ def cmd_gen_intervals(cfg: dict) -> dict:
     )
     os.makedirs(out, exist_ok=True)
     _write_json(path, {"gamma_max": cfg["gamma_max"], "specs": bag_to_json(bag)})
-    _echo_config(out, cfg)
+    _write_json(os.path.join(out, "config.json"), cfg)
     return {"intervals": path, "n_specs": len(bag)}
 
 
@@ -192,16 +179,19 @@ def cmd_fit_bag(cfg: dict) -> dict:
     # validates the fit options before anything is written
     runs = fit_bag(seq, bag, kinds, waic=waic_cfg, ridge=cfg.get("ridge", 0.0), jobs=jobs)
     os.makedirs(out, exist_ok=True)
-    with _NdjsonLog(log_path) as log:
-        log.write(event="start", n_models=len(bag), weighting=weighting, jobs=jobs)
+    with open(log_path, "w") as log:
+        _log(log, event="start", n_models=len(bag), weighting=weighting, jobs=jobs)
         t0 = time.perf_counter()
         fits: list[ModelFit] = []
         for q, fit, seconds in runs:
             fits.append(fit)
-            log.write(event="fit", model=q, seconds=seconds, loglik=fit.loglik,
-                      converged=fit.converged, elpd=fit.waic, iterations=fit.iterations,
-                      halvings=fit.halvings, max_abs_grad=fit.max_abs_grad, jitter=fit.jittered,
-                      high_p_waic=fit.n_high_p_waic)
+            if fit.stop == "error":
+                _log(log, event="error", model=q, seconds=seconds, error=fit.warnings[0])
+                continue
+            _log(log, event="fit", model=q, seconds=seconds, loglik=fit.loglik,
+                 converged=fit.converged, elpd=fit.waic, iterations=fit.iterations,
+                 halvings=fit.halvings, max_abs_grad=fit.max_abs_grad, jitter=fit.jittered,
+                 high_p_waic=fit.n_high_p_waic)
         wall = time.perf_counter() - t0
 
         n_converged = sum(f.converged for f in fits)
@@ -218,10 +208,10 @@ def cmd_fit_bag(cfg: dict) -> dict:
                     f"{q},{fit.spec.kind or 'custom'},{fit.spec.size},"
                     f"{repr(fit.bic)},{waic_s},{repr(float(w))}\n"
                 )
-        log.write(event="done", seconds=wall, models_per_second=len(bag) / wall,
-                  n_converged=n_converged, max_weight=float(weights.max()),
-                  n_eff_models=effective_model_count(weights))
-    _echo_config(out, cfg)
+        _log(log, event="done", seconds=wall, models_per_second=len(bag) / wall,
+             n_converged=n_converged, max_weight=float(weights.max()),
+             n_eff_models=effective_model_count(weights))
+    _write_json(os.path.join(out, "config.json"), cfg)
     return {
         "fits": fits_path,
         "weights": weights_path,
@@ -267,7 +257,7 @@ def cmd_trend(cfg: dict) -> dict:
     os.makedirs(out, exist_ok=True)
     trend.to_csv(csv_path)
     _write_json(json_path, trend.to_json_dict())
-    _echo_config(out, cfg, name="trend_config.json")
+    _write_json(os.path.join(out, "trend_config.json"), cfg)
     return {"trend_csv": csv_path, "trend_json": json_path}
 
 
@@ -279,11 +269,12 @@ def _newton_line(fits: list[ModelFit]) -> str:
     """One report line summarizing the Newton diagnostics of every fit."""
     iters = [f.iterations for f in fits]
     halvings = [f.halvings for f in fits]
+    grads = [f.max_abs_grad for f in fits if f.max_abs_grad is not None]  # failed fits have none
     stops = Counter(f.stop for f in fits)
     return (
         f"- newton: {sum(iters)} iterations (at most {max(iters)} per model), "
         f"{sum(halvings)} step halvings (at most {max(halvings)} per model), "
-        f"largest final max|grad| {max(f.max_abs_grad for f in fits):.3g}; stops: "
+        f"largest final max|grad| {max(grads):.3g}; stops: "
         + ", ".join(f"{reason} {n}" for reason, n in sorted(stops.items()))
         + f"; jittered fits: {sum(f.jittered for f in fits)}"
     )
@@ -298,15 +289,10 @@ def _waic_reliability_line(fits: list[ModelFit]) -> str:
     return head + f"{sum(counts.values())} over the bag, at most {counts[worst]} in one model{which}"
 
 
-def _monotone_line(fits: list[ModelFit]) -> str:
-    """One report line listing the fits with a column at risk but never
-    realized; they keep their weight."""
-    ids = [q for q, f in enumerate(fits) if f.monotone]
+def _ids_line(what: str, ids: list[int]) -> str:
+    """One report line counting and listing the model ids of ``what``."""
     listed = f"; model ids {', '.join(map(str, ids))}" if ids else ""
-    return (
-        f"- fits with a column at risk but never realized (MLE at -inf, weight kept): "
-        f"{len(ids)}{listed}"
-    )
+    return f"- {what}: {len(ids)}{listed}"
 
 
 def cmd_report(cfg: dict) -> dict:
@@ -324,7 +310,14 @@ def cmd_report(cfg: dict) -> dict:
         f"(1/sum w^2): {effective_model_count(bag.weights):.2f}"
     )
     lines.append(_newton_line(bag.fits))
-    lines.append(_monotone_line(bag.fits))
+    lines.append(_ids_line(
+        "fits with a column at risk but never realized (MLE at -inf, weight kept)",
+        [q for q, f in enumerate(bag.fits) if f.monotone],
+    ))
+    lines.append(_ids_line(
+        "failed fits (rank deficiency or overflow, zero weight)",
+        [q for q, f in enumerate(bag.fits) if f.stop == "error"],
+    ))
     if bag.weighting_kind == "waic":
         lines.append(_waic_reliability_line(bag.fits))
     lines.append("")

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import csv
-import io
-import json
+import os
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -100,26 +99,13 @@ class EventSequence:
             and np.array_equal(self.receivers, other.receivers)
         )
 
-    def to_csv(self, path_or_buf) -> None:
+    def to_csv(self, path) -> None:
         """Write ``time,sender,receiver`` rows; floats use repr for round-trip."""
-        own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-        f = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
+        with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["time", "sender", "receiver"])
             for t, s, r in zip(self.times, self.senders, self.receivers):
                 w.writerow([repr(float(t)), int(s), int(r)])
-        finally:
-            if own:
-                f.close()
-
-    def label_map(self) -> dict[str, int]:
-        labels = self.labels or tuple(str(a) for a in range(self.n_actors))
-        return {lab: idx for idx, lab in enumerate(labels)}
-
-    def dump_label_map(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.label_map(), f, indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -202,10 +188,11 @@ def load_events(
 ) -> EventSequence:
     """Load a CSV of relational events and normalize it.
 
-    ``source`` is a path, text stream, or bytes. ``columns`` maps the roles
-    ``time``/``sender``/``receiver`` to CSV header names (defaults to those
-    names). Actor labels are re-indexed to dense ints in first-appearance
-    order; the original labels are kept on the sequence for output.
+    ``source`` is a path (str or PathLike) or an open text stream.
+    ``columns`` maps the roles ``time``/``sender``/``receiver`` to CSV header
+    names (defaults to those names). Actor labels are re-indexed to dense
+    ints in first-appearance order; the original labels are kept on the
+    sequence for output.
 
     tie_policy:
       * ``"error"``  - tied timestamps are rejected;
@@ -220,18 +207,8 @@ def load_events(
     if tie_policy not in ("error", "spread"):
         raise EventDataError(f"unknown tie_policy {tie_policy!r}")
 
-    if isinstance(source, bytes):
-        f = io.StringIO(source.decode("utf-8"))
-    elif hasattr(source, "__fspath__"):
-        f = open(source, "r", newline="", encoding="utf-8")
-    elif isinstance(source, str) and "\n" not in source:
-        f = open(source, "r", newline="", encoding="utf-8")
-    elif isinstance(source, str):
-        f = io.StringIO(source)
-    elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        f = io.TextIOWrapper(source, encoding="utf-8")
-    else:
-        f = source
+    own = isinstance(source, (str, os.PathLike))
+    f = open(source, "r", newline="", encoding="utf-8") if own else source
 
     times: list[float] = []
     senders: list[int] = []
@@ -269,7 +246,7 @@ def load_events(
             senders.append(s)
             receivers.append(r)
     finally:
-        if f is not source:
+        if own:
             f.close()
 
     if not times:

@@ -33,7 +33,6 @@ __all__ = [
     "LikelihoodOverflowError",
     "RankDeficiencyError",
     "log_rates",
-    "event_terms",
     "event_derivatives",
     "log_likelihood",
     "grad_and_hessian",
@@ -79,7 +78,8 @@ class ModelFit:
     The Newton diagnostics are ``iterations``, ``halvings`` (rejected line
     search candidates over the whole fit), ``max_abs_grad`` (at ``beta_hat``)
     and ``stop``: "tolerance" or "float_floor" for a converged fit, "stalled"
-    (a line search found no improving step) or "max_iter" otherwise.
+    (a line search found no improving step) or "max_iter" otherwise; the bag
+    runner gives a model whose fit raised stop "error" and no ``max_abs_grad``.
     ``n_high_p_waic`` counts the WAIC scoring points whose per-point p_waic
     exceeds 0.4, where that point's WAIC term is unreliable (Vehtari, Gelman &
     Gabry 2017); it is None for a fit that was not WAIC-scored.
@@ -171,17 +171,15 @@ def _float_blocks(U: np.ndarray):
         yield rows, block
 
 
-def log_rates(stats: StatTensor, betas: np.ndarray) -> np.ndarray:
+def log_rates(stats: StatTensor, beta: np.ndarray) -> np.ndarray:
     """The rate kernel: the log-rate u . beta of every distinct state u (row
-    of ``stats.rows``, cast to float64 one block at a time), for one vector
-    (P,) or B columns (P, B)."""
-    betas = np.asarray(betas, dtype=np.float64)
-    P = stats.n_columns
-    if betas.ndim not in (1, 2) or betas.shape[0] != P:
-        raise ValueError(f"betas must have shape ({P},) or ({P}, B), got {betas.shape}")
-    out = np.empty((len(stats.rows),) + betas.shape[1:])
+    of ``stats.rows``, cast to float64 one block at a time)."""
+    beta = np.asarray(beta, dtype=np.float64)
+    if beta.shape != (stats.n_columns,):
+        raise ValueError(f"beta must have shape ({stats.n_columns},), got {beta.shape}")
+    out = np.empty(len(stats.rows))
     for rows, block in _float_blocks(stats.rows):
-        np.matmul(block, betas, out=out[rows])
+        np.matmul(block, beta, out=out[rows])
     return out
 
 
@@ -216,9 +214,12 @@ def _reduce(
 
 
 def _require_finite(value: float, stats: StatTensor, seq: EventSequence, beta: np.ndarray) -> None:
-    """Raise LikelihoodOverflowError at the first event whose term is not finite."""
+    """Raise LikelihoodOverflowError at the first event whose term (from
+    ``event_derivatives`` at a zero covariance) is not finite."""
     if not math.isfinite(value):
-        bad = np.flatnonzero(~np.isfinite(event_terms(stats, seq, beta)))
+        P = stats.n_columns
+        terms = event_derivatives(stats, seq, beta, np.zeros((P, P)))[0]
+        bad = np.flatnonzero(~np.isfinite(terms))
         raise LikelihoodOverflowError(int(bad[0]))
 
 
@@ -228,30 +229,15 @@ def _step_sums(stats: StatTensor, columns: Iterable[np.ndarray], n_columns: int)
     its runs' start rows and taken off at their stop rows, one
     ``np.bincount`` each, and the differences are summed down the rows; no
     runs x columns array is formed. Non-finite values give non-finite sums
-    from their first row on, without a warning."""
+    from their first row on."""
     M = stats.n_events
     ids, starts, stops = (np.asarray(a, dtype=np.intp) for a in (stats.ids, stats.start, _stops(stats)))
     out = np.empty((M, n_columns))
-    with np.errstate(invalid="ignore"):
-        for c, column in enumerate(columns):
-            w = column.take(ids)
-            delta = np.bincount(starts, w, minlength=M + 1) - np.bincount(stops, w, minlength=M + 1)
-            np.cumsum(delta[:M], out=out[:, c])
+    for c, column in enumerate(columns):
+        w = column.take(ids)
+        delta = np.bincount(starts, w, minlength=M + 1) - np.bincount(stops, w, minlength=M + 1)
+        np.cumsum(delta[:M], out=out[:, c])
     return out
-
-
-def event_terms(stats: StatTensor, seq: EventSequence, betas: np.ndarray) -> np.ndarray:
-    """Per-event log-likelihood terms at ``betas`` (P,) or (P, B): the realized
-    log-rate minus dt_m x the total rate S_m of the runs in force at row m
-    (``_step_sums`` of the rates). Overflow is returned as non-finite values,
-    not raised."""
-    betas = np.asarray(betas, dtype=np.float64)
-    eta = log_rates(stats, betas.reshape(len(betas), -1))
-    realized = eta[stats.realized]
-    dt = np.diff(seq.times, prepend=seq.t0)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = realized - dt * _step_sums(stats, np.exp(eta, out=eta).T, eta.shape[1])
-    return terms.reshape((stats.n_events,) + betas.shape[1:])
 
 
 def event_derivatives(
@@ -264,19 +250,22 @@ def event_derivatives(
     e_u (1, u, u' cov u), with e_u = exp(u . beta): the total rate, the
     rate-weighted statistics and the rate-weighted quadratic forms. Each
     column is made as it is summed, and the quadratic forms are taken one
-    float64 block of distinct states at a time."""
+    float64 block of distinct states at a time. Overflow is returned as
+    non-finite values, not raised."""
     U, P = stats.rows, stats.n_columns
     eta = log_rates(stats, beta)
-    e = np.exp(eta)
-    quad = np.empty(len(U))
-    for rows, block in _float_blocks(U):
-        quad[rows] = np.einsum("up,up->u", block @ cov, block)
-    quad *= e
-    sums = _step_sums(stats, itertools.chain([e], (e * U[:, p] for p in range(P)), [quad]), P + 2)
-    dt = np.diff(seq.times, prepend=seq.t0)
-    terms = eta[stats.realized] - dt * sums[:, 0]
-    grads = U[stats.realized] - dt[:, None] * sums[:, 1 : P + 1]
-    return terms, grads, -dt * sums[:, P + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(eta)
+        quad = np.empty(len(U))
+        for rows, block in _float_blocks(U):
+            quad[rows] = np.einsum("up,up->u", block @ cov, block)
+        quad *= e
+        columns = itertools.chain([e], (e * U[:, p] for p in range(P)), [quad])
+        sums = _step_sums(stats, columns, P + 2)
+        dt = np.diff(seq.times, prepend=seq.t0)
+        terms = eta[stats.realized] - dt * sums[:, 0]
+        grads = U[stats.realized] - dt[:, None] * sums[:, 1 : P + 1]
+        return terms, grads, -dt * sums[:, P + 1]
 
 
 def log_likelihood(stats: StatTensor, seq: EventSequence, beta: np.ndarray) -> float:

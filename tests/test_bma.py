@@ -21,7 +21,7 @@ from remdecay.bma import (
 )
 from remdecay.events import RiskSet
 from remdecay.intervals import IntervalSpec, equal_spec, locate_intervals
-from remdecay.likelihood import ModelFit, event_terms, fit_mle
+from remdecay.likelihood import ModelFit, event_derivatives, fit_mle
 from remdecay.stats import StatisticKind, compute_stepwise_stats
 
 from oracle import (
@@ -114,7 +114,8 @@ class TestWaic:
         cfg = WaicConfig(burn_in=10, ahead=1)
         lpd_i, p_i = bma.waic_pointwise(fit, stats, seq, cfg)
         assert not p_i.any()
-        np.testing.assert_array_equal(lpd_i, event_terms(stats, seq, fit.beta_hat)[10:])
+        terms = event_derivatives(stats, seq, fit.beta_hat, fit.cov_hat)[0]
+        np.testing.assert_array_equal(lpd_i, terms[10:])
         elpd, lpd, p = waic_elpd(fit, stats, seq, cfg)
         assert p == 0.0
         assert elpd == lpd

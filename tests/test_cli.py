@@ -240,17 +240,60 @@ class TestFitBag:
             "no draws)\n"
         ) in (out / "report.md").read_text()
 
-    def test_waic_needs_no_seed(self, sim_dir, bag_file, tmp_path):
-        """WAIC takes no draws: fits.json and weights.csv do not depend on --seed."""
+    @pytest.mark.parametrize("weighting", ["bic", "waic"])
+    def test_weights_need_no_seed(self, sim_dir, bag_file, tmp_path, weighting):
+        """Neither weighting takes draws (WAIC is in closed form): fits.json
+        and weights.csv do not depend on --seed."""
         outs = [tmp_path / f"seed{seed}" for seed in (1, 2)]
         for seed, out in zip((1, 2), outs):
             run([
                 "fit-bag", "--events", str(sim_dir / "events.csv"), "--out", str(out),
-                "--kinds", "inertia", "--intervals-file", str(bag_file), "--weighting", "waic",
+                "--kinds", "inertia", "--intervals-file", str(bag_file), "--weighting", weighting,
                 "--waic-burn-in", "10", "--seed", str(seed), "--jobs", "1",
             ])
         for name in ("fits.json", "weights.csv"):
             assert sha(outs[0] / name) == sha(outs[1] / name)
+
+    def test_failed_models_are_isolated(self, tmp_path):
+        """On 25 events, 22 of the 33 closure models are rank-deficient: each
+        gets an error record, stop "error" and zero weight, and report.md
+        lists them; the other 11 fit, and fit-bag exits 0."""
+        effects = {"inertia": {"variant": "weibull", "scale": 4, "shape": 1, "peak": 0.6}}
+        run([
+            "simulate", "--out", str(tmp_path / "sim"), "--n-actors", "10", "--beta0", "-3.9",
+            "--n-events", "25", "--horizon", "20", "--seed", "1", "--effects", json.dumps(effects),
+        ])
+        run([
+            "gen-intervals", "--out", str(tmp_path / "iv"), "--k-values", "3,4,5",
+            "--per-kind-count", "5", "--min-size", "0.05", "--gamma-max", "20", "--seed", "2",
+        ])
+        out = tmp_path / "fit"
+        with pytest.warns(RuntimeWarning):  # never-realized columns, excluded models
+            run([
+                "fit-bag", "--events", str(tmp_path / "sim" / "events.csv"),
+                "--intervals-file", str(tmp_path / "iv" / "intervals.json"), "--out", str(out),
+                "--kinds", "inertia,reciprocity,transitivity_closure,cyclic_closure",
+                "--weighting", "bic",
+            ])
+            run(["report", "--out", str(out)])
+        records = [json.loads(line) for line in (out / "log.ndjson").read_text().splitlines()]
+        errors = [r for r in records if r["event"] == "error"]
+        assert len(errors) == 22 and sum(r["event"] == "fit" for r in records) == 11
+        assert "statistic column(s) identically zero" in errors[0]["error"]
+        fits = json.loads((out / "fits.json").read_text())["fits"]
+        failed = [q for q, f in enumerate(fits) if f["stop"] == "error"]
+        assert failed == [r["model"] for r in errors]
+        assert sum(f["converged"] for f in fits) == 11
+        assert all(fits[q]["warnings"] == [r["error"]] and fits[q]["max_abs_grad"] is None
+                   for q, r in zip(failed, errors))
+        rows = (out / "weights.csv").read_text().splitlines()[1:]
+        assert all(float(rows[q].split(",")[-1]) == 0.0 for q in failed)
+        report = (out / "report.md").read_text()
+        assert (
+            f"- failed fits (rank deficiency or overflow, zero weight): 22; "
+            f"model ids {', '.join(map(str, failed))}\n"
+        ) in report
+        assert "stops: error 22, tolerance 11;" in report
 
     def test_default_burn_in_leaves_room_for_ahead(self, sim_dir, bag_file, tmp_path):
         # 50 events: the default burn-in must leave 3 events to score ahead
@@ -381,7 +424,9 @@ class TestReportAndConfig:
         assert "- fits with a column at risk but never realized (MLE at -inf, weight kept): 1; model ids 1\n" in text
         assert "WAIC points" not in text
         run(["report", "--fits", str(fitted_dir / "fits.json"), "--out", str(tmp_path / "plain")])
-        assert "never realized (MLE at -inf, weight kept): 0\n" in (tmp_path / "plain" / "report.md").read_text()
+        plain = (tmp_path / "plain" / "report.md").read_text()
+        assert "never realized (MLE at -inf, weight kept): 0\n" in plain
+        assert "- failed fits (rank deficiency or overflow, zero weight): 0\n" in plain
 
     def test_report_creates_out(self, fitted_dir, tmp_path):
         out = tmp_path / "new" / "dir"

@@ -1,5 +1,4 @@
 import io
-import json
 import pickle
 
 import numpy as np
@@ -14,7 +13,7 @@ CSV3 = "time,sender,receiver\n1.0,a,b\n2.0,b,c\n3.5,c,a\n"
 
 class TestLoadEvents:
     def test_three_rows_distinct_times(self):
-        seq = load_events(CSV3)
+        seq = load_events(io.StringIO(CSV3))
         assert len(seq) == 3
         assert np.all(np.diff(seq.times) > 0)
         assert seq.n_actors == 3
@@ -25,46 +24,40 @@ class TestLoadEvents:
         labels = [f"actor{i}" for i in range(10)]
         for m in range(30):
             rows.append(f"{m + 1}.0,{labels[m % 10]},{labels[(m + 3) % 10]}")
-        seq = load_events("\n".join(rows))
+        seq = load_events(io.StringIO("\n".join(rows)))
         assert seq.n_actors == 10
         assert len(RiskSet(seq.n_actors)) == 90
 
     def test_spread_policy_three_same_day(self):
         csv = "time,sender,receiver\n7,a,b\n7,b,a\n7,a,c\n"
-        seq = load_events(csv, tie_policy="spread", tie_unit=1.0)
+        seq = load_events(io.StringIO(csv), tie_policy="spread", tie_unit=1.0)
         np.testing.assert_allclose(seq.times, [7.25, 7.5, 7.75])
 
     def test_custom_columns(self):
         csv = "when,src,dst\n1.0,x,y\n2.0,y,x\n"
-        seq = load_events(csv, columns={"time": "when", "sender": "src", "receiver": "dst"})
+        columns = {"time": "when", "sender": "src", "receiver": "dst"}
+        seq = load_events(io.StringIO(csv), columns=columns)
         assert len(seq) == 2
 
     def test_errors_report_row_numbers(self):
         with pytest.raises(EventDataError, match="row 2"):
-            load_events("time,sender,receiver\n1.0,a,b\nnope,b,a\n")
+            load_events(io.StringIO("time,sender,receiver\n1.0,a,b\nnope,b,a\n"))
         with pytest.raises(EventDataError, match="row 2.*self-loop"):
-            load_events("time,sender,receiver\n1.0,a,b\n2.0,b,b\n")
+            load_events(io.StringIO("time,sender,receiver\n1.0,a,b\n2.0,b,b\n"))
         with pytest.raises(EventDataError, match="row 2.*backwards"):
-            load_events("time,sender,receiver\n3.0,a,b\n2.0,b,a\n")
+            load_events(io.StringIO("time,sender,receiver\n3.0,a,b\n2.0,b,a\n"))
         with pytest.raises(EventDataError, match="tied"):
-            load_events("time,sender,receiver\n1.0,a,b\n1.0,b,a\n")
-
-    def test_bytes_source(self):
-        seq = load_events(CSV3.encode("utf-8"))
-        assert len(seq) == 3
+            load_events(io.StringIO("time,sender,receiver\n1.0,a,b\n1.0,b,a\n"))
 
     def test_roundtrip_identity(self, tmp_path):
-        seq = load_events(CSV3)
+        seq = load_events(io.StringIO(CSV3))
         path = tmp_path / "events.csv"
         seq.to_csv(path)
-        again = load_events(str(path))
-        # labels saved as original strings only via the label map
-        assert np.array_equal(again.times, seq.times)
-        assert np.array_equal(again.senders, seq.senders)
-        assert np.array_equal(again.receivers, seq.receivers)
-        seq.dump_label_map(tmp_path / "labels.json")
-        with open(tmp_path / "labels.json") as f:
-            assert json.load(f) == {"a": 0, "b": 1, "c": 2}
+        for source in (path, str(path)):
+            again = load_events(source)
+            assert np.array_equal(again.times, seq.times)
+            assert np.array_equal(again.senders, seq.senders)
+            assert np.array_equal(again.receivers, seq.receivers)
 
 
 class TestSpreadTies:
@@ -74,22 +67,22 @@ class TestSpreadTies:
 
     def test_two_events_at_zero(self):
         csv = "time,sender,receiver\n0,a,b\n0,b,a\n"
-        seq = load_events(csv, tie_policy="spread", tie_unit=1.0)
+        seq = load_events(io.StringIO(csv), tie_policy="spread", tie_unit=1.0)
         np.testing.assert_allclose(seq.times, [1 / 3, 2 / 3])
 
     def test_four_events_unit_one(self):
         csv = "time,sender,receiver\n2,a,b\n2,b,a\n2,a,c\n2,c,a\n"
-        seq = load_events(csv, tie_policy="spread", tie_unit=1.0)
+        seq = load_events(io.StringIO(csv), tie_policy="spread", tie_unit=1.0)
         np.testing.assert_allclose(seq.times, [2.2, 2.4, 2.6, 2.8])
 
     def test_overlap_next_timestamp_rejected(self):
         csv = "time,sender,receiver\n0,a,b\n0,b,a\n0.5,a,b\n"
         with pytest.raises(EventDataError, match="overlap"):
-            load_events(csv, tie_policy="spread", tie_unit=1.0)
+            load_events(io.StringIO(csv), tie_policy="spread", tie_unit=1.0)
 
     def test_order_preserved_within_block(self):
         csv = "time,sender,receiver\n3,a,b\n3,c,a\n4,b,c\n"
-        seq = load_events(csv, tie_policy="spread", tie_unit=1.0)
+        seq = load_events(io.StringIO(csv), tie_policy="spread", tie_unit=1.0)
         assert seq.labels == ("a", "b", "c")
         assert (seq.senders[0], seq.receivers[0]) == (0, 1)
         assert (seq.senders[1], seq.receivers[1]) == (2, 0)
@@ -150,7 +143,7 @@ class TestEventSequence:
             tiny_seq.times[0] = 0.0
 
     def test_pickle_roundtrip(self):
-        seq = load_events(CSV3, t0=0.5)
+        seq = load_events(io.StringIO(CSV3), t0=0.5)
         again = pickle.loads(pickle.dumps(seq))
         assert again == seq
         assert again.labels == ("a", "b", "c") and again.t0 == 0.5
@@ -179,7 +172,7 @@ def test_spread_property(blocks, unit):
     raw = "time,sender,receiver\n" + "".join(
         f"{t},{'ab'[s]},{'ab'[r]}\n" for t, s, r in zip(times, senders, receivers)
     )
-    seq = load_events(raw, tie_policy="spread", tie_unit=unit)
+    seq = load_events(io.StringIO(raw), tie_policy="spread", tie_unit=unit)
     assert np.all(np.diff(seq.times) > 0)
     arr = np.asarray(times)
     for t_orig, t_new in zip(arr, seq.times):

@@ -15,11 +15,10 @@ from remdecay.likelihood import (
     LikelihoodOverflowError,
     ModelFit,
     RankDeficiencyError,
-    event_terms,
+    event_derivatives,
     fit_mle,
     grad_and_hessian,
     log_likelihood,
-    log_rates,
 )
 from remdecay.sim import SimConfig, simulate
 from remdecay.stats import StatisticKind, compute_stepwise_stats
@@ -80,18 +79,15 @@ class TestLogLikelihood:
             assert mid >= avg - 1e-9
 
 
-def dense_reference(stats, seq, betas):
+def dense_reference(stats, seq, beta):
     """Per-event terms, gradient and Hessian straight from the dense tensor."""
     U = to_dense(stats)
     M = len(seq)
     positions = RiskSet(seq.n_actors).event_positions(seq)
     dt = np.diff(seq.times, prepend=seq.t0)
-    eta = np.einsum("mdp,p...->md...", U, betas)
+    eta = U @ beta
     lam = np.exp(eta)
-    realized = eta[np.arange(M), positions]
-    terms = realized - (dt * lam.sum(axis=1).T).T
-    if betas.ndim == 2:
-        return terms, None, None
+    terms = eta[np.arange(M), positions] - dt * lam.sum(axis=1)
     w = dt[:, None] * lam
     grad = U[np.arange(M), positions].sum(axis=0) - np.einsum("md,mdp->p", w, U)
     hess = -np.einsum("md,mdp,mdq->pq", w, U, U)
@@ -100,32 +96,16 @@ def dense_reference(stats, seq, betas):
 
 @pytest.fixture(scope="module")
 def inertia_design():
-    """(seq, stats, draws): 3000 events among 10 actors with an inertia
-    effect, its K = 5 inertia design (about 17k runs, 147 distinct states)
-    and 200 draws near the truth."""
+    """(seq, stats): 3000 events among 10 actors with an inertia effect and
+    its K = 5 inertia design (about 17k runs, 147 distinct states)."""
     effects = {StatisticKind.INERTIA: WeibullDecay(scale=4.0, shape=1.0, peak=0.6)}
     seq = simulate(SimConfig(n_actors=10, beta0=-3.9, effects=effects, horizon=20.0,
                              n_events=3000, seed=3))
     stats = compute_stepwise_stats(seq, RiskSet(10), (StatisticKind.INERTIA,), equal_spec(5, 20.0))
-    draws = np.random.default_rng(0).normal([-3.9, 0.5, 0.3, 0.2, 0.1, 0.0], 0.05, (200, 6))
-    return seq, stats, draws
+    return seq, stats
 
 
 class TestRateKernel:
-    def test_columns_match_single_evaluations(self, rng):
-        seq, rs, stats = random_instance(rng, n_events=40)
-        betas = rng.normal(0, 0.3, (stats.n_columns, 5))
-        terms = event_terms(stats, seq, betas)
-        eta = log_rates(stats, betas)
-        assert terms.shape == (len(seq), 5) and eta.shape == (len(stats.rows), 5)
-        for b in range(5):
-            t1 = event_terms(stats, seq, betas[:, b])
-            np.testing.assert_allclose(terms[:, b], t1, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(eta[:, b], log_rates(stats, betas[:, b]), rtol=1e-12, atol=1e-15)
-            ll = log_likelihood(stats, seq, betas[:, b])
-            assert terms[:, b].sum() == pytest.approx(ll, rel=1e-12)
-            assert t1.sum() == pytest.approx(ll, rel=1e-12)
-
     def test_matches_dense_reference(self, rng):
         for _ in range(5):
             seq = random_sequence(rng, int(rng.integers(2, 6)), int(rng.integers(10, 60)))
@@ -136,37 +116,20 @@ class TestRateKernel:
             terms, grad, hess = dense_reference(stats, seq, beta)
             g, H = grad_and_hessian(stats, seq, beta)
             scale = np.abs(terms).max()
-            np.testing.assert_allclose(event_terms(stats, seq, beta), terms, rtol=1e-12, atol=1e-12 * scale)
+            zero_cov = np.zeros((stats.n_columns, stats.n_columns))
+            np.testing.assert_allclose(event_derivatives(stats, seq, beta, zero_cov)[0], terms,
+                                       rtol=1e-12, atol=1e-12 * scale)
             np.testing.assert_allclose(g, grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max())
             np.testing.assert_allclose(H, hess, rtol=1e-12, atol=1e-12 * np.abs(hess).max())
             assert log_likelihood(stats, seq, beta) == pytest.approx(terms.sum(), rel=1e-12)
-            betas = rng.normal(0, 0.1, (stats.n_columns, 4))
-            want = dense_reference(stats, seq, betas)[0]
-            np.testing.assert_allclose(
-                event_terms(stats, seq, betas), want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
-            )
-
-    def test_draw_densities_hold_no_runs_by_draws_array(self, inertia_design):
-        """Memory guard: on a 3000-event, 10-actor inertia design at K = 5
-        (about 17k runs), the densities of 200 draws must peak below one
-        runs x draws float64 array; the rates are evaluated per distinct state."""
-        seq, stats, draws = inertia_design
-        tracemalloc.start()
-        try:
-            out = event_terms(stats, seq, draws.T)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out.shape == (3000, len(draws)) and np.isfinite(out).all()
-        assert peak < stats.ids.size * len(draws) * 8
 
     @pytest.mark.parametrize("ahead", [1, 3])
     def test_waic_holds_no_events_by_draws_array(self, inertia_design, ahead):
         """Memory guard: WAIC takes no draws and sums its P + 2 per-state
-        columns through the runs one column at a time, so on the same design
-        it must peak below one runs x (P + 2) float64 array, and far below
+        columns through the runs one column at a time, so on the inertia
+        design it must peak below one runs x (P + 2) float64 array, and far below
         the events x draws array that sampled scoring would fill."""
-        seq, stats, draws = inertia_design
+        seq, stats = inertia_design
         fit = fit_mle(stats, seq)
         cfg = WaicConfig.default_for(len(seq), ahead=ahead)
         tracemalloc.start()
@@ -177,7 +140,7 @@ class TestRateKernel:
             tracemalloc.stop()
         assert math.isfinite(elpd)
         assert peak < stats.ids.size * (stats.n_columns + 2) * 8
-        assert peak < stats.n_events * len(draws) * 8 / 4
+        assert peak < stats.n_events * 200 * 8 / 4  # events x 200 sampled draws
 
     def test_fit_holds_no_float_design(self, wide_seq):
         """Memory guard: on the six-kind K = 5 design of ``wide_seq`` (about
@@ -208,7 +171,8 @@ class TestRateKernel:
     def test_overflow_returned_not_raised(self, rng):
         seq, rs, stats = random_instance(rng, n_events=12)
         beta = np.full(stats.n_columns, 400.0)
-        terms = event_terms(stats, seq, beta)
+        # returned without a RuntimeWarning, which the test configuration makes an error
+        terms = event_derivatives(stats, seq, beta, np.eye(stats.n_columns))[0]
         bad = np.flatnonzero(~np.isfinite(terms))
         assert bad.size
         with pytest.raises(LikelihoodOverflowError) as err:
