@@ -189,7 +189,7 @@ class _HistoryState:
             return expo
         ages = t - self.times[lo:hi]
         for kind, decay in cfg.effects.items():
-            w = np.asarray(decay(ages), dtype=np.float64)
+            w = decay._eval(ages)  # t >= every history time: no sign check
             if kind in self.pos:
                 pos = self.pos[kind][lo:hi]
                 if pos.ndim == 2:

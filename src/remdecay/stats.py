@@ -281,11 +281,14 @@ def compute_stepwise_stats(
     sequence and horizon, which is spec-independent and reusable across a
     whole bag of models.
 
-    Every count is a difference array: +1 on the dyads a contribution touches
-    at the row it enters an interval, -1 at the row it leaves. A dyad's runs
-    start at row 0 and at every row where it has such an entry; each run's
-    state is the dyad's running sum of its entries. Each column's counts are
-    filled from that column's entries and kept in the smallest unsigned type
+    Every contribution that counts at all emits one key per boundary crossing
+    on each dyad it touches: it counts toward interval k from the row where it
+    crosses g_{k-1} (g_0 = 0; a closure pair not before its activation row)
+    to the row where it crosses g_k. So an interval's count is the running
+    sum of its lower boundary's crossings minus its upper boundary's. A
+    dyad's runs start at row 0 and at every row where it has a crossing; each
+    run's state is those running sums at the run's start. Each column's
+    counts are kept in the smallest unsigned type
     that holds them, and the distinct states are told apart by one exact
     mixed-radix key per run whose digits are the run's counts, so no runs x
     columns array in a type wider than the counts need is formed.
@@ -307,27 +310,23 @@ def compute_stepwise_stats(
                 f"triad precompute horizon {triad_pairs.horizon} != spec horizon {spec.horizon}"
             )
 
-    # difference-array entries, keyed dyad * (M + 1) + row: for each column
-    # 1..P-1 the keys where a contribution enters (+1), then where it leaves (-1)
+    # crossing keys dyad * (M + 1) + row: after the D head keys, for each kind
+    # one group per boundary 0..K of the rows where a contribution crosses it
     keys = [np.arange(D, dtype=np.int64) * (M + 1)]
 
-    def emit(dyads: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-        live = a < b
-        dyads, a, b = dyads[live], a[live], b[live]
-        for rows in (a, b):
-            inside = rows < M
-            keys.append((dyads[inside] * (M + 1) + rows[inside, None]).ravel())
+    def emit(dyads: np.ndarray, rows: np.ndarray) -> None:
+        live = rows[:, 0] < rows[:, K]
+        dyads, rows = dyads[live], rows[live]
+        for crossed in rows.T:
+            inside = crossed < M
+            keys.append((dyads[inside] * (M + 1) + crossed[inside, None]).ravel())
 
     for kind in kinds:
         if kind in SECOND_ORDER:
-            outer, pos = triad_pairs.outer, triad_pairs.positions[kind]
-            for k in range(K):
-                a = np.maximum(ends[outer, k], triad_pairs.act_row)
-                emit(pos[:, None], a, ends[outer, k + 1])
+            rows = np.maximum(ends[triad_pairs.outer], triad_pairs.act_row[:, None])
+            emit(triad_pairs.positions[kind][:, None], rows)
         else:
-            touched = touched_dyads(rs, kind, seq.senders, seq.receivers)
-            for k in range(K):
-                emit(touched, ends[:, k], ends[:, k + 1])
+            emit(touched_dyads(rs, kind, seq.senders, seq.receivers), ends)
 
     bounds = np.cumsum([k.size for k in keys])
     # the runs start at the distinct keys; inverse[i] is the run of entry i.
@@ -350,8 +349,9 @@ def compute_stepwise_stats(
     key = np.zeros(R, dtype=np.int64)
     space = 1
     for col in range(1, P):
-        count = np.bincount(inverse[bounds[2 * col - 2] : bounds[2 * col - 1]], minlength=R)
-        count -= np.bincount(inverse[bounds[2 * col - 1] : bounds[2 * col]], minlength=R)
+        g = col + (col - 1) // K  # the group of the column's lower boundary
+        count = np.bincount(inverse[bounds[g - 1] : bounds[g]], minlength=R)
+        count -= np.bincount(inverse[bounds[g] : bounds[g + 1]], minlength=R)
         # segmented running sum: cancel each dyad's total at the next dyad's first run
         count[heads[1:]] -= np.add.reduceat(count, heads)[:-1]
         np.cumsum(count, out=count)
