@@ -31,7 +31,7 @@ from .likelihood import (
     event_derivatives,
     fit_mle,
 )
-from .stats import StatTensor, StatisticKind, compute_stepwise_stats
+from .stats import StatTensor, StatisticKind, _distinct_kinds, compute_stepwise_stats
 
 __all__ = [
     "P_WAIC_WARN",
@@ -274,13 +274,14 @@ def fit_bag(
     Every result is deterministic, so none depends on ``jobs``. ``jobs > 1``
     spreads the models over that many worker processes (never more than
     there are models). Only one design per process is alive at a time. The
-    options are validated by this call, before any model runs.
+    options and ``kinds`` (a kind given twice is an error) are validated by
+    this call, before any model runs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs!r}")
     if waic is not None:
         _check_window(waic, len(seq))
-    args = (seq, tuple(StatisticKind(k) for k in kinds), waic, FitOptions(ridge=ridge))
+    args = (seq, _distinct_kinds(kinds), waic, FitOptions(ridge=ridge))
     tasks = list(enumerate(specs))
     return _run_bag(args, tasks, min(jobs, len(tasks)))
 
@@ -456,12 +457,14 @@ def extract_trend(
     A draw from a model whose last bound is below a grid age contributes 0
     there (the effect function vanishes beyond its horizon). The point
     summary is the KDE mode; the band is the shortest interval holding
-    ``level`` of the draws.
+    ``level`` (in (0, 1]) of the draws.
     """
     if draws.n_draws < 10:
         raise ValueError(f"need at least 10 draws, got {draws.n_draws}")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
+    if not 0.0 < level <= 1.0:
+        raise ValueError(f"level must be in (0, 1], got {level!r}")
     fits = bag.fits
     if kinds is None:
         kinds = fits[0].kinds

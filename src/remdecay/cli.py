@@ -35,7 +35,6 @@ from .bma import (
     fit_bag,
     sample_posterior,
 )
-from .decay import decay_from_json
 from .events import EventSequence, load_events
 from .intervals import bag_from_json, bag_to_json, generate_interval_bag
 from .likelihood import ModelFit
@@ -104,18 +103,7 @@ def cmd_simulate(cfg: dict) -> dict:
     _ensure_outputs([events_path, manifest_path, os.path.join(out, "config.json")],
                     cfg.get("force", False))
 
-    effects = {
-        StatisticKind(k): decay_from_json(v) for k, v in cfg.get("effects", {}).items()
-    }
-    sim_cfg = SimConfig(
-        n_actors=cfg["n_actors"],
-        beta0=cfg["beta0"],
-        effects=effects,
-        horizon=cfg.get("horizon") if cfg.get("horizon") is not None else np.inf,
-        n_events=cfg.get("n_events"),
-        end_time=cfg.get("end_time"),
-        seed=cfg.get("seed", 0),
-    )
+    sim_cfg = SimConfig.from_json_dict(cfg)
     seq = simulate(sim_cfg)
     os.makedirs(out, exist_ok=True)
     seq.to_csv(events_path)
@@ -332,9 +320,8 @@ def cmd_report(cfg: dict) -> dict:
         )
     trend_json = os.path.join(out, "trend.json")
     if os.path.exists(trend_json):
-        with open(trend_json) as fh:
-            trend = json.load(fh)
-        mode = trend["intercept"]["mode"]
+        mode = _read_json(trend_json, "the trend.json that trend writes",
+                          lambda doc: float(doc["intercept"]["mode"]))
         lines.append("")
         lines.append(
             f"- intercept posterior mode: {mode:.4f} "
@@ -419,8 +406,7 @@ _REQUIRED = {
 def _merge_config(args: argparse.Namespace) -> dict:
     cfg: dict = {}
     if args.config:
-        with open(args.config) as f:
-            cfg.update(json.load(f))
+        cfg.update(_read_json(args.config, "a JSON object of config fields", lambda doc: {**doc}))
     for key, val in vars(args).items():
         if key in ("config", "command") or val is None:
             continue

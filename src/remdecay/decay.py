@@ -8,7 +8,7 @@ stepwise profiles against them. No parameter fitting happens here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -140,43 +140,31 @@ def half_life(fn: WeibullDecay) -> float:
     return fn.scale * math.log(2.0)
 
 
+_VARIANTS = {"stepwise": StepwiseDecay, "linear": LinearDecay, "weibull": WeibullDecay,
+             "composite": CompositeDecay}
+
+
 def decay_to_json(fn: DecayFn) -> dict:
+    """The variant's name and every field; a spec or components nested as JSON."""
+    variant = next((v for v, c in _VARIANTS.items() if type(fn) is c), None)
+    if variant is None:
+        raise DecayError(f"unknown decay variant {type(fn).__name__}")
+    d = {"variant": variant, **{f.name: getattr(fn, f.name) for f in fields(fn)}}
     if isinstance(fn, StepwiseDecay):
-        return {
-            "variant": "stepwise",
-            "spec": fn.spec.to_json_dict(),
-            "levels": list(fn.levels),
-        }
-    if isinstance(fn, LinearDecay):
-        return {"variant": "linear", "cutoff": fn.cutoff, "peak": fn.peak}
-    if isinstance(fn, WeibullDecay):
-        return {
-            "variant": "weibull",
-            "scale": fn.scale,
-            "shape": fn.shape,
-            "peak": fn.peak,
-        }
-    if isinstance(fn, CompositeDecay):
-        return {
-            "variant": "composite",
-            "components": [
-                {"term": decay_to_json(t), "offset": off} for t, off in fn.components
-            ],
-        }
-    raise DecayError(f"unknown decay variant {type(fn).__name__}")
+        d["spec"] = fn.spec.to_json_dict()
+    elif isinstance(fn, CompositeDecay):
+        d["components"] = [{"term": decay_to_json(t), "offset": off} for t, off in fn.components]
+    return d
 
 
 def decay_from_json(d: dict) -> DecayFn:
-    v = d["variant"]
-    if v == "stepwise":
-        return StepwiseDecay(IntervalSpec.from_json_dict(d["spec"]), tuple(d["levels"]))
-    if v == "linear":
-        return LinearDecay(cutoff=d["cutoff"], peak=d["peak"])
-    if v == "weibull":
-        return WeibullDecay(scale=d["scale"], shape=d["shape"], peak=d["peak"])
-    if v == "composite":
-        comps = tuple(
-            (decay_from_json(c["term"]), c["offset"]) for c in d["components"]
-        )
-        return CompositeDecay(comps)
-    raise DecayError(f"unknown decay variant {v!r}")
+    """The decay that ``decay_to_json`` wrote; a missing field raises KeyError."""
+    cls = _VARIANTS.get(d["variant"])
+    if cls is None:
+        raise DecayError(f"unknown decay variant {d['variant']!r}")
+    kw = {f.name: d[f.name] for f in fields(cls)}
+    if cls is StepwiseDecay:
+        kw["spec"] = IntervalSpec.from_json_dict(kw["spec"])
+    elif cls is CompositeDecay:
+        kw["components"] = tuple((decay_from_json(c["term"]), c["offset"]) for c in kw["components"])
+    return cls(**kw)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -25,7 +26,7 @@ class EventDataError(ValueError):
 class EventSequence:
     """Time-ordered directed events over a fixed actor set.
 
-    Actor ids are dense integers 0..n_actors-1. Times are strictly
+    Actor ids are dense integers 0..n_actors-1. Times are finite, strictly
     increasing floats in user-declared units; ``t0`` is the observation
     start (defaults to 0) and every statistic/likelihood treats the first
     waiting time as ``times[0] - t0``.
@@ -50,6 +51,9 @@ class EventSequence:
         if n_actors < 1:
             raise EventDataError("need at least one actor")
         if times.size:
+            bad = np.flatnonzero(~np.isfinite(times))
+            if bad.size:
+                raise EventDataError(f"event times must be finite (violated at event {bad[0]})")
             if times[0] < 0:
                 raise EventDataError("event times must be nonnegative")
             if np.any(np.diff(times) <= 0):
@@ -198,8 +202,8 @@ def load_events(
       * ``"error"``  - tied timestamps are rejected;
       * ``"spread"`` - each tied block is spread evenly across ``tie_unit``.
 
-    Malformed rows (unparsable time, self-loop, time running backwards) are
-    reported with their 1-based data row number.
+    Malformed rows (unparsable or non-finite time, self-loop, time running
+    backwards) are reported with their 1-based data row number.
     """
     cols = {"time": "time", "sender": "sender", "receiver": "receiver"}
     if columns:
@@ -226,9 +230,9 @@ def load_events(
             try:
                 t = float(row[cols["time"]])
             except (TypeError, ValueError):
-                raise EventDataError(
-                    f"row {rownum}: unparsable time {row.get(cols['time'])!r}"
-                ) from None
+                t = math.nan
+            if not math.isfinite(t):
+                raise EventDataError(f"row {rownum}: unparsable time {row.get(cols['time'])!r}")
             s_lab = row[cols["sender"]]
             r_lab = row[cols["receiver"]]
             if s_lab is None or r_lab is None or s_lab == "" or r_lab == "":

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -58,6 +58,7 @@ FLOAT_FLOOR = 64 * np.finfo(np.float64).eps  # predicted gain, relative to max(1
 _JITTER_NOTE = "hessian factorization required a 1e-8 jitter"
 _NEVER_REALIZED_NOTE = "column(s) at risk but never realized"
 _ROW_BLOCK = 4096  # distinct states per float64 block of the design
+_JSON_KEYS = {"beta_hat": "beta", "cov_hat": "cov"}  # the ModelFit fields stored under another key
 
 
 @dataclass
@@ -115,48 +116,32 @@ class ModelFit:
         return any(n.startswith(_NEVER_REALIZED_NOTE) for n in self.warnings)
 
     def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_json_dict() if self.spec is not None else None,
-            "kinds": [k.value for k in self.kinds],
-            "labels": list(self.labels),
-            "beta": [float(b) for b in self.beta_hat],
-            "cov": [float(c) for c in self.cov_hat.ravel()],
-            "loglik": self.loglik,
-            "n_params": self.n_params,
-            "n_events": self.n_events,
-            "bic": self.bic,
-            "waic": self.waic,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "warnings": list(self.warnings),
-            "halvings": self.halvings,
-            "max_abs_grad": self.max_abs_grad,
-            "stop": self.stop,
-            "n_high_p_waic": self.n_high_p_waic,
-        }
+        """Every field, ``beta_hat`` as "beta" and ``cov_hat`` as "cov" (row-major)."""
+        d = {_JSON_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
+        d.update(
+            spec=self.spec.to_json_dict() if self.spec is not None else None,
+            kinds=[k.value for k in self.kinds],
+            labels=list(self.labels),
+            beta=[float(b) for b in self.beta_hat],
+            cov=[float(c) for c in self.cov_hat.ravel()],
+            warnings=list(self.warnings),
+        )
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelFit":
-        P = d["n_params"]
-        return cls(
-            spec=IntervalSpec.from_json_dict(d["spec"]) if d["spec"] else None,
-            kinds=tuple(StatisticKind(k) for k in d["kinds"]),
-            labels=tuple(d["labels"]),
-            beta_hat=np.asarray(d["beta"], dtype=np.float64),
-            cov_hat=np.asarray(d["cov"], dtype=np.float64).reshape(P, P),
-            loglik=d["loglik"],
-            n_params=P,
-            n_events=d["n_events"],
-            bic=d["bic"],
-            waic=d["waic"],
-            converged=d["converged"],
-            iterations=d["iterations"],
-            warnings=tuple(d["warnings"]),
-            halvings=d["halvings"],
-            max_abs_grad=d["max_abs_grad"],
-            stop=d["stop"],
-            n_high_p_waic=d["n_high_p_waic"],
+        """The fit that ``to_json_dict`` wrote; a missing key raises KeyError."""
+        v = {f.name: d[_JSON_KEYS.get(f.name, f.name)] for f in fields(cls)}
+        P = v["n_params"]
+        v.update(
+            spec=IntervalSpec.from_json_dict(v["spec"]) if v["spec"] else None,
+            kinds=tuple(StatisticKind(k) for k in v["kinds"]),
+            labels=tuple(v["labels"]),
+            beta_hat=np.asarray(v["beta_hat"], dtype=np.float64),
+            cov_hat=np.asarray(v["cov_hat"], dtype=np.float64).reshape(P, P),
+            warnings=tuple(v["warnings"]),
         )
+        return cls(**v)
 
 
 def _float_blocks(U: np.ndarray):

@@ -10,7 +10,7 @@ generated sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -76,29 +76,23 @@ class SimConfig:
         object.__setattr__(self, "effects", effects)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_actors": self.n_actors,
-            "beta0": self.beta0,
-            "effects": {k.value: decay_to_json(v) for k, v in self.effects.items()},
-            "horizon": self.horizon if np.isfinite(self.horizon) else None,
-            "n_events": self.n_events,
-            "end_time": self.end_time,
-            "seed": self.seed,
-        }
+        """Every field; the effects as {kind: decay JSON}, an infinite horizon as null."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d.update(
+            effects={k.value: decay_to_json(v) for k, v in self.effects.items()},
+            horizon=self.horizon if np.isfinite(self.horizon) else None,
+        )
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SimConfig":
-        return cls(
-            n_actors=d["n_actors"],
-            beta0=d["beta0"],
-            effects={
-                StatisticKind(k): decay_from_json(v) for k, v in d["effects"].items()
-            },
-            horizon=d["horizon"] if d.get("horizon") is not None else np.inf,
-            n_events=d.get("n_events"),
-            end_time=d.get("end_time"),
-            seed=d.get("seed", 0),
-        )
+        """A manifest's ``generator`` or simulate's flat config: a missing or
+        null optional field takes its default, and other keys are ignored."""
+        # a required field (one without a default) is read even when missing: KeyError
+        kw = {f.name: d[f.name] for f in fields(cls)
+              if d.get(f.name) is not None or f.default is f.default_factory is MISSING}
+        kw["effects"] = {k: decay_from_json(v) for k, v in kw.get("effects", {}).items()}
+        return cls(**kw)
 
 
 def _room(a: np.ndarray, n: int) -> np.ndarray:

@@ -265,6 +265,14 @@ def _labels(kinds: Sequence[StatisticKind], K: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def _distinct_kinds(kinds: Iterable[StatisticKind]) -> tuple[StatisticKind, ...]:
+    """``kinds`` as StatisticKind members; a kind given twice is a ValueError."""
+    kinds = tuple(StatisticKind(k) for k in kinds)
+    if len(set(kinds)) != len(kinds):
+        raise ValueError("duplicate statistic kinds")
+    return kinds
+
+
 def compute_stepwise_stats(
     seq: EventSequence,
     rs: RiskSet,
@@ -293,9 +301,7 @@ def compute_stepwise_stats(
     mixed-radix key per run whose digits are the run's counts, so no runs x
     columns array in a type wider than the counts need is formed.
     """
-    kinds = tuple(StatisticKind(k) for k in kinds)
-    if len(set(kinds)) != len(kinds):
-        raise ValueError("duplicate statistic kinds")
+    kinds = _distinct_kinds(kinds)
     times = seq.times
     M, D, K = times.size, len(rs), spec.size
     P = 1 + K * len(kinds)

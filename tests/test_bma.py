@@ -477,6 +477,14 @@ class TestExtractTrend:
         with pytest.raises(ValueError, match="draws"):
             extract_trend(draws, bag, grid_size=10, gamma_max=5.0)
 
+    @pytest.mark.parametrize("level", [1.5, 0.0])
+    def test_level_outside_unit_interval_rejected(self, level):
+        fit = make_fit([5.0], [0.0, 0.1])
+        bag = ModelBag(fits=[fit], weights=np.array([1.0]), weighting_kind="bic")
+        draws = sample_posterior(bag, 100, seed=0)
+        with pytest.raises(ValueError, match="level"):
+            extract_trend(draws, bag, grid_size=10, gamma_max=5.0, level=level)
+
     def test_csv_and_json_output(self, tmp_path):
         fit = make_fit([5.0], [0.0, 0.1], cov_scale=0.0)
         bag = ModelBag(fits=[fit], weights=np.array([1.0]), weighting_kind="bic")

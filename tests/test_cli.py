@@ -188,6 +188,7 @@ class TestFitBag:
         (["--weighting", "waic", "--waic-burn-in", "0"], "burn_in"),
         (["--jobs", "0"], "jobs"),
         (["--weighting", "waic", "--waic-burn-in", "500"], "burn_in"),
+        (["--kinds", "inertia,inertia"], "duplicate"),
     ])
     def test_invalid_fit_option_is_error(self, sim_dir, bag_file, tmp_path, capsys, flags, name):
         rc = main([
@@ -564,12 +565,20 @@ def _without_halvings(fitted_dir, tmp_path):
     return path
 
 
-@pytest.mark.parametrize("case", ["gen-intervals config", "events csv", "fits without halvings"])
+@pytest.mark.parametrize("case", [
+    "gen-intervals config", "events csv", "fits without halvings", "config list", "config not json",
+])
 def test_malformed_input_file_named(sim_dir, bag_file, fitted_dir, tmp_path, capsys, case):
     """A JSON input that is not what the command reads names the file and
     what was expected; the command exits 1 and creates nothing."""
     out = tmp_path / "out"
-    if case == "fits without halvings":
+    if case.startswith("config"):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]\n" if case == "config list" else "gamma_max = 20\n")
+        argv = ["gen-intervals", "--config", str(path), "--out", str(out)]
+        detail = "is malformed ('list' object is not a mapping)" if case == "config list" else "is not JSON"
+        expected = "a JSON object of config fields"
+    elif case == "fits without halvings":
         path = _without_halvings(fitted_dir, tmp_path)
         argv = ["report", "--fits", str(path), "--out", str(out)]
         detail, expected = "has no field 'halvings'", "the fits.json that fit-bag writes"

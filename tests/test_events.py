@@ -42,6 +42,10 @@ class TestLoadEvents:
     def test_errors_report_row_numbers(self):
         with pytest.raises(EventDataError, match="row 2"):
             load_events(io.StringIO("time,sender,receiver\n1.0,a,b\nnope,b,a\n"))
+        with pytest.raises(EventDataError, match="row 2: unparsable time 'nan'"):
+            load_events(io.StringIO("time,sender,receiver\n1.0,a,b\nnan,b,a\n3.0,a,b\n"))
+        with pytest.raises(EventDataError, match="row 3: unparsable time 'inf'"):
+            load_events(io.StringIO("time,sender,receiver\n1.0,a,b\n2.0,b,a\ninf,a,b\n"))
         with pytest.raises(EventDataError, match="row 2.*self-loop"):
             load_events(io.StringIO("time,sender,receiver\n1.0,a,b\n2.0,b,b\n"))
         with pytest.raises(EventDataError, match="row 2.*backwards"):
@@ -127,6 +131,8 @@ class TestEventSequence:
             EventSequence([0.5], [1], [1], 2)
         with pytest.raises(EventDataError, match="nonnegative"):
             EventSequence([-1.0], [0], [1], 2)
+        with pytest.raises(EventDataError, match="finite.*event 1"):
+            EventSequence([1.0, np.nan, 3.0], [0, 1, 0], [1, 0, 1], 2)
 
     def test_strictly_increasing_enforced(self):
         with pytest.raises(EventDataError, match="strictly increasing"):

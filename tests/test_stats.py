@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from remdecay.bma import _model_columns
 from remdecay.decay import LinearDecay, StepwiseDecay, WeibullDecay
-from remdecay.events import EventSequence, RiskSet
+from remdecay.events import EventSequence, RiskSet, spread_ties
 from remdecay.intervals import IntervalSpec, equal_spec
-from remdecay.sim import SimConfig, _HistoryState
+from remdecay.sim import SimConfig, _HistoryState, simulate
 from remdecay.stats import StatisticKind, build_triad_pairs, compute_stepwise_stats
 
 from conftest import SIX_KINDS
@@ -153,6 +153,24 @@ class TestOracleEquivalence:
             got = compute_stepwise_stats(seq, rs, ALL_KINDS, spec)
             want = rescan_stepwise_stats(seq, rs, ALL_KINDS, spec)
             np.testing.assert_array_equal(to_dense(got), to_dense(want))
+
+    @pytest.mark.parametrize("K", [2, 5])
+    def test_tie_spread_day_times_rescan_oracle(self, K):
+        """Spread day-rounded times put many ages an ulp from a bound or from
+        a closure's activation, where the searchsorted seeds of the design
+        build are off and only the subtraction-form nudges find the rows."""
+        sim = simulate(SimConfig(n_actors=4, beta0=-2.0,
+                                 effects={StatisticKind.INERTIA: WeibullDecay(4.0, 1.0, 0.3)},
+                                 horizon=20.0, n_events=200, seed=1))
+        times = spread_ties(np.floor(sim.times), 1.0)
+        seq = EventSequence(times, sim.senders, sim.receivers, sim.n_actors)
+        rs = RiskSet(seq.n_actors)
+        kinds = [StatisticKind.INERTIA, StatisticKind.RECIPROCITY,
+                 StatisticKind.TRANSITIVITY, StatisticKind.CYCLIC]
+        spec = equal_spec(K, 20.0)
+        got = compute_stepwise_stats(seq, rs, kinds, spec)
+        want = rescan_stepwise_stats(seq, rs, kinds, spec)
+        np.testing.assert_array_equal(to_dense(got), to_dense(want))
 
     def test_shared_triad_precompute_matches_fresh(self, rng):
         seq = random_sequence(rng, 5, 60)
