@@ -38,6 +38,7 @@ __all__ = [
     "ModelBag",
     "PosteriorDraws",
     "PosteriorTrend",
+    "WEIGHTINGS",
     "WaicConfig",
     "bag_weights",
     "bic_weights",
@@ -56,6 +57,7 @@ __all__ = [
 _WAIC_STREAM = 101
 _DRAW_STREAM = 202
 P_WAIC_WARN = 0.4  # per-point p_waic above which WAIC is unreliable (Vehtari, Gelman & Gabry 2017)
+WEIGHTINGS = ("bic", "waic")  # the names ``bag_weights`` weights a bag by
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -127,11 +129,7 @@ def _check_window(cfg: WaicConfig, M: int) -> None:
 
 
 def waic_pointwise(
-    fit: ModelFit,
-    stats: StatTensor,
-    seq: EventSequence,
-    cfg: WaicConfig,
-    rng: np.random.Generator | None = None,
+    fit: ModelFit, stats: StatTensor, seq: EventSequence, cfg: WaicConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lpd_i, p_i) for each scoring point of one model, in closed form.
 
@@ -143,8 +141,8 @@ def waic_pointwise(
     variance p_i = g_i' cov g_i, where l_i, g_i and H_i sum the per-event
     terms, gradients and Hessians of the window's events at beta_hat. This
     is the second-order form of WAIC, asymptotically equivalent to
-    leave-one-out (Watanabe 2010); it takes no draws, so ``rng`` and
-    ``cfg.n_draws`` have no effect and the result is deterministic.
+    leave-one-out (Watanabe 2010); it takes no draws, so ``cfg.n_draws``
+    has no effect and the result is deterministic.
     """
     _check_window(cfg, len(seq))
     M, L, A = len(seq), cfg.burn_in, cfg.ahead
@@ -173,7 +171,7 @@ def waic_elpd(
     """(elpd_hat, lpd_hat, p_waic) for one model: lpd_hat sums the per-point
     log mean densities of ``waic_pointwise``, p_waic their per-point
     variances, and elpd_hat = lpd_hat - p_waic. ``rng`` has no effect."""
-    return _waic_totals(*waic_pointwise(fit, stats, seq, cfg, rng))
+    return _waic_totals(*waic_pointwise(fit, stats, seq, cfg))
 
 
 def _converged_scores(fits: Sequence[ModelFit], scores: np.ndarray) -> np.ndarray:
@@ -215,12 +213,12 @@ def weights_from_elpds(fits: Sequence[ModelFit], elpds: np.ndarray) -> np.ndarra
 def bag_weights(fits: Sequence[ModelFit], weighting: str) -> np.ndarray:
     """Bag weights by ``"bic"``, or by ``"waic"`` from the elpd stored on each
     fit's ``waic`` (models without one get zero weight)."""
+    if weighting not in WEIGHTINGS:
+        raise ValueError(f"unknown weighting {weighting!r}")
     if weighting == "bic":
         return bic_weights(fits)
-    if weighting == "waic":
-        elpds = [f.waic if f.waic is not None else -np.inf for f in fits]
-        return weights_from_elpds(fits, np.array(elpds))
-    raise ValueError(f"unknown weighting {weighting!r}")
+    elpds = [f.waic if f.waic is not None else -np.inf for f in fits]
+    return weights_from_elpds(fits, np.array(elpds))
 
 
 def effective_model_count(weights: np.ndarray) -> float:
@@ -274,11 +272,13 @@ def fit_bag(
     Every result is deterministic, so none depends on ``jobs``. ``jobs > 1``
     spreads the models over that many worker processes (never more than
     there are models). Only one design per process is alive at a time. The
-    options and ``kinds`` (a kind given twice is an error) are validated by
-    this call, before any model runs.
+    options, ``kinds`` (a kind given twice is an error) and ``specs`` (an
+    empty bag is an error) are validated by this call, before any model runs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+    if not specs:
+        raise ValueError("empty model bag: no interval specs to fit")
     if waic is not None:
         _check_window(waic, len(seq))
     args = (seq, _distinct_kinds(kinds), waic, FitOptions(ridge=ridge))
@@ -302,7 +302,7 @@ class ModelBag:
 
     fits: list[ModelFit]
     weights: np.ndarray
-    weighting_kind: str  # "bic" or "waic"
+    weighting_kind: str  # one of WEIGHTINGS
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -310,7 +310,7 @@ class ModelBag:
             raise ValueError("need one weight per fit")
         if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be a probability vector (sum within 1e-12)")
-        if self.weighting_kind not in ("bic", "waic"):
+        if self.weighting_kind not in WEIGHTINGS:
             raise ValueError(f"unknown weighting kind {self.weighting_kind!r}")
 
 

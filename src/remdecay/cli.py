@@ -11,7 +11,8 @@ with the same inputs reproduces the data artifacts byte for byte (the timing
 log is the one exception). Each checks its options and inputs before it
 creates ``--out``, so a command that fails there leaves nothing behind.
 Config comes from an optional flat JSON file, and any field can be overridden
-by the flag of the same name.
+by the flag of the same name; an option given neither way takes the default
+of the library function it is passed to.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from .bma import (
     P_WAIC_WARN,
+    WEIGHTINGS,
     ModelBag,
     WaicConfig,
     bag_weights,
@@ -35,7 +37,8 @@ from .bma import (
     fit_bag,
     sample_posterior,
 )
-from .events import EventSequence, load_events
+from .decay import decay_from_json
+from .events import TIE_POLICIES, load_events
 from .intervals import bag_from_json, bag_to_json, generate_interval_bag
 from .likelihood import ModelFit
 from .sim import SimConfig, SimulationError, simulate
@@ -46,12 +49,6 @@ __all__ = ["main", "cmd_simulate", "cmd_gen_intervals", "cmd_fit_bag", "cmd_tren
 
 class CliError(RuntimeError):
     pass
-
-
-def _ensure_outputs(paths: list[str], force: bool) -> None:
-    clashes = [p for p in paths if os.path.exists(p)]
-    if clashes and not force:
-        raise CliError(f"refusing to overwrite {clashes[0]} (use --force)")
 
 
 def _write_json(path: str, obj) -> None:
@@ -80,16 +77,9 @@ def _read_json(path: str, expected: str, parse):
             raise CliError(f"{path} is malformed ({exc}); expected {expected}") from exc
 
 
-def _parse_kinds(text: str) -> tuple[StatisticKind, ...]:
-    return tuple(StatisticKind(k.strip()) for k in text.split(",") if k.strip())
-
-
-def _load_sequence(cfg: dict) -> EventSequence:
-    return load_events(
-        cfg["events"],
-        tie_policy=cfg.get("tie_policy", "error"),
-        tie_unit=cfg.get("tie_unit", 1.0),
-    )
+def _given(cfg: dict, *names: str) -> dict:
+    """The fields among ``names`` that ``cfg`` has; the callee keeps its defaults for the rest."""
+    return {name: cfg[name] for name in names if name in cfg}
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +90,11 @@ def cmd_simulate(cfg: dict) -> dict:
     out = cfg["out"]
     events_path = os.path.join(out, "events.csv")
     manifest_path = os.path.join(out, "manifest.json")
-    _ensure_outputs([events_path, manifest_path, os.path.join(out, "config.json")],
-                    cfg.get("force", False))
-
     sim_cfg = SimConfig.from_json_dict(cfg)
     seq = simulate(sim_cfg)
     os.makedirs(out, exist_ok=True)
     seq.to_csv(events_path)
     _write_json(manifest_path, {"generator": sim_cfg.to_json_dict(), "n_events": len(seq)})
-    _write_json(os.path.join(out, "config.json"), cfg)
     return {"events": events_path, "manifest": manifest_path, "n_events": len(seq)}
 
 
@@ -119,7 +105,6 @@ def cmd_simulate(cfg: dict) -> dict:
 def cmd_gen_intervals(cfg: dict) -> dict:
     out = cfg["out"]
     path = os.path.join(out, "intervals.json")
-    _ensure_outputs([path, os.path.join(out, "config.json")], cfg.get("force", False))
     bag = generate_interval_bag(
         K_values=cfg.get("k_values", [3, 4, 5]),
         per_kind_count=cfg.get("per_kind_count", 250),
@@ -129,7 +114,6 @@ def cmd_gen_intervals(cfg: dict) -> dict:
     )
     os.makedirs(out, exist_ok=True)
     _write_json(path, {"gamma_max": cfg["gamma_max"], "specs": bag_to_json(bag)})
-    _write_json(os.path.join(out, "config.json"), cfg)
     return {"intervals": path, "n_specs": len(bag)}
 
 
@@ -142,13 +126,10 @@ def cmd_fit_bag(cfg: dict) -> dict:
     fits_path = os.path.join(out, "fits.json")
     weights_path = os.path.join(out, "weights.csv")
     log_path = os.path.join(out, "log.ndjson")
-    _ensure_outputs([fits_path, weights_path, log_path, os.path.join(out, "config.json")],
-                    cfg.get("force", False))
-
-    seq = _load_sequence(cfg)
-    kinds = _parse_kinds(cfg.get("kinds", "inertia"))
+    seq = load_events(cfg["events"], **_given(cfg, "tie_policy", "tie_unit"))
+    kinds = [k.strip() for k in cfg.get("kinds", "inertia").split(",") if k.strip()]
     weighting = cfg.get("weighting", "bic")
-    if weighting not in ("bic", "waic"):
+    if weighting not in WEIGHTINGS:
         raise CliError(f"unknown weighting {weighting!r}")
 
     bag = _read_json(cfg["intervals_file"], "the intervals.json that gen-intervals writes",
@@ -164,8 +145,8 @@ def cmd_fit_bag(cfg: dict) -> dict:
         )
 
     jobs = int(cfg.get("jobs", 1))
-    # validates the fit options before anything is written
-    runs = fit_bag(seq, bag, kinds, waic=waic_cfg, ridge=cfg.get("ridge", 0.0), jobs=jobs)
+    # makes each kind a StatisticKind and validates the fit options before anything is written
+    runs = fit_bag(seq, bag, kinds, waic=waic_cfg, jobs=jobs, **_given(cfg, "ridge"))
     os.makedirs(out, exist_ok=True)
     with open(log_path, "w") as log:
         _log(log, event="start", n_models=len(bag), weighting=weighting, jobs=jobs)
@@ -199,7 +180,6 @@ def cmd_fit_bag(cfg: dict) -> dict:
         _log(log, event="done", seconds=wall, models_per_second=len(bag) / wall,
              n_converged=n_converged, max_weight=float(weights.max()),
              n_eff_models=effective_model_count(weights))
-    _write_json(os.path.join(out, "config.json"), cfg)
     return {
         "fits": fits_path,
         "weights": weights_path,
@@ -230,22 +210,12 @@ def cmd_trend(cfg: dict) -> dict:
     out = cfg["out"]
     csv_path = os.path.join(out, "trend.csv")
     json_path = os.path.join(out, "trend.json")
-    _ensure_outputs([csv_path, json_path, os.path.join(out, "trend_config.json")],
-                    cfg.get("force", False))
-
-    bag = _load_bag(cfg.get("fits") or cfg["out"])
-    draws = sample_posterior(bag, cfg.get("n_draws", 10000), seed=cfg.get("seed", 0))
-    trend = extract_trend(
-        draws,
-        bag,
-        grid_size=cfg.get("grid_size", 100),
-        gamma_max=cfg.get("gamma_max"),
-        level=cfg.get("level", 0.95),
-    )
+    bag = _load_bag(cfg.get("fits") or out)
+    draws = sample_posterior(bag, cfg.get("n_draws", 10000), **_given(cfg, "seed"))
+    trend = extract_trend(draws, bag, **_given(cfg, "grid_size", "gamma_max", "level"))
     os.makedirs(out, exist_ok=True)
     trend.to_csv(csv_path)
     _write_json(json_path, trend.to_json_dict())
-    _write_json(os.path.join(out, "trend_config.json"), cfg)
     return {"trend_csv": csv_path, "trend_json": json_path}
 
 
@@ -286,7 +256,6 @@ def _ids_line(what: str, ids: list[int]) -> str:
 def cmd_report(cfg: dict) -> dict:
     out = cfg["out"]
     report_path = os.path.join(out, "report.md")
-    _ensure_outputs([report_path], cfg.get("force", False))
     bag = _load_bag(cfg.get("fits") or out)
     order = np.argsort(-bag.weights)
     lines = ["# Model bag report", ""]
@@ -371,13 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intervals-file", dest="intervals_file",
                    help="intervals.json written by gen-intervals")
     p.add_argument("--kinds", help="comma-separated statistic kinds")
-    p.add_argument("--weighting", choices=["bic", "waic"])
+    p.add_argument("--weighting", choices=WEIGHTINGS)
     p.add_argument("--waic-burn-in", dest="waic_burn_in", type=int)
     p.add_argument("--waic-ahead", dest="waic_ahead", type=int)
     p.add_argument("--waic-draws", dest="waic_draws", type=int,
                    help="no effect: WAIC is computed in closed form, without draws")
     p.add_argument("--ridge", type=float)
-    p.add_argument("--tie-policy", dest="tie_policy", choices=["error", "spread"])
+    p.add_argument("--tie-policy", dest="tie_policy", choices=TIE_POLICIES)
     p.add_argument("--tie-unit", dest="tie_unit", type=float)
     p.add_argument("--jobs", type=int)
 
@@ -395,12 +364,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# options without a default, given as a flag or a config field
-_REQUIRED = {
-    "simulate": ("n_actors", "beta0"),
-    "gen-intervals": ("gamma_max",),
-    "fit-bag": ("events", "intervals_file"),
-}
+def _k_values(value) -> list[int]:
+    return [int(k) for k in value.split(",")] if isinstance(value, str) else value
+
+
+def _effects(value) -> dict:
+    """{statistic kind: decay JSON}, each decay with every field ``decay_from_json`` reads."""
+    try:
+        effects = json.loads(value) if isinstance(value, str) else value
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not JSON ({exc})") from exc
+    if not isinstance(effects, dict):
+        raise ValueError("not a JSON object of decay objects, one per statistic kind")
+    for kind, decay in effects.items():
+        StatisticKind(kind)
+        if not isinstance(decay, dict):
+            raise ValueError(f"the {kind} decay is {decay!r}, not a JSON object")
+        try:
+            decay_from_json(decay)
+        except KeyError as exc:
+            raise ValueError(f"the {kind} decay has no field {exc}") from exc
+    return effects
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -411,32 +395,51 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if key in ("config", "command") or val is None:
             continue
         cfg[key] = val
-    if "k_values" in cfg and isinstance(cfg["k_values"], str):
-        cfg["k_values"] = [int(k) for k in cfg["k_values"].split(",")]
-    if "effects" in cfg and isinstance(cfg["effects"], str):
-        cfg["effects"] = json.loads(cfg["effects"])
-    if not cfg.get("out"):
-        raise CliError("an output directory is required (--out or config 'out')")
-    for key in _REQUIRED.get(args.command, ()):
-        if cfg.get(key) is None:
-            raise CliError(f"missing required option --{key.replace('_', '-')}")
+    for key, parse in (("k_values", _k_values), ("effects", _effects)):
+        try:
+            if key in cfg:
+                cfg[key] = parse(cfg[key])
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"--{key.replace('_', '-')}: {exc}") from exc
     return cfg
 
 
+# command: (function, options without a default, the files it writes in
+# --out, the file among them that echoes the merged config)
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "gen-intervals": cmd_gen_intervals,
-    "fit-bag": cmd_fit_bag,
-    "trend": cmd_trend,
-    "report": cmd_report,
+    "simulate": (cmd_simulate, ("n_actors", "beta0"), ("events.csv", "manifest.json", "config.json"),
+                 "config.json"),
+    "gen-intervals": (cmd_gen_intervals, ("gamma_max",), ("intervals.json", "config.json"),
+                      "config.json"),
+    "fit-bag": (cmd_fit_bag, ("events", "intervals_file"),
+                ("fits.json", "weights.csv", "log.ndjson", "config.json"), "config.json"),
+    "trend": (cmd_trend, (), ("trend.csv", "trend.json", "trend_config.json"), "trend_config.json"),
+    "report": (cmd_report, (), ("report.md",), None),
 }
+
+
+def _run(command: str, cfg: dict) -> dict:
+    """Check ``cfg`` against the command's contract in ``_COMMANDS``, refuse to
+    overwrite any file it writes unless ``force`` is set, run it and echo ``cfg``."""
+    run, required, writes, echo = _COMMANDS[command]
+    if not cfg.get("out"):
+        raise CliError("an output directory is required (--out or config 'out')")
+    for key in required:
+        if cfg.get(key) is None:
+            raise CliError(f"missing required option --{key.replace('_', '-')}")
+    clashes = [p for p in (os.path.join(cfg["out"], f) for f in writes) if os.path.exists(p)]
+    if clashes and not cfg.get("force"):
+        raise CliError(f"refusing to overwrite {clashes[0]} (use --force)")
+    summary = run(cfg)
+    if echo:
+        _write_json(os.path.join(cfg["out"], echo), cfg)
+    return summary
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        summary = _COMMANDS[args.command](cfg)
+        summary = _run(args.command, _merge_config(args))
     except (CliError, SimulationError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

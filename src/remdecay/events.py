@@ -14,9 +14,13 @@ __all__ = [
     "EventSequence",
     "RiskSet",
     "EventDataError",
+    "TIE_POLICIES",
     "load_events",
     "spread_ties",
 ]
+
+
+TIE_POLICIES = ("error", "spread")  # the tie_policy values ``load_events`` takes
 
 
 class EventDataError(ValueError):
@@ -208,7 +212,7 @@ def load_events(
     cols = {"time": "time", "sender": "sender", "receiver": "receiver"}
     if columns:
         cols.update(columns)
-    if tie_policy not in ("error", "spread"):
+    if tie_policy not in TIE_POLICIES:
         raise EventDataError(f"unknown tie_policy {tie_policy!r}")
 
     own = isinstance(source, (str, os.PathLike))

@@ -130,19 +130,11 @@ def _first_rows(times: np.ndarray, idx: np.ndarray, reached) -> np.ndarray:
     return idx
 
 
-def _threshold_rows(times: np.ndarray, bound: float) -> np.ndarray:
-    """For every event e, the first row m with times[m] - times[e] > bound."""
-    idx = np.searchsorted(times, times + bound, side="right")
-    return _first_rows(times, idx, lambda j: times[j] - times > bound)
-
-
-def _interval_row_ends(times: np.ndarray, spec: IntervalSpec) -> np.ndarray:
-    """ends[e, j]: first row where event e's age exceeds bound j (0, g_1..g_K)."""
-    bounds = np.concatenate(([0.0], spec.gamma))
-    ends = np.empty((times.size, bounds.size), dtype=np.int64)
-    for j, g in enumerate(bounds):
-        ends[:, j] = _threshold_rows(times, float(g))
-    return ends
+def _threshold_rows(times: np.ndarray, bounds) -> np.ndarray:
+    """rows[e, j]: for every event e, the first row m with times[m] - times[e] > bounds[j]."""
+    bounds = np.asarray(bounds, dtype=np.float64)
+    idx = np.searchsorted(times, times[:, None] + bounds, side="right")
+    return _first_rows(times, idx, lambda j: times[j] - times[:, None] > bounds)
 
 
 def _activation_rows(times: np.ndarray, t_outer: np.ndarray, t_inner: np.ndarray) -> np.ndarray:
@@ -235,7 +227,7 @@ def build_triad_pairs(seq: EventSequence, rs: RiskSet, horizon: float) -> TriadP
     """
     times, S, R = seq.times, seq.senders, seq.receivers
     M = times.size
-    last_row = _threshold_rows(times, float(horizon)) - 1
+    last_row = _threshold_rows(times, [float(horizon)])[:, 0] - 1
     e = np.flatnonzero(last_row > np.arange(M))
     te = times[e]
     lo = np.searchsorted(times, te - (times[last_row[e]] - te), side="left")
@@ -305,7 +297,7 @@ def compute_stepwise_stats(
     times = seq.times
     M, D, K = times.size, len(rs), spec.size
     P = 1 + K * len(kinds)
-    ends = _interval_row_ends(times, spec)
+    ends = _threshold_rows(times, np.concatenate(([0.0], spec.gamma)))
 
     needs_triads = any(k in SECOND_ORDER for k in kinds)
     if needs_triads:

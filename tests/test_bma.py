@@ -242,6 +242,11 @@ class TestFitBagJobs:
             with pytest.raises(ValueError, match="jobs"):
                 fit_bag(seq, [spec], [INERTIA], jobs=jobs)
 
+    def test_empty_bag_rejected_eagerly(self, small_fit_setup):
+        seq = small_fit_setup[0]
+        with pytest.raises(ValueError, match="empty model bag"):
+            fit_bag(seq, [], [INERTIA])
+
     def test_pool_sized_by_bag(self, small_fit_setup, monkeypatch):
         seq, _, spec, _, _ = small_fit_setup
         specs = [spec, equal_spec(3, spec.horizon), equal_spec(4, spec.horizon)]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from remdecay.bma import WaicConfig, bag_weights, extract_trend, fit_bag, sample_posterior
-from remdecay.cli import _load_bag, main
+from remdecay.cli import _COMMANDS, _load_bag, main
 from remdecay.events import load_events
 from remdecay.intervals import bag_from_json
 from remdecay.likelihood import fit_mle
@@ -296,6 +296,16 @@ class TestFitBag:
         ) in report
         assert "stops: error 22, tolerance 11;" in report
 
+    def test_empty_bag_is_error(self, sim_dir, tmp_path, capsys):
+        """A bag without specs fails before --out is created."""
+        empty = tmp_path / "intervals.json"
+        empty.write_text(json.dumps({"gamma_max": 12, "specs": []}))
+        out = tmp_path / "fits"
+        assert main(["fit-bag", "--events", str(sim_dir / "events.csv"),
+                     "--intervals-file", str(empty), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: empty model bag: no interval specs to fit\n"
+        assert not out.exists()
+
     def test_default_burn_in_leaves_room_for_ahead(self, sim_dir, bag_file, tmp_path):
         # 50 events: the default burn-in must leave 3 events to score ahead
         out = tmp_path / "ahead"
@@ -488,19 +498,16 @@ def command_args(sim_dir, bag_file, fitted_dir):
         "gen-intervals": ["--k-values", "2", "--per-kind-count", "1", "--gamma-max", "12"],
         "fit-bag": ["--events", str(sim_dir / "events.csv"), "--intervals-file", str(bag_file)],
         "trend": ["--fits", str(fitted_dir / "fits.json"), "--n-draws", "50", "--grid-size", "5"],
+        "report": ["--fits", str(fitted_dir / "fits.json")],
     }
 
 
 @pytest.mark.parametrize("command, name", [
-    ("simulate", "config.json"),
-    ("gen-intervals", "config.json"),
-    ("gen-intervals", "intervals.json"),
-    ("fit-bag", "config.json"),
-    ("fit-bag", "log.ndjson"),
-    ("trend", "trend_config.json"),
+    (command, name) for command, (_, _, writes, _) in _COMMANDS.items() for name in writes
 ])
 def test_every_output_needs_force(command_args, tmp_path, capsys, command, name):
-    """No command writes over any file it makes unless --force is given."""
+    """No command writes over any file it makes unless --force is given, and
+    the files it lists in its contract are the files it writes."""
     argv = command_args[command]
     out = tmp_path / "out"
     out.mkdir()
@@ -510,6 +517,7 @@ def test_every_output_needs_force(command_args, tmp_path, capsys, command, name)
     assert os.listdir(out) == [name] and (out / name).read_text() == "kept\n"
     run([command, "--out", str(out), *argv, "--force"])
     assert (out / name).read_text() != "kept\n"
+    assert sorted(os.listdir(out)) == sorted(_COMMANDS[command][2])
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -527,6 +535,38 @@ def test_missing_required_option_named(command_args, tmp_path, capsys, command, 
     out = tmp_path / "out"
     assert main([command, "--out", str(out), *argv]) == 1
     assert capsys.readouterr().err == f"error: missing required option {flag}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value, detail", [
+    ("simulate", "effects", [1], "not a JSON object of decay objects"),
+    ("simulate", "effects", {"inertia": 3}, "the inertia decay is 3, not a JSON object"),
+    ("simulate", "effects", {"inertia": {"variant": "weibull", "scale": 4.0, "peak": 0.3}},
+     "the inertia decay has no field 'shape'"),
+    ("simulate", "effects", "nope", "not JSON (Expecting value"),
+    ("simulate", "effects", {"nope": {"variant": "linear", "cutoff": 2.0, "peak": 1.0}},
+     "'nope' is not a valid StatisticKind"),
+    ("gen-intervals", "k_values", "3,x", "invalid literal for int()"),
+], ids=["list", "number", "missing field", "not json", "unknown kind", "k-values"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unparsable_option_named(command_args, tmp_path, capsys, command, flag, value, detail,
+                                 source):
+    """A flag whose value does not parse, or the same field in a --config
+    file, is named in the error; the command exits 1 and creates nothing."""
+    option = "--" + flag.replace("_", "-")
+    argv = command_args[command]
+    if option in argv:  # a valid flag would override the config field
+        at = argv.index(option)
+        del argv[at : at + 2]
+    if source == "flag":
+        argv += [option, value if isinstance(value, str) else json.dumps(value)]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({flag: value}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option}: {detail}") and err.count("\n") == 1
     assert not out.exists()
 
 
