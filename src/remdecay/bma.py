@@ -272,16 +272,20 @@ def fit_bag(
     Every result is deterministic, so none depends on ``jobs``. ``jobs > 1``
     spreads the models over that many worker processes (never more than
     there are models). Only one design per process is alive at a time. The
-    options, ``kinds`` (a kind given twice is an error) and ``specs`` (an
-    empty bag is an error) are validated by this call, before any model runs.
+    options, ``kinds`` (an empty list or a kind given twice is an error) and
+    ``specs`` (an empty bag is an error) are validated by this call, before
+    any model runs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs!r}")
     if not specs:
         raise ValueError("empty model bag: no interval specs to fit")
+    kinds = _distinct_kinds(kinds)
+    if not kinds:
+        raise ValueError("no statistic kinds to fit: every model would be intercept-only")
     if waic is not None:
         _check_window(waic, len(seq))
-    args = (seq, _distinct_kinds(kinds), waic, FitOptions(ridge=ridge))
+    args = (seq, kinds, waic, FitOptions(ridge=ridge))
     tasks = list(enumerate(specs))
     return _run_bag(args, tasks, min(jobs, len(tasks)))
 

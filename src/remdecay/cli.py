@@ -365,7 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _k_values(value) -> list[int]:
-    return [int(k) for k in value.split(",")] if isinstance(value, str) else value
+    """The bag's K values: comma-separated text, or a list of ints from a config file."""
+    if isinstance(value, str):
+        return [int(k) for k in value.split(",")]
+    if not isinstance(value, list) or not all(type(k) is int for k in value):
+        raise ValueError(f"not a list of integers: {value!r}")
+    return value
 
 
 def _effects(value) -> dict:

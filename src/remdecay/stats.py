@@ -70,7 +70,9 @@ class StatTensor:
     ``rows`` column-major in the smallest unsigned integer type that holds
     its largest count (``np.min_scalar_type``: uint8 up to 255, then uint16,
     ...), ``ids`` in the smallest unsigned type that holds U - 1, and
-    ``start`` as int32. Consumers cast rows to float64 one block at a time.
+    ``start`` as int32. Its ``rows`` is a view of one run-state buffer,
+    compacted in place to the U distinct states, whose memory holds exactly
+    U x P entries. Consumers cast rows to float64 one block at a time.
     Designs built by hand may hold any real dtype.
     """
 
@@ -106,6 +108,7 @@ def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first = order[new]
     index = np.empty(order.size, dtype=np.min_scalar_type(first.size - 1))
     rank = np.cumsum(new, dtype=index.dtype)
+    del new
     rank -= 1
     index[order] = rank
     return first, index
@@ -287,11 +290,15 @@ def compute_stepwise_stats(
     to the row where it crosses g_k. So an interval's count is the running
     sum of its lower boundary's crossings minus its upper boundary's. A
     dyad's runs start at row 0 and at every row where it has a crossing; each
-    run's state is those running sums at the run's start. Each column's
-    counts are kept in the smallest unsigned type
-    that holds them, and the distinct states are told apart by one exact
-    mixed-radix key per run whose digits are the run's counts, so no runs x
-    columns array in a type wider than the counts need is formed.
+    run's state is those running sums at the run's start. The keys are built
+    in the smallest unsigned type that holds D * (M + 1). Each run's counts
+    are written once, into one column-major runs x columns buffer in the
+    smallest unsigned type that holds the largest count so far. The distinct
+    states are told apart by one exact mixed-radix key per run whose digits
+    are the run's counts; the buffer is then compacted in place to those
+    states and trimmed, and becomes ``rows``. So no second states x columns
+    array is formed, and no runs x columns array in a type wider than the
+    counts need.
     """
     kinds = _distinct_kinds(kinds)
     times = seq.times
@@ -309,15 +316,19 @@ def compute_stepwise_stats(
             )
 
     # crossing keys dyad * (M + 1) + row: after the D head keys, for each kind
-    # one group per boundary 0..K of the rows where a contribution crosses it
-    keys = [np.arange(D, dtype=np.int64) * (M + 1)]
+    # one group per boundary 0..K of the rows where a contribution crosses it.
+    # Keys are below D * (M + 1), so they are built in the smallest type that
+    # holds it; every operand is cast to it, as int64 with uint64 gives float64.
+    key_type = np.min_scalar_type(D * (M + 1))
+    stride = key_type.type(M + 1)
+    keys = [np.arange(D, dtype=key_type) * stride]
 
     def emit(dyads: np.ndarray, rows: np.ndarray) -> None:
         live = rows[:, 0] < rows[:, K]
-        dyads, rows = dyads[live], rows[live]
+        dyads, rows = dyads[live].astype(key_type), rows[live].astype(key_type)
         for crossed in rows.T:
             inside = crossed < M
-            keys.append((dyads[inside] * (M + 1) + crossed[inside, None]).ravel())
+            keys.append((dyads[inside] * stride + crossed[inside, None]).ravel())
 
     for kind in kinds:
         if kind in SECOND_ORDER:
@@ -327,23 +338,25 @@ def compute_stepwise_stats(
             emit(touched_dyads(rs, kind, seq.senders, seq.receivers), ends)
 
     bounds = np.cumsum([k.size for k in keys])
-    # the runs start at the distinct keys; inverse[i] is the run of entry i.
-    # Keys are below D * (M + 1), so they sort in the smallest type holding it.
-    keys = np.concatenate(keys, dtype=np.min_scalar_type(D * (M + 1)), casting="unsafe")
+    # the runs start at the distinct keys; inverse[i] is the run of entry i
+    keys = np.concatenate(keys)
     first, inverse = _distinct(keys)
     run_keys = keys[first]
     del keys, first
     R = run_keys.size
-    start = (run_keys % (M + 1)).astype(np.int32)
+    start = (run_keys % stride).astype(np.int32)
     event_positions = rs.event_positions(seq)
     realized = np.searchsorted(run_keys, event_positions * (M + 1) + np.arange(M), side="right") - 1
     del run_keys
     heads = np.flatnonzero(start == 0)  # each dyad's first run
 
-    # a column's digit has radix (largest count + 1); where the next digit
-    # would take the key space to 2^63, the partial key becomes its rank
-    # among the distinct partial keys
-    columns = []
+    # each run's counts are written once, column c at buf[c * R : (c + 1) * R],
+    # widening buf when a column's largest count needs it. A column's digit
+    # has radix (largest count + 1); where the next digit would take the key
+    # space to 2^63, the partial key becomes its rank among the distinct
+    # partial keys
+    buf = np.empty(R * P, dtype=np.uint8)
+    buf[:R] = 1
     key = np.zeros(R, dtype=np.int64)
     space = 1
     for col in range(1, P):
@@ -354,7 +367,10 @@ def compute_stepwise_stats(
         count[heads[1:]] -= np.add.reduceat(count, heads)[:-1]
         np.cumsum(count, out=count)
         radix = int(count.max()) + 1
-        columns.append(count.astype(np.min_scalar_type(radix - 1)))
+        wider = np.promote_types(buf.dtype, np.min_scalar_type(radix - 1))
+        if wider != buf.dtype:
+            buf = buf.astype(wider)
+        buf[col * R : (col + 1) * R] = count
         if space * radix >= 2**63:
             partial, rank = _distinct(key)
             space = partial.size
@@ -364,12 +380,17 @@ def compute_stepwise_stats(
         key += count
     del inverse
 
+    # compact buf in place to the U distinct states (column 0's first U
+    # entries are already 1): column c's source starts at c * R >= c * U,
+    # past every destination written before it, and the fancy index copies
+    # its source before the write; no view of buf is alive at the resize
     first, ids = _distinct(key)
     del key
-    rows = np.empty((first.size, P), dtype=np.result_type(np.uint8, *columns), order="F")
-    rows[:, 0] = 1
-    for col, values in enumerate(columns, start=1):
-        rows[:, col] = values[first]
+    U = first.size
+    for col in range(1, P):
+        buf[col * U : (col + 1) * U] = buf[col * R : (col + 1) * R][first]
+    buf.resize(U * P, refcheck=False)
+    rows = buf.reshape(P, U).T
     return StatTensor(
         rows=rows,
         ids=ids,

@@ -247,6 +247,11 @@ class TestFitBagJobs:
         with pytest.raises(ValueError, match="empty model bag"):
             fit_bag(seq, [], [INERTIA])
 
+    def test_empty_kinds_rejected_eagerly(self, small_fit_setup):
+        seq, _, spec, _, _ = small_fit_setup
+        with pytest.raises(ValueError, match="no statistic kinds"):
+            fit_bag(seq, [spec], [])
+
     def test_pool_sized_by_bag(self, small_fit_setup, monkeypatch):
         seq, _, spec, _, _ = small_fit_setup
         specs = [spec, equal_spec(3, spec.horizon), equal_spec(4, spec.horizon)]

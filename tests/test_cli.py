@@ -306,6 +306,16 @@ class TestFitBag:
         assert capsys.readouterr().err == "error: empty model bag: no interval specs to fit\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kinds", ["", ","])
+    def test_empty_kinds_is_error(self, sim_dir, bag_file, tmp_path, capsys, kinds):
+        """A kind list with no kind fails before --out is created, in place
+        of fitting one intercept-only model per spec."""
+        out = tmp_path / "fits"
+        assert main(["fit-bag", "--events", str(sim_dir / "events.csv"), "--kinds", kinds,
+                     "--intervals-file", str(bag_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: no statistic kinds to fit")
+        assert not out.exists()
+
     def test_default_burn_in_leaves_room_for_ahead(self, sim_dir, bag_file, tmp_path):
         # 50 events: the default burn-in must leave 3 events to score ahead
         out = tmp_path / "ahead"
@@ -547,12 +557,21 @@ def test_missing_required_option_named(command_args, tmp_path, capsys, command, 
     ("simulate", "effects", {"nope": {"variant": "linear", "cutoff": 2.0, "peak": 1.0}},
      "'nope' is not a valid StatisticKind"),
     ("gen-intervals", "k_values", "3,x", "invalid literal for int()"),
-], ids=["list", "number", "missing field", "not json", "unknown kind", "k-values"])
+    ("gen-intervals", "k_values", [3, "x"],
+     {"flag": "invalid literal for int()", "config": "not a list of integers: [3, 'x']"}),
+    ("gen-intervals", "k_values", 3.0,
+     {"flag": "invalid literal for int()", "config": "not a list of integers: 3.0"}),
+], ids=["list", "number", "missing field", "not json", "unknown kind", "k-values",
+        "k-values list", "k-values number"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_unparsable_option_named(command_args, tmp_path, capsys, command, flag, value, detail,
                                  source):
     """A flag whose value does not parse, or the same field in a --config
-    file, is named in the error; the command exits 1 and creates nothing."""
+    file, is named in the error; the command exits 1 and creates nothing.
+    A value that is not text reaches the flag as its JSON text; where that
+    fails differently, ``detail`` gives the message per source."""
+    if isinstance(detail, dict):
+        detail = detail[source]
     option = "--" + flag.replace("_", "-")
     argv = command_args[command]
     if option in argv:  # a valid flag would override the config field

@@ -287,6 +287,44 @@ class TestNarrowDesign:
         np.testing.assert_array_equal(to_dense(got), to_dense(want))
         assert to_dense(got).max() == n_events
 
+    def test_type_widens_after_narrow_columns(self):
+        """300 events on one dyad a unit apart: the first interval, (0, 1.5],
+        counts at most 1 of them, the second up to 298. So the second column
+        widens the type to uint16 after the first was written as uint8."""
+        n_events = 300
+        times = np.arange(1.0, n_events + 3.0)
+        senders = np.r_[np.zeros(n_events, dtype=int), 1, 2]
+        receivers = np.r_[np.ones(n_events, dtype=int), 2, 0]
+        seq = EventSequence(times, senders, receivers, 3)
+        rs, spec = RiskSet(3), IntervalSpec(np.array([1.5, 1000.0]))
+        got = compute_stepwise_stats(seq, rs, (StatisticKind.INERTIA,), spec)
+        assert got.rows.dtype == np.uint16
+        assert got.rows[:, 1].max() == 1 and got.rows[:, 2].max() > 255
+        want = rescan_stepwise_stats(seq, rs, (StatisticKind.INERTIA,), spec)
+        np.testing.assert_array_equal(to_dense(got), to_dense(want))
+
+    def test_no_kinds_builds_the_intercept(self, rng):
+        seq = random_sequence(rng, 4, 30)
+        rs, spec = RiskSet(4), equal_spec(2, 0.5 * (seq.times[-1] - seq.times[0]))
+        got = compute_stepwise_stats(seq, rs, (), spec)
+        assert got.rows.shape == (1, 1) and got.rows.dtype == np.uint8
+        np.testing.assert_array_equal(to_dense(got), to_dense(rescan_stepwise_stats(seq, rs, (), spec)))
+
+    def test_rows_own_exactly_the_distinct_states(self, rng):
+        """The six-kind rows are column-major, and the array that owns their
+        memory holds the U x P states and nothing more: no buffer of every
+        run's counts is kept alive behind them."""
+        seq = random_sequence(rng, 6, 120)
+        rs, spec = RiskSet(6), equal_spec(3, 0.6 * (seq.times[-1] - seq.times[0]))
+        got = compute_stepwise_stats(seq, rs, SIX_KINDS, spec)
+        assert got.rows.flags.f_contiguous and len(got.rows) < got.ids.size
+        owner = got.rows
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.size == got.rows.size
+        want = rescan_stepwise_stats(seq, rs, SIX_KINDS, spec)
+        np.testing.assert_array_equal(to_dense(got), to_dense(want))
+
     def test_build_holds_no_float_design(self, wide_seq):
         """Memory guard: the six-kind build at K = 5 (closure precompute
         included) peaks below 0.43 of one runs x columns float64 array. It
