@@ -10,8 +10,9 @@ Every subcommand is a pure function of (config, input files, seed): rerunning
 with the same inputs reproduces the data artifacts byte for byte (the timing
 log is the one exception). Each checks its options and inputs before it
 creates ``--out``, so a command that fails there leaves nothing behind.
-Config comes from an optional flat JSON file, and any field can be overridden
-by the flag of the same name; an option given neither way takes the default
+Config comes from an optional flat JSON file, whose fields the flags of the
+same name override; one parser per option, in ``_COMMANDS``, reads a flag's
+text and a config field alike. An option given neither way takes the default
 of the library function it is passed to.
 """
 
@@ -87,6 +88,7 @@ def _given(cfg: dict, *names: str) -> dict:
 
 
 def cmd_simulate(cfg: dict) -> dict:
+    """Generate a synthetic event sequence."""
     out = cfg["out"]
     events_path = os.path.join(out, "events.csv")
     manifest_path = os.path.join(out, "manifest.json")
@@ -103,6 +105,7 @@ def cmd_simulate(cfg: dict) -> dict:
 
 
 def cmd_gen_intervals(cfg: dict) -> dict:
+    """Generate a bag of interval specs."""
     out = cfg["out"]
     path = os.path.join(out, "intervals.json")
     bag = generate_interval_bag(
@@ -121,32 +124,34 @@ def cmd_gen_intervals(cfg: dict) -> dict:
 # fit-bag
 
 
+def _weight_totals(fits: list[ModelFit], weights) -> tuple[dict, dict]:
+    """The bag weight summed by K (in K order) and by interval kind (in bag order)."""
+    by_k, by_kind = Counter(), Counter()
+    for fit, w in zip(fits, weights):
+        by_k[fit.spec.size] += float(w)
+        by_kind[fit.spec.kind or "custom"] += float(w)
+    return dict(sorted(by_k.items())), dict(by_kind)
+
+
 def cmd_fit_bag(cfg: dict) -> dict:
+    """Fit every stepwise model and weight the bag."""
     out = cfg["out"]
     fits_path = os.path.join(out, "fits.json")
     weights_path = os.path.join(out, "weights.csv")
     log_path = os.path.join(out, "log.ndjson")
     seq = load_events(cfg["events"], **_given(cfg, "tie_policy", "tie_unit"))
-    kinds = [k.strip() for k in cfg.get("kinds", "inertia").split(",") if k.strip()]
     weighting = cfg.get("weighting", "bic")
-    if weighting not in WEIGHTINGS:
-        raise CliError(f"unknown weighting {weighting!r}")
-
     bag = _read_json(cfg["intervals_file"], "the intervals.json that gen-intervals writes",
                      lambda doc: bag_from_json(doc["specs"]))
 
     waic_cfg = None
     if weighting == "waic":
-        burn_in = cfg.get("waic_burn_in")
         ahead = cfg.get("waic_ahead", 1)
-        waic_cfg = WaicConfig(
-            burn_in=burn_in if burn_in is not None else WaicConfig.default_for(len(seq), ahead).burn_in,
-            ahead=ahead,
-        )
-
-    jobs = int(cfg.get("jobs", 1))
+        burn_in = cfg["waic_burn_in"] if "waic_burn_in" in cfg else WaicConfig.default_for(len(seq), ahead).burn_in
+        waic_cfg = WaicConfig(burn_in=burn_in, ahead=ahead)
+    jobs = cfg.get("jobs", 1)
     # makes each kind a StatisticKind and validates the fit options before anything is written
-    runs = fit_bag(seq, bag, kinds, waic=waic_cfg, jobs=jobs, **_given(cfg, "ridge"))
+    runs = fit_bag(seq, bag, cfg.get("kinds", ["inertia"]), waic=waic_cfg, jobs=jobs, **_given(cfg, "ridge"))
     os.makedirs(out, exist_ok=True)
     with open(log_path, "w") as log:
         _log(log, event="start", n_models=len(bag), weighting=weighting, jobs=jobs)
@@ -177,16 +182,12 @@ def cmd_fit_bag(cfg: dict) -> dict:
                     f"{q},{fit.spec.kind or 'custom'},{fit.spec.size},"
                     f"{repr(fit.bic)},{waic_s},{repr(float(w))}\n"
                 )
+        by_k, by_kind = _weight_totals(fits, weights)
         _log(log, event="done", seconds=wall, models_per_second=len(bag) / wall,
              n_converged=n_converged, max_weight=float(weights.max()),
-             n_eff_models=effective_model_count(weights))
-    return {
-        "fits": fits_path,
-        "weights": weights_path,
-        "n_models": len(bag),
-        "n_converged": n_converged,
-        "seconds": wall,
-    }
+             n_eff_models=effective_model_count(weights), weight_by_k=by_k, weight_by_kind=by_kind)
+    return {"fits": fits_path, "weights": weights_path, "n_models": len(bag),
+            "n_converged": n_converged, "seconds": wall}
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +195,7 @@ def cmd_fit_bag(cfg: dict) -> dict:
 
 
 def _load_bag(out_or_fits: str) -> ModelBag:
-    fits_path = (
-        out_or_fits
-        if out_or_fits.endswith(".json")
-        else os.path.join(out_or_fits, "fits.json")
-    )
+    fits_path = out_or_fits if out_or_fits.endswith(".json") else os.path.join(out_or_fits, "fits.json")
     fits, weighting = _read_json(
         fits_path, "the fits.json that fit-bag writes",
         lambda doc: ([ModelFit.from_json_dict(d) for d in doc["fits"]], doc["weighting"]),
@@ -207,6 +204,7 @@ def _load_bag(out_or_fits: str) -> ModelBag:
 
 
 def cmd_trend(cfg: dict) -> dict:
+    """Sample the averaged posterior and extract the decay trend."""
     out = cfg["out"]
     csv_path = os.path.join(out, "trend.csv")
     json_path = os.path.join(out, "trend.json")
@@ -254,6 +252,7 @@ def _ids_line(what: str, ids: list[int]) -> str:
 
 
 def cmd_report(cfg: dict) -> dict:
+    """Summarize a fitted bag."""
     out = cfg["out"]
     report_path = os.path.join(out, "report.md")
     bag = _load_bag(cfg.get("fits") or out)
@@ -266,6 +265,9 @@ def cmd_report(cfg: dict) -> dict:
         f"- max weight: {bag.weights.max():.4f}; effective number of models "
         f"(1/sum w^2): {effective_model_count(bag.weights):.2f}"
     )
+    by_k, by_kind = (", ".join(f"{key} {w:.4f}" for key, w in totals.items())
+                     for totals in _weight_totals(bag.fits, bag.weights))
+    lines.append(f"- weight by K: {by_k}; by interval kind: {by_kind}")
     lines.append(_newton_line(bag.fits))
     lines.append(_ids_line(
         "fits with a column at risk but never realized (MLE at -inf, weight kept)",
@@ -291,11 +293,8 @@ def cmd_report(cfg: dict) -> dict:
     if os.path.exists(trend_json):
         mode = _read_json(trend_json, "the trend.json that trend writes",
                           lambda doc: float(doc["intercept"]["mode"]))
-        lines.append("")
-        lines.append(
-            f"- intercept posterior mode: {mode:.4f} "
-            f"(baseline rate {np.exp(mode):.6f} events per time unit per dyad)"
-        )
+        lines += ["", f"- intercept posterior mode: {mode:.4f} "
+                      f"(baseline rate {np.exp(mode):.6f} events per time unit per dyad)"]
     os.makedirs(out, exist_ok=True)
     with open(report_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -303,74 +302,33 @@ def cmd_report(cfg: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# options
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat JSON config; flags override its fields")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--force", action="store_true", default=None,
-                   help="overwrite existing outputs")
+def _parser(what: str, convert, accepts):
+    """An option parser: text becomes ``convert(text)``, as argparse's ``type=`` made it, and
+    any other value (text too, if ``convert`` is None) is kept as given if ``accepts`` it."""
+    def parse(value):
+        if isinstance(value, str) and convert is not None:
+            return convert(value)
+        if not accepts(value):
+            raise ValueError(f"not {what}: {value!r}")
+        return value
+    return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="remdecay", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate a synthetic event sequence")
-    _add_common(p)
-    p.add_argument("--n-actors", dest="n_actors", type=int)
-    p.add_argument("--beta0", type=float)
-    p.add_argument("--effects", help="JSON map kind -> decay spec")
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--n-events", dest="n_events", type=int)
-    p.add_argument("--end-time", dest="end_time", type=float)
-
-    p = sub.add_parser("gen-intervals", help="generate a bag of interval specs")
-    _add_common(p)
-    p.add_argument("--k-values", dest="k_values")
-    p.add_argument("--per-kind-count", dest="per_kind_count", type=int)
-    p.add_argument("--min-size", dest="min_size", type=float)
-    p.add_argument("--gamma-max", dest="gamma_max", type=float)
-
-    p = sub.add_parser("fit-bag", help="fit every stepwise model and weight the bag")
-    _add_common(p)
-    p.add_argument("--events", help="input events.csv")
-    p.add_argument("--intervals-file", dest="intervals_file",
-                   help="intervals.json written by gen-intervals")
-    p.add_argument("--kinds", help="comma-separated statistic kinds")
-    p.add_argument("--weighting", choices=WEIGHTINGS)
-    p.add_argument("--waic-burn-in", dest="waic_burn_in", type=int)
-    p.add_argument("--waic-ahead", dest="waic_ahead", type=int)
-    p.add_argument("--waic-draws", dest="waic_draws", type=int,
-                   help="no effect: WAIC is computed in closed form, without draws")
-    p.add_argument("--ridge", type=float)
-    p.add_argument("--tie-policy", dest="tie_policy", choices=TIE_POLICIES)
-    p.add_argument("--tie-unit", dest="tie_unit", type=float)
-    p.add_argument("--jobs", type=int)
-
-    p = sub.add_parser("trend", help="sample the averaged posterior and extract the decay trend")
-    _add_common(p)
-    p.add_argument("--fits", help="fits.json from fit-bag (or its directory)")
-    p.add_argument("--n-draws", dest="n_draws", type=int)
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.add_argument("--gamma-max", dest="gamma_max", type=float)
-    p.add_argument("--level", type=float)
-
-    p = sub.add_parser("report", help="summarize a fitted bag")
-    _add_common(p)
-    p.add_argument("--fits")
-    return ap
+def _one_of(values: tuple[str, ...]):
+    return _parser(f"one of {', '.join(values)}", None, lambda v: v in values)
 
 
-def _k_values(value) -> list[int]:
-    """The bag's K values: comma-separated text, or a list of ints from a config file."""
-    if isinstance(value, str):
-        return [int(k) for k in value.split(",")]
-    if not isinstance(value, list) or not all(type(k) is int for k in value):
-        raise ValueError(f"not a list of integers: {value!r}")
-    return value
+_integer = _parser("an integer", int, lambda v: type(v) is int)
+_real = _parser("a number", float, lambda v: type(v) in (int, float))
+_text = _parser("text", None, lambda v: type(v) is str)
+_switch = _parser("true or false", None, lambda v: type(v) is bool)
+_k_values = _parser("a list of integers", lambda s: [int(k) for k in s.split(",")],
+                    lambda v: type(v) is list and all(type(k) is int for k in v))
+_kinds = _parser("a list of statistic kinds", lambda s: [k.strip() for k in s.split(",") if k.strip()],
+                 lambda v: type(v) is list and all(type(k) is str for k in v))
 
 
 def _effects(value) -> dict:
@@ -392,52 +350,93 @@ def _effects(value) -> dict:
     return effects
 
 
+# Each option is one row, name: (parser, required, help). Its flag is the
+# name with "-" for "_", read as text; the same parser reads the flag's text
+# and the config field's JSON value.
+_COMMON = {
+    "config": (_text, False, "flat JSON config; flags override its fields"),
+    "out": (_text, False, "output directory"), "seed": (_integer, False, "master seed"),
+    "force": (_switch, False, "overwrite existing outputs"),
+}
+
+# command: (function, its options, the files it writes in --out, the file
+# among them that echoes the merged config)
+_COMMANDS = {
+    "simulate": (cmd_simulate, {
+        **_COMMON, "n_actors": (_integer, True, None), "beta0": (_real, True, None),
+        "effects": (_effects, False, "JSON map kind -> decay spec"),
+        "horizon": (_real, False, None), "n_events": (_integer, False, None), "end_time": (_real, False, None),
+    }, ("events.csv", "manifest.json", "config.json"), "config.json"),
+    "gen-intervals": (cmd_gen_intervals, {
+        **_COMMON, "k_values": (_k_values, False, None), "per_kind_count": (_integer, False, None),
+        "min_size": (_real, False, None), "gamma_max": (_real, True, None),
+    }, ("intervals.json", "config.json"), "config.json"),
+    "fit-bag": (cmd_fit_bag, {
+        **_COMMON, "events": (_text, True, "input events.csv"),
+        "intervals_file": (_text, True, "intervals.json written by gen-intervals"),
+        "kinds": (_kinds, False, "comma-separated statistic kinds"),
+        "weighting": (_one_of(WEIGHTINGS), False, None), "waic_burn_in": (_integer, False, None),
+        "waic_ahead": (_integer, False, None),
+        "waic_draws": (_integer, False, "no effect: WAIC is computed in closed form, without draws"),
+        "ridge": (_real, False, None), "tie_policy": (_one_of(TIE_POLICIES), False, None),
+        "tie_unit": (_real, False, None), "jobs": (_integer, False, None),
+    }, ("fits.json", "weights.csv", "log.ndjson", "config.json"), "config.json"),
+    "trend": (cmd_trend, {
+        **_COMMON, "fits": (_text, False, "fits.json from fit-bag (or its directory)"),
+        "n_draws": (_integer, False, None), "grid_size": (_integer, False, None),
+        "gamma_max": (_real, False, None), "level": (_real, False, None),
+    }, ("trend.csv", "trend.json", "trend_config.json"), "trend_config.json"),
+    "report": (cmd_report, {**_COMMON, "fits": (_text, False, None)}, ("report.md",), None),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="remdecay", description=__doc__)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for command, (run, options, *_) in _COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__)
+        for name, (parse, _, help) in options.items():
+            switch = {"action": "store_true", "default": None} if parse is _switch else {}
+            p.add_argument(_flag(name), help=help, **switch)
+    return ap
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
+    """The --config fields overridden by the flags given, each option read by
+    its parser; a field that is not an option of the command passes through."""
     cfg: dict = {}
     if args.config:
         cfg.update(_read_json(args.config, "a JSON object of config fields", lambda doc: {**doc}))
-    for key, val in vars(args).items():
-        if key in ("config", "command") or val is None:
-            continue
-        cfg[key] = val
-    for key, parse in (("k_values", _k_values), ("effects", _effects)):
+    cfg.update((k, v) for k, v in vars(args).items() if k not in ("config", "command") and v is not None)
+    for key, (parse, _, _) in _COMMANDS[args.command][1].items():
         try:
             if key in cfg:
                 cfg[key] = parse(cfg[key])
         except (TypeError, ValueError) as exc:
-            raise CliError(f"--{key.replace('_', '-')}: {exc}") from exc
+            raise CliError(f"{_flag(key)}: {exc}") from exc
     return cfg
-
-
-# command: (function, options without a default, the files it writes in
-# --out, the file among them that echoes the merged config)
-_COMMANDS = {
-    "simulate": (cmd_simulate, ("n_actors", "beta0"), ("events.csv", "manifest.json", "config.json"),
-                 "config.json"),
-    "gen-intervals": (cmd_gen_intervals, ("gamma_max",), ("intervals.json", "config.json"),
-                      "config.json"),
-    "fit-bag": (cmd_fit_bag, ("events", "intervals_file"),
-                ("fits.json", "weights.csv", "log.ndjson", "config.json"), "config.json"),
-    "trend": (cmd_trend, (), ("trend.csv", "trend.json", "trend_config.json"), "trend_config.json"),
-    "report": (cmd_report, (), ("report.md",), None),
-}
 
 
 def _run(command: str, cfg: dict) -> dict:
     """Check ``cfg`` against the command's contract in ``_COMMANDS``, refuse to
     overwrite any file it writes unless ``force`` is set, run it and echo ``cfg``."""
-    run, required, writes, echo = _COMMANDS[command]
+    run, options, writes, echo = _COMMANDS[command]
     if not cfg.get("out"):
         raise CliError("an output directory is required (--out or config 'out')")
-    for key in required:
-        if cfg.get(key) is None:
-            raise CliError(f"missing required option --{key.replace('_', '-')}")
+    for key, (_, required, _) in options.items():
+        if required and key not in cfg:
+            raise CliError(f"missing required option {_flag(key)}")
     clashes = [p for p in (os.path.join(cfg["out"], f) for f in writes) if os.path.exists(p)]
     if clashes and not cfg.get("force"):
         raise CliError(f"refusing to overwrite {clashes[0]} (use --force)")
     summary = run(cfg)
-    if echo:
-        _write_json(os.path.join(cfg["out"], echo), cfg)
+    if echo:  # a kind list echoes as the comma text that --kinds reads
+        kinds = "kinds" in options and "kinds" in cfg
+        _write_json(os.path.join(cfg["out"], echo), {**cfg, "kinds": ",".join(cfg["kinds"])} if kinds else cfg)
     return summary
 
 

@@ -133,6 +133,8 @@ def generate_interval_bag(
     seed, fixed bag.
     """
     K_values = list(K_values)
+    if not K_values:
+        raise IntervalSpecError("no K values: the bag would have no specs")
     if per_kind_count < 0:
         raise IntervalSpecError("per_kind_count must be >= 0")
     if gamma_K <= 0:

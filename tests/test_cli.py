@@ -130,6 +130,15 @@ class TestGenIntervals:
             assert spec["gamma"][-1] == 180.0
 
 
+    def test_no_k_values_is_error(self, tmp_path, capsys):
+        """An empty K list fails before --out is created, in place of writing a bag with no specs."""
+        (tmp_path / "k.json").write_text(json.dumps({"k_values": [], "gamma_max": 5}))
+        out = tmp_path / "o"
+        assert main(["gen-intervals", "--config", str(tmp_path / "k.json"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: no K values: the bag would have no specs\n"
+        assert not out.exists()
+
+
 class TestFitBag:
     def test_small_bag_fast_and_consistent(self, sim_dir, bag_file, tmp_path):
         out = tmp_path / "quick"
@@ -478,6 +487,31 @@ class TestReportAndConfig:
         assert done["max_weight"] == w.max()
         assert done["n_eff_models"] == pytest.approx(1.0 / np.sum(w * w), rel=1e-12)
 
+    def test_weight_totals(self, sim_dir, tmp_path):
+        """report.md and the done record sum the bag weight by K and by
+        interval kind; each map sums to 1 and matches weights.csv."""
+        run([
+            "gen-intervals", "--out", str(tmp_path / "iv"), "--k-values", "2,3",
+            "--per-kind-count", "1", "--gamma-max", "6", "--seed", "3",
+        ])
+        out = tmp_path / "fit"
+        run(["fit-bag", "--events", str(sim_dir / "events.csv"), "--out", str(out),
+             "--intervals-file", str(tmp_path / "iv" / "intervals.json")])
+        run(["report", "--out", str(out)])
+        by_k, by_kind = {}, {}
+        for row in (out / "weights.csv").read_text().splitlines()[1:]:
+            _, kind, K, _, _, w = row.split(",")
+            by_k[K] = by_k.get(K, 0.0) + float(w)
+            by_kind[kind] = by_kind.get(kind, 0.0) + float(w)
+        assert list(by_k) == ["2", "3"] and list(by_kind) == ["increasing", "decreasing", "equal"]
+        for totals in (by_k, by_kind):
+            assert sum(totals.values()) == pytest.approx(1.0, abs=1e-12)
+        done = json.loads((out / "log.ndjson").read_text().splitlines()[-1])
+        assert done["weight_by_k"] == by_k and done["weight_by_kind"] == by_kind
+        line = ("- weight by K: " + ", ".join(f"{K} {w:.4f}" for K, w in by_k.items())
+                + "; by interval kind: " + ", ".join(f"{kind} {w:.4f}" for kind, w in by_kind.items()))
+        assert line + "\n" in (out / "report.md").read_text()
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = {
             "n_actors": 3,
@@ -587,6 +621,63 @@ def test_unparsable_option_named(command_args, tmp_path, capsys, command, flag, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: {option}: {detail}") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, field, value, flag_text, extra", [
+    ("simulate", "n_actors", "3", "3", []),
+    ("gen-intervals", "gamma_max", "5", "5", []),
+    ("gen-intervals", "per_kind_count", "2", "2", []),
+    ("gen-intervals", "seed", "1", "1", []),
+    ("fit-bag", "waic_burn_in", "10", "10", ["--weighting", "waic"]),
+    ("fit-bag", "ridge", "0.1", "0.1", []),
+    ("fit-bag", "kinds", ["inertia", "reciprocity"], "inertia,reciprocity", []),
+    ("trend", "n_draws", "100", "100", []),
+    ("trend", "level", "0.9", "0.9", []),
+])
+def test_config_field_runs_like_its_flag(command_args, tmp_path, command, field, value, flag_text,
+                                         extra):
+    """A config field given as text, or a kind list given as a JSON list, is
+    read as its flag's text is: both runs write the same files, and echo the
+    same config but for ``out``."""
+    option = "--" + field.replace("_", "-")
+    argv = command_args[command] + extra
+    if option in argv:
+        at = argv.index(option)
+        del argv[at : at + 2]
+    (tmp_path / "cfg.json").write_text(json.dumps({field: value}))
+    flag, config = tmp_path / "flag", tmp_path / "config"
+    run([command, "--out", str(flag), *argv, option, flag_text])
+    run([command, "--out", str(config), *argv, "--config", str(tmp_path / "cfg.json")])
+    _, _, writes, echo = _COMMANDS[command]
+    for name in set(writes) - {"log.ndjson", echo}:  # the log holds timings
+        assert sha(flag / name) == sha(config / name), name
+    echoed = [json.loads((out / echo).read_text()) for out in (flag, config)]
+    assert echoed[0] | {"out": None} == echoed[1] | {"out": None}
+
+
+@pytest.mark.parametrize("command, field, value, detail", [
+    ("report", "out", 5, "not text: 5"),
+    ("report", "force", "no", "not true or false: 'no'"),
+    ("simulate", "n_actors", 3.5, "not an integer: 3.5"),
+    ("simulate", "n_actors", True, "not an integer: True"),
+    ("fit-bag", "kinds", ["inertia", 3], "not a list of statistic kinds: ['inertia', 3]"),
+    ("fit-bag", "waic_burn_in", "ten", "invalid literal for int()"),
+])
+def test_config_field_of_wrong_type_named(command_args, tmp_path, monkeypatch, capsys, command,
+                                          field, value, detail):
+    """A config field whose JSON type its option does not take is named in
+    the error, before --out is created; ``"force": "no"`` does not force."""
+    option = "--" + field.replace("_", "-")
+    argv = command_args[command]
+    if option in argv:
+        at = argv.index(option)
+        del argv[at : at + 2]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": "out", field: value}))
+    assert main([command, "--config", "cfg.json", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option}: {detail}") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
 def test_cli_import_loads_no_scipy(sim_dir, bag_file, tmp_path):

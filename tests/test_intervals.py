@@ -87,6 +87,11 @@ class TestGenerator:
         with pytest.raises(IntervalSpecError):
             generate_interval_bag([2], 10, 0.0, 10.0, rng_seed=0)
 
+    def test_no_k_values_rejected(self):
+        # an empty K list would give an empty bag, which no fit can use
+        with pytest.raises(IntervalSpecError, match="no K values"):
+            generate_interval_bag([], 10, 0.05, 10.0, rng_seed=0)
+
     def test_seed_reproducibility_bit_exact(self):
         a = generate_interval_bag([3, 4], 40, 0.05, 90.0, rng_seed=123)
         b = generate_interval_bag([3, 4], 40, 0.05, 90.0, rng_seed=123)
