@@ -249,6 +249,7 @@ def _fit_model(seq: EventSequence, kinds: tuple[StatisticKind, ...], waic: WaicC
     if waic is not None and fit.converged:
         lpd_i, p_i = waic_pointwise(fit, stats, seq, waic)
         fit.waic = _waic_totals(lpd_i, p_i)[0]
+        fit.n_waic_points = len(p_i)
         fit.n_high_p_waic = int(np.count_nonzero(p_i > P_WAIC_WARN))
     return q, fit, time.perf_counter() - t_start
 
@@ -265,10 +266,11 @@ def fit_bag(
     ``(q, fit, seconds)`` in bag order.
 
     Model q is the stepwise model of ``kinds`` on ``specs[q]``. With ``waic``
-    set, each converged fit is scored: its elpd is stored on ``fit.waic`` and
-    its count of points with p_waic_i > ``P_WAIC_WARN`` on
-    ``fit.n_high_p_waic``. A model whose fit raises a rank-deficiency or
-    overflow error is yielded as an unconverged fit with stop "error".
+    set, each converged fit is scored: its elpd is stored on ``fit.waic``,
+    its number of scoring points on ``fit.n_waic_points`` and its count of
+    points with p_waic_i > ``P_WAIC_WARN`` on ``fit.n_high_p_waic``. A model
+    whose fit raises a rank-deficiency or overflow error is yielded as an
+    unconverged fit with stop "error".
     Every result is deterministic, so none depends on ``jobs``. ``jobs > 1``
     spreads the models over that many worker processes (never more than
     there are models). Only one design per process is alive at a time. The
@@ -450,13 +452,14 @@ def _model_columns(fit: ModelFit, kind: StatisticKind, grid: np.ndarray) -> np.n
 def extract_trend(
     draws: PosteriorDraws,
     bag: ModelBag,
-    kinds: Iterable[StatisticKind] | None = None,
     grid_size: int = 100,
     gamma_max: float | None = None,
     level: float = 0.95,
 ) -> PosteriorTrend:
-    """Evaluate each posterior draw's stepwise effect function on an even age
-    grid and summarize the resulting per-age densities.
+    """Evaluate each posterior draw's stepwise effect function, for each kind
+    of the first fit, on an even age grid from 0 to ``gamma_max`` (finite and
+    > 0; default the largest horizon in the bag) and summarize the resulting
+    per-age densities.
 
     A draw from a model whose last bound is below a grid age contributes 0
     there (the effect function vanishes beyond its horizon). The point
@@ -469,10 +472,9 @@ def extract_trend(
         raise ValueError("grid_size must be >= 2")
     if not 0.0 < level <= 1.0:
         raise ValueError(f"level must be in (0, 1], got {level!r}")
+    if gamma_max is not None and not (math.isfinite(gamma_max) and gamma_max > 0):
+        raise ValueError(f"gamma_max must be finite and > 0, got {gamma_max!r}")
     fits = bag.fits
-    if kinds is None:
-        kinds = fits[0].kinds
-    kinds = tuple(StatisticKind(k) for k in kinds)
     if gamma_max is None:
         gamma_max = max(f.spec.horizon for f in fits)
     grid = np.linspace(0.0, float(gamma_max), grid_size)
@@ -495,7 +497,7 @@ def extract_trend(
 
     summaries = {
         kind: summarize({q: _model_columns(fits[q], kind, grid) for q in draws.blocks})
-        for kind in kinds
+        for kind in fits[0].kinds
     }
     intercept = summarize({q: np.zeros(1, dtype=np.int64) for q in draws.blocks})[:, 0]
     return PosteriorTrend(

@@ -236,13 +236,29 @@ def _newton_line(fits: list[ModelFit]) -> str:
     )
 
 
-def _waic_reliability_line(fits: list[ModelFit]) -> str:
-    """One report line counting the WAIC points whose p_waic_i is too large."""
+# Below this many scoring points the second-order WAIC underestimates p_waic:
+# on a 40-event, 3-actor design its elpd gap to a 4000-draw WAIC exceeded the
+# 200-draw Monte Carlo sd, and on 150- and 300-event designs it did not.
+_WAIC_FEW_POINTS = 150
+
+
+def _waic_reliability_lines(fits: list[ModelFit]) -> list[str]:
+    """Report lines giving each model's count of WAIC scoring points (with a
+    warning below ``_WAIC_FEW_POINTS``) and counting the points whose
+    p_waic_i is too large."""
+    # fit-bag scores every model of a bag on one window
+    points = min(f.n_waic_points for f in fits if f.n_waic_points is not None)
+    lines = [f"- WAIC scoring points: {points} per model"]
+    if points < _WAIC_FEW_POINTS:
+        lines[0] += (f"; warning: below {_WAIC_FEW_POINTS} points the second-order WAIC "
+                     "underestimates p_waic (a 40-event check put its elpd off a 4000-draw "
+                     "WAIC by more than the 200-draw Monte Carlo sd)")
     counts = {q: f.n_high_p_waic for q, f in enumerate(fits) if f.n_high_p_waic is not None}
     head = f"- WAIC points with p_waic_i > {P_WAIC_WARN}: "
     worst = max(counts, key=counts.get)
     which = f" (model {worst})" if counts[worst] else ""
-    return head + f"{sum(counts.values())} over the bag, at most {counts[worst]} in one model{which}"
+    lines.append(head + f"{sum(counts.values())} over the bag, at most {counts[worst]} in one model{which}")
+    return lines
 
 
 def _ids_line(what: str, ids: list[int]) -> str:
@@ -278,7 +294,7 @@ def cmd_report(cfg: dict) -> dict:
         [q for q, f in enumerate(bag.fits) if f.stop == "error"],
     ))
     if bag.weighting_kind == "waic":
-        lines.append(_waic_reliability_line(bag.fits))
+        lines += _waic_reliability_lines(bag.fits)
     lines.append("")
     lines.append("| rank | model | kind | K | BIC | elpd | weight |")
     lines.append("|------|-------|------|---|-----|------|--------|")

@@ -8,8 +8,8 @@ states of the state's pooled exposure (the waiting time of its runs) x its
 rate. The log-likelihood is concave, so Newton iterations with step halving
 converge globally. The fit starts at the closed-form intercept-only MLE,
 evaluates the rate kernel once per candidate point (an accepted candidate's
-state weights give its gradient and Hessian), and stops on the tolerances or
-when the predicted gain of the next step is at the float resolution of the
+state weights give its gradient and Hessian), and stops, converged, on one
+rule: the predicted gain of the next step is at the float resolution of the
 log-likelihood.
 """
 
@@ -50,8 +50,6 @@ class RankDeficiencyError(np.linalg.LinAlgError):
     pass
 
 
-TOL = 1e-10  # relative log-likelihood change at convergence
-GRAD_TOL = 1e-6  # max |gradient| at convergence
 MAX_ITER = 100
 LINE_SEARCH_STEPS = 50  # candidates per line search; the step is halved after each rejection
 FLOAT_FLOOR = 64 * np.finfo(np.float64).eps  # predicted gain, relative to max(1, |ll|), that ll cannot resolve
@@ -78,12 +76,14 @@ class ModelFit:
 
     The Newton diagnostics are ``iterations``, ``halvings`` (rejected line
     search candidates over the whole fit), ``max_abs_grad`` (at ``beta_hat``)
-    and ``stop``: "tolerance" or "float_floor" for a converged fit, "stalled"
-    (a line search found no improving step) or "max_iter" otherwise; the bag
+    and ``stop``: "float_floor" for a converged fit (the predicted gain of the
+    next Newton step is at the float resolution of ``loglik``), "stalled" (a
+    line search found no improving step) or "max_iter" otherwise; the bag
     runner gives a model whose fit raised stop "error" and no ``max_abs_grad``.
-    ``n_high_p_waic`` counts the WAIC scoring points whose per-point p_waic
-    exceeds 0.4, where that point's WAIC term is unreliable (Vehtari, Gelman &
-    Gabry 2017); it is None for a fit that was not WAIC-scored.
+    ``n_waic_points`` is the number of WAIC scoring points and
+    ``n_high_p_waic`` counts those whose per-point p_waic exceeds 0.4, where
+    that point's WAIC term is unreliable (Vehtari, Gelman & Gabry 2017); both
+    are None for a fit that was not WAIC-scored.
     ``monotone`` tells whether some column is at risk but never realized.
     """
 
@@ -103,6 +103,7 @@ class ModelFit:
     halvings: int = 0
     max_abs_grad: float | None = None
     stop: str | None = None
+    n_waic_points: int | None = None
     n_high_p_waic: int | None = None
 
     @property
@@ -325,13 +326,13 @@ def fit_mle(
     The start is beta_0 = log(M / sum_u W_u) with every other coefficient 0
     (beta = 0 when the total exposure is 0). With ridge = 0 a rank-deficient
     design is an error, found from the information at the start
-    (identically-zero columns are named). The fit stops as converged when
-    both the relative log-likelihood change of the last step is below
-    ``TOL`` and the max absolute gradient is below ``GRAD_TOL``, or when the
-    predicted gain 1/2 g'(ridge*I - H)^-1 g of the next step is at most
-    ``FLOAT_FLOOR`` x max(1, |ll|). It stops unconverged when a line search
-    finds no improving step among ``LINE_SEARCH_STEPS`` candidates, or after
-    ``MAX_ITER`` iterations. The rate kernel runs once per candidate point:
+    (identically-zero columns are named). The fit has one convergence test,
+    the Newton decrement (Boyd & Vandenberghe 2004, section 9.5.1): it stops
+    as converged, with stop "float_floor", when the predicted gain
+    1/2 g'(ridge*I - H)^-1 g of the next step is at most ``FLOAT_FLOOR`` x
+    max(1, |ll|). It stops unconverged when a line search finds no improving
+    step among ``LINE_SEARCH_STEPS`` candidates, or after ``MAX_ITER``
+    iterations. The rate kernel runs once per candidate point:
     the accepted candidate's state weights give its gradient and Hessian. Each
     Newton system ridge*I - H is factored once, retried with a 1e-8 jitter
     if it fails (recorded as a warning on the fit); the factor at the final
@@ -361,13 +362,9 @@ def fit_mle(
         _check_identifiable(-hess, stats.labels)
     ridge = opts.ridge * np.eye(P)
     chol, jitter_used = _factor(ridge - hess)
-    rel = np.inf
     halvings = 0
     stop = "max_iter"
     for iters in range(1, MAX_ITER + 1):
-        if rel < TOL and np.max(np.abs(grad)) < GRAD_TOL:
-            stop = "tolerance"
-            break
         step = np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
         if 0.5 * (grad @ step) <= FLOAT_FLOOR * max(1.0, abs(ll)):
             stop = "float_floor"
@@ -379,7 +376,6 @@ def fit_mle(
             # an overflow gives -inf or nan and fails the comparison
             cand_ll, w = _reduce(stats, W, s, cand)
             if cand_ll >= ll:
-                rel = abs(cand_ll - ll) / max(1.0, abs(cand_ll))
                 beta, ll = cand, cand_ll
                 grad, hess = _derivatives(U, s, w)
                 chol, jittered = _factor(ridge - hess)
@@ -396,7 +392,7 @@ def fit_mle(
         names = ", ".join(stats.labels[p] for p in never_realized)
         notes.append(f"{_NEVER_REALIZED_NOTE}: {names}; the MLE of each is -inf")
         warnings.warn(notes[-1], RuntimeWarning, stacklevel=2)
-    converged = stop in ("tolerance", "float_floor")
+    converged = stop == "float_floor"
     if stop == "stalled":
         notes.append(f"newton stalled at iteration {iters}: the line search found no improving step")
     elif stop == "max_iter":

@@ -58,8 +58,10 @@ class SimConfig:
             raise SimulationError("set exactly one of n_events / end_time")
         if self.n_events is not None and self.n_events < 1:
             raise SimulationError("n_events must be positive")
-        if self.end_time is not None and self.end_time <= 0:
-            raise SimulationError("end_time must be positive")
+        if self.end_time is not None and not (np.isfinite(self.end_time) and self.end_time > 0):
+            raise SimulationError(f"end_time must be finite and positive, got {self.end_time!r}")
+        if not np.isfinite(self.beta0):
+            raise SimulationError(f"beta0 must be finite, got {self.beta0!r}")
         if not self.horizon > 0:
             raise SimulationError("horizon must be positive")
         effects = {StatisticKind(k): v for k, v in self.effects.items()}

@@ -213,6 +213,8 @@ class TestWaic:
             waic_elpd(fit, stats, seq, WaicConfig(burn_in=len(seq) - 1, ahead=1, n_draws=3))
         with pytest.raises(ValueError):
             WaicConfig(burn_in=0, ahead=1, n_draws=3)
+        with pytest.raises(ValueError, match="ahead must be >= 1"):
+            WaicConfig(burn_in=10, ahead=0)
         # n_draws has no effect, so any value is accepted
         assert WaicConfig(burn_in=5, ahead=1, n_draws=1).n_draws == 1
 
@@ -290,6 +292,36 @@ class TestFitBagJobs:
 
 
 class TestSamplePosterior:
+    @pytest.mark.parametrize("n_fits, weights, kind, match", [
+        (0, [], "bic", "one weight per fit"),
+        (2, [1.0], "bic", "one weight per fit"),
+        (2, [1.2, -0.2], "bic", "probability vector"),
+        (2, [0.5, 0.4], "bic", "probability vector"),
+        (1, [1.0], "aic", "unknown weighting kind 'aic'"),
+    ])
+    def test_invalid_bag_rejected(self, n_fits, weights, kind, match):
+        fits = [make_fit([10.0], [0.0, 0.1]) for _ in range(n_fits)]
+        with pytest.raises(ValueError, match=match):
+            ModelBag(fits=fits, weights=np.array(weights), weighting_kind=kind)
+
+    @pytest.mark.parametrize("n_draws", [0, -1])
+    def test_non_positive_draw_count_rejected(self, n_draws):
+        bag = ModelBag(fits=[make_fit([10.0], [0.0, 0.1])], weights=np.array([1.0]), weighting_kind="bic")
+        with pytest.raises(ValueError, match="n_draws must be positive"):
+            sample_posterior(bag, n_draws)
+
+    def test_singular_covariance_jittered(self):
+        """A covariance that Cholesky cannot factor is jittered by 1e-10 x its
+        largest variance, with a warning; the draws keep its rank-one shape."""
+        fit = make_fit([10.0], [0.5, -0.2])
+        fit.cov_hat = np.ones((2, 2))
+        bag = ModelBag(fits=[fit], weights=np.array([1.0]), weighting_kind="bic")
+        with pytest.warns(RuntimeWarning, match="not positive definite; jittering by 1e-10"):
+            draws = sample_posterior(bag, 1000, seed=4).blocks[0]
+        assert draws.shape == (1000, 2) and np.all(np.isfinite(draws))
+        assert np.std(draws[:, 0]) > 0.5
+        np.testing.assert_allclose(draws[:, 0] - draws[:, 1], 0.7, atol=1e-3)
+
     def test_degenerate_bag_all_draws_equal(self):
         fit = make_fit([10.0], [0.5, -0.2], cov_scale=0.0)
         bag = ModelBag(fits=[fit], weights=np.array([1.0]), weighting_kind="bic")
@@ -494,6 +526,14 @@ class TestExtractTrend:
         draws = sample_posterior(bag, 100, seed=0)
         with pytest.raises(ValueError, match="level"):
             extract_trend(draws, bag, grid_size=10, gamma_max=5.0, level=level)
+
+    @pytest.mark.parametrize("gamma_max", [math.nan, math.inf, 0.0, -1.0])
+    def test_gamma_max_not_finite_positive_rejected(self, gamma_max):
+        fit = make_fit([5.0], [0.0, 0.1])
+        bag = ModelBag(fits=[fit], weights=np.array([1.0]), weighting_kind="bic")
+        draws = sample_posterior(bag, 100, seed=0)
+        with pytest.raises(ValueError, match="^gamma_max must be finite and > 0"):
+            extract_trend(draws, bag, grid_size=10, gamma_max=gamma_max)
 
     def test_csv_and_json_output(self, tmp_path):
         fit = make_fit([5.0], [0.0, 0.1], cov_scale=0.0)

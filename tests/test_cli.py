@@ -161,7 +161,7 @@ class TestFitBag:
                     if r["event"] == "fit"]
         assert [r["model"] for r in log_fits] == list(range(len(fits)))
         for record, fit in zip(log_fits, fits):
-            assert fit["stop"] in ("tolerance", "float_floor")
+            assert fit["stop"] == "float_floor"
             for key in ("iterations", "halvings", "max_abs_grad"):
                 assert record[key] == fit[key]
             assert 1 <= record["iterations"] and 0 <= record["halvings"]
@@ -250,6 +250,28 @@ class TestFitBag:
             "no draws)\n"
         ) in (out / "report.md").read_text()
 
+    @pytest.mark.parametrize("n_events, warned", [(50, True), (200, False)])
+    def test_waic_scoring_points_reported(self, bag_file, tmp_path, n_events, warned):
+        """report.md gives each model's count of WAIC scoring points, with a
+        warning below 150, where the second-order WAIC underestimates p_waic."""
+        sim, out = tmp_path / "sim", tmp_path / "waic"
+        run([
+            "simulate", "--out", str(sim), "--n-actors", "4", "--beta0", str(math.log(0.05)),
+            "--effects", EFFECTS, "--horizon", "12", "--n-events", str(n_events), "--seed", "5",
+        ])
+        run([
+            "fit-bag", "--events", str(sim / "events.csv"), "--out", str(out), "--kinds", "inertia",
+            "--intervals-file", str(bag_file), "--weighting", "waic", "--waic-burn-in", "10",
+        ])
+        run(["report", "--out", str(out)])
+        points = n_events - 10
+        fits = json.loads((out / "fits.json").read_text())["fits"]
+        assert [f["n_waic_points"] for f in fits] == [points] * len(fits)
+        line = next(l for l in (out / "report.md").read_text().splitlines()
+                    if l.startswith("- WAIC scoring points"))
+        assert line.startswith(f"- WAIC scoring points: {points} per model")
+        assert ("; warning: below 150 points" in line) is warned
+
     @pytest.mark.parametrize("weighting", ["bic", "waic"])
     def test_weights_need_no_seed(self, sim_dir, bag_file, tmp_path, weighting):
         """Neither weighting takes draws (WAIC is in closed form): fits.json
@@ -303,7 +325,7 @@ class TestFitBag:
             f"- failed fits (rank deficiency or overflow, zero weight): 22; "
             f"model ids {', '.join(map(str, failed))}\n"
         ) in report
-        assert "stops: error 22, tolerance 11;" in report
+        assert "stops: error 22, float_floor 11;" in report
 
     def test_empty_bag_is_error(self, sim_dir, tmp_path, capsys):
         """A bag without specs fails before --out is created."""
@@ -620,6 +642,28 @@ def test_unparsable_option_named(command_args, tmp_path, capsys, command, flag, 
     assert main([command, "--out", str(out), *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {option}: {detail}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "--beta0", "nan"),
+    ("trend", "--gamma-max", "nan"),
+    ("trend", "--gamma-max", "inf"),
+    ("trend", "--gamma-max", "0"),
+    ("trend", "--gamma-max", "-1"),
+])
+def test_out_of_range_value_named(command_args, tmp_path, capsys, command, flag, value):
+    """A value that parses but is out of range is named by its field; the
+    command exits 1 and creates nothing. (``simulate --end-time inf`` is left
+    to tests/test_sim.py, where a missing check cannot hang the run.)"""
+    argv = command_args[command]
+    if flag in argv:
+        at = argv.index(flag)
+        del argv[at : at + 2]
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), *argv, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be finite") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -282,7 +282,7 @@ class TestFit:
         realized = stats.rows[stats.realized].sum(axis=0)
         with pytest.warns(RuntimeWarning, match="never realized") as record:
             fit = fit_mle(stats, seq)
-        assert fit.converged and fit.stop == "tolerance"
+        assert fit.converged and fit.stop == "float_floor"
         named = [label for label, total in zip(stats.labels, realized) if total == 0]
         assert named
         note = next(n for n in fit.warnings if "never realized" in n)
@@ -310,14 +310,37 @@ class TestFit:
         assert any("stalled" in note for note in fit.warnings)
         np.testing.assert_array_equal(fit.beta_hat, calls[0])
 
-    def test_float_floor_stops_when_gradient_tolerance_unreachable(self, rng, monkeypatch):
-        seq, rs, stats = random_instance(rng, n_events=60)
-        base = fit_mle(stats, seq)
-        monkeypatch.setattr(likelihood, "GRAD_TOL", 0.0)
+    @pytest.mark.filterwarnings("ignore:column\\(s\\) at risk but never realized")
+    @pytest.mark.parametrize("seed, n_events", [(0, 12), (1, 60), (3, 120)])
+    def test_float_floor_is_the_one_stopping_rule(self, seed, n_events, monkeypatch):
+        """The predicted gain 1/2 g'(-H)^-1 g is above the float floor at every
+        accepted iterate but the last, and at most the floor at beta_hat."""
+        seq, rs, stats = random_instance(np.random.default_rng(seed), n_events=n_events, K=3)
+        reduce, derivatives = likelihood._reduce, likelihood._derivatives
+        evaluated, accepted = [], []
+
+        def recording_reduce(stats, W, s, beta):
+            evaluated.append(reduce(stats, W, s, beta))
+            return evaluated[-1]
+
+        def recording_derivatives(U, s, w):
+            grad, hess = derivatives(U, s, w)
+            ll = next(value for value, weights in evaluated if weights is w)
+            accepted.append((ll, grad, hess))
+            return grad, hess
+
+        monkeypatch.setattr(likelihood, "_reduce", recording_reduce)
+        monkeypatch.setattr(likelihood, "_derivatives", recording_derivatives)
         fit = fit_mle(stats, seq)
         assert fit.converged and fit.stop == "float_floor"
-        assert fit.iterations <= base.iterations + 1
-        assert fit.loglik == pytest.approx(base.loglik, rel=1e-12)
+        # the start and one accepted iterate per iteration but the stopping one
+        assert len(accepted) == fit.iterations and accepted[-1][0] == fit.loglik
+        above = []
+        for ll, grad, hess in accepted:
+            chol = likelihood._factor(-hess)[0]
+            gain = 0.5 * (grad @ np.linalg.solve(chol.T, np.linalg.solve(chol, grad)))
+            above.append(gain > likelihood.FLOAT_FLOOR * max(1.0, abs(ll)))
+        assert above == [True] * (fit.iterations - 1) + [False]
 
     def test_pooled_exposures_match_one_row_per_run(self, rng):
         """The fit on distinct states with pooled exposures equals the fit on
@@ -411,13 +434,14 @@ class TestFit:
         assert again.bic == fit.bic and again.waic == fit.waic
         assert again.spec == fit.spec and again.kinds == fit.kinds
         assert (again.iterations, again.halvings, again.stop) == (fit.iterations, fit.halvings, fit.stop)
-        assert again.max_abs_grad == fit.max_abs_grad and fit.stop in ("tolerance", "float_floor")
-        assert again.n_high_p_waic is None
+        assert again.max_abs_grad == fit.max_abs_grad and fit.stop == "float_floor"
+        assert again.n_waic_points is None and again.n_high_p_waic is None
         # only the schema that to_json_dict writes is read
-        for key in ("halvings", "max_abs_grad", "stop", "n_high_p_waic"):
+        for key in ("halvings", "max_abs_grad", "stop", "n_waic_points", "n_high_p_waic"):
             d = fit.to_json_dict()
             del d[key]
             with pytest.raises(KeyError):
                 ModelFit.from_json_dict(d)
-        fit.n_high_p_waic = 3
-        assert ModelFit.from_json_dict(json.loads(json.dumps(fit.to_json_dict()))).n_high_p_waic == 3
+        fit.n_waic_points, fit.n_high_p_waic = 30, 3
+        again = ModelFit.from_json_dict(json.loads(json.dumps(fit.to_json_dict())))
+        assert (again.n_waic_points, again.n_high_p_waic) == (30, 3)

@@ -20,6 +20,17 @@ class TestConfigValidation:
         with pytest.raises(SimulationError):
             SimConfig(n_actors=3, beta0=0.0, n_events=5, end_time=10.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("end_time", math.inf), ("end_time", math.nan), ("end_time", 0.0),
+        ("beta0", math.nan), ("beta0", math.inf), ("beta0", -math.inf),
+    ])
+    def test_non_finite_or_non_positive_value_named(self, field, value):
+        # with no n_events, an end time of inf or nan would never stop the
+        # thinning loop, so only the config is built here
+        kw = dict(n_actors=3, beta0=0.0, end_time=10.0) | {field: value}
+        with pytest.raises(SimulationError, match=f"^{field} must be finite"):
+            SimConfig(**kw)
+
     def test_negative_decay_rejected(self):
         bad = StepwiseDecay(IntervalSpec(np.array([10.0])), (-0.5,))
         with pytest.raises(SimulationError, match="negative"):
