@@ -77,6 +77,8 @@ class LinearDecay(DecayFn):
     def __post_init__(self) -> None:
         if not self.cutoff > 0:
             raise DecayError("cutoff must be positive")
+        if not math.isfinite(self.peak):
+            raise DecayError(f"peak must be finite, got {self.peak!r}")
 
     def _eval(self, age: np.ndarray) -> np.ndarray:
         return np.where(age < self.cutoff, self.peak - (self.peak / self.cutoff) * age, 0.0)
@@ -98,6 +100,8 @@ class WeibullDecay(DecayFn):
     def __post_init__(self) -> None:
         if not (self.scale > 0 and self.shape > 0):
             raise DecayError("scale and shape must be positive")
+        if not math.isfinite(self.peak):
+            raise DecayError(f"peak must be finite, got {self.peak!r}")
 
     def _eval(self, age: np.ndarray) -> np.ndarray:
         return self.peak * np.exp(-((age / self.scale) ** self.shape))
@@ -119,8 +123,8 @@ class CompositeDecay(DecayFn):
             fn, offset = item
             if not isinstance(fn, WeibullDecay):
                 raise DecayError("composite components must be WeibullDecay terms")
-            if offset < 0:
-                raise DecayError("component offsets must be nonnegative")
+            if not (math.isfinite(offset) and offset >= 0):
+                raise DecayError(f"component offset must be finite and >= 0, got {offset!r}")
             comps.append((fn, float(offset)))
         if not comps:
             raise DecayError("composite needs at least one component")

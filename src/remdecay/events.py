@@ -54,6 +54,8 @@ class EventSequence:
             raise EventDataError("times/senders/receivers must be 1-d arrays of equal length")
         if n_actors < 1:
             raise EventDataError("need at least one actor")
+        if not math.isfinite(t0):
+            raise EventDataError(f"t0 must be finite, got {t0!r}")
         if times.size:
             bad = np.flatnonzero(~np.isfinite(times))
             if bad.size:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -137,8 +138,8 @@ def generate_interval_bag(
         raise IntervalSpecError("no K values: the bag would have no specs")
     if per_kind_count < 0:
         raise IntervalSpecError("per_kind_count must be >= 0")
-    if gamma_K <= 0:
-        raise IntervalSpecError("gamma_K must be positive")
+    if not (math.isfinite(gamma_K) and gamma_K > 0):
+        raise IntervalSpecError(f"gamma_K must be finite and > 0, got {gamma_K!r}")
     for K in K_values:
         if K < 2:
             raise IntervalSpecError(f"each K must be >= 2, got {K}")

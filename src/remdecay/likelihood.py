@@ -19,7 +19,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, fields
-from typing import Iterable
 
 import numpy as np
 
@@ -169,23 +168,9 @@ def log_rates(stats: StatTensor, beta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stops(stats: StatTensor) -> np.ndarray:
-    """Each run's stop row: the next run's start, or M where the next run is
-    a dyad's first (start 0) or there is none."""
-    M = stats.n_events
-    stop = np.append(stats.start[1:], stats.start.dtype.type(M))
-    stop[stop == 0] = M
-    return stop
-
-
-def _constants(stats: StatTensor, seq: EventSequence) -> tuple[np.ndarray, np.ndarray]:
-    """The per-fit constants of the likelihood: the pooled exposures W_u, the
-    summed waiting times T[stop] - T[start] of the runs in state u (with
-    T = (t0, times)), and s, the summed realized statistics (as float64)."""
-    T = np.concatenate(([seq.t0], seq.times))
-    W = np.bincount(stats.ids, weights=T[_stops(stats)] - T[stats.start], minlength=len(stats.rows))
-    s = stats.rows[stats.realized].sum(axis=0, dtype=np.float64)
-    return W, s
+def _constants(stats: StatTensor) -> tuple[np.ndarray, np.ndarray]:
+    """The pooled exposures W_u and s, the summed realized statistics (as float64)."""
+    return stats.exposure, stats.rows[stats.realized].sum(axis=0, dtype=np.float64)
 
 
 def _reduce(
@@ -209,35 +194,18 @@ def _require_finite(value: float, stats: StatTensor, seq: EventSequence, beta: n
         raise LikelihoodOverflowError(int(bad[0]))
 
 
-def _step_sums(stats: StatTensor, columns: Iterable[np.ndarray], n_columns: int) -> np.ndarray:
-    """The (M, C) sums, over the runs in force at each event row, of
-    ``n_columns`` per-state columns (each of length U). A column is added at
-    its runs' start rows and taken off at their stop rows, one
-    ``np.bincount`` each, and the differences are summed down the rows; no
-    runs x columns array is formed. Non-finite values give non-finite sums
-    from their first row on."""
-    M = stats.n_events
-    ids, starts, stops = (np.asarray(a, dtype=np.intp) for a in (stats.ids, stats.start, _stops(stats)))
-    out = np.empty((M, n_columns))
-    for c, column in enumerate(columns):
-        w = column.take(ids)
-        delta = np.bincount(starts, w, minlength=M + 1) - np.bincount(stops, w, minlength=M + 1)
-        np.cumsum(delta[:M], out=out[:, c])
-    return out
-
-
 def event_derivatives(
     stats: StatTensor, seq: EventSequence, beta: np.ndarray, cov: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-event terms l_m, gradients g_m (M, P) and curvatures tr(cov H_m)
     at ``beta``, with H_m = -dt_m sum e_u u u' over the runs in force at row m.
 
-    They are the ``_step_sums`` of the P + 2 per-state columns
+    They are the ``stats.row_sums`` of the P + 2 per-state columns
     e_u (1, u, u' cov u), with e_u = exp(u . beta): the total rate, the
     rate-weighted statistics and the rate-weighted quadratic forms. Each
     column is made as it is summed, and the quadratic forms are taken one
-    float64 block of distinct states at a time. Overflow is returned as
-    non-finite values, not raised."""
+    float64 block of distinct states at a time. The waits dt_m are read from
+    ``seq``. Overflow is returned as non-finite values, not raised."""
     U, P = stats.rows, stats.n_columns
     eta = log_rates(stats, beta)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -247,7 +215,7 @@ def event_derivatives(
             quad[rows] = np.einsum("up,up->u", block @ cov, block)
         quad *= e
         columns = itertools.chain([e], (e * U[:, p] for p in range(P)), [quad])
-        sums = _step_sums(stats, columns, P + 2)
+        sums = stats.row_sums(columns, P + 2)
         dt = np.diff(seq.times, prepend=seq.t0)
         terms = eta[stats.realized] - dt * sums[:, 0]
         grads = U[stats.realized] - dt[:, None] * sums[:, 1 : P + 1]
@@ -257,7 +225,7 @@ def event_derivatives(
 def log_likelihood(stats: StatTensor, seq: EventSequence, beta: np.ndarray) -> float:
     """Sum over events of realized log-rate minus waiting-time x total rate;
     an overflow raises at its first event."""
-    value = _reduce(stats, *_constants(stats, seq), beta)[0]
+    value = _reduce(stats, *_constants(stats), beta)[0]
     _require_finite(value, stats, seq, beta)
     return value
 
@@ -281,7 +249,7 @@ def grad_and_hessian(
     """Analytic first and second derivatives of the log-likelihood. The Hessian
     is the negated rate-weighted second moment of the statistics, so it is
     negative semidefinite everywhere."""
-    W, s = _constants(stats, seq)
+    W, s = _constants(stats)
     value, w = _reduce(stats, W, s, beta)
     _require_finite(value, stats, seq, beta)
     return _derivatives(stats.rows, s, w)
@@ -323,23 +291,23 @@ def fit_mle(
 ) -> ModelFit:
     """Newton MLE with step halving, from the intercept-only MLE.
 
-    The start is beta_0 = log(M / sum_u W_u) with every other coefficient 0
-    (beta = 0 when the total exposure is 0). With ridge = 0 a rank-deficient
-    design is an error, found from the information at the start
-    (identically-zero columns are named). The fit has one convergence test,
-    the Newton decrement (Boyd & Vandenberghe 2004, section 9.5.1): it stops
-    as converged, with stop "float_floor", when the predicted gain
-    1/2 g'(ridge*I - H)^-1 g of the next step is at most ``FLOAT_FLOOR`` x
-    max(1, |ll|). It stops unconverged when a line search finds no improving
+    The start is beta_0 = log(M / sum_u W_u), W = ``stats.exposure``, with
+    every other coefficient 0 (beta = 0 when the total exposure is 0). With
+    ridge = 0 a rank-deficient design is an error, found from the information
+    at the start (identically-zero columns are named). The fit has one
+    convergence test, the Newton decrement (Boyd & Vandenberghe 2004, section
+    9.5.1): it stops as converged, with stop "float_floor", when the predicted
+    gain 1/2 g'(ridge*I - H)^-1 g of the next step is at most ``FLOAT_FLOOR``
+    x max(1, |ll|). It stops unconverged when a line search finds no improving
     step among ``LINE_SEARCH_STEPS`` candidates, or after ``MAX_ITER``
-    iterations. The rate kernel runs once per candidate point:
-    the accepted candidate's state weights give its gradient and Hessian. Each
-    Newton system ridge*I - H is factored once, retried with a 1e-8 jitter
-    if it fails (recorded as a warning on the fit); the factor at the final
-    beta gives the covariance. A column whose realized sum is 0 while its
-    exposure sum_u W_u u_p is positive has its MLE at -inf; the fit names
-    such columns in a warning on the fit and a RuntimeWarning, and leaves
-    ``converged`` as the stopping rule decided it.
+    iterations. The rate kernel runs once per candidate point: the accepted
+    candidate's state weights give its gradient and Hessian. Each Newton
+    system ridge*I - H is factored once, retried with a 1e-8 jitter if it
+    fails (recorded as a warning on the fit); the factor at the final beta
+    gives the covariance. A column whose realized sum is 0 while its exposure
+    sum_u W_u u_p is positive has its MLE at -inf; the fit names such columns
+    in a warning on the fit and a RuntimeWarning, and leaves ``converged`` as
+    the stopping rule decided it. ``seq`` only locates an overflow's event.
     """
     opts = opts or FitOptions()
     M, P = stats.n_events, stats.n_columns
@@ -347,7 +315,7 @@ def fit_mle(
     if U.dtype.kind == "f" and not np.isfinite(U).all():
         raise ValueError("statistics design contains non-finite values")
 
-    W, s = _constants(stats, seq)
+    W, s = _constants(stats)
     exposure = W.sum()
     beta = np.zeros(P)
     if exposure > 0.0:

@@ -61,7 +61,10 @@ class StatTensor:
     [0, M): a dyad's first run starts at row 0, and run r stops where run
     r + 1 starts (at M when that run starts at row 0, or r is the last run).
     ``rows`` holds the distinct statistic vectors, ``ids[r]`` is run r's row
-    and ``realized[m]`` the row of the event's own dyad at event row m. Column
+    and ``realized[m]`` the row of the event's own dyad at event row m.
+    ``exposure[u]`` is the summed wait T[stop] - T[start] of the runs in
+    state u, with T = (t0, times): a dyad's rate is constant over a run, so
+    the likelihood reads the runs only through it and ``row_sums``. Column
     0 is the intercept (identically 1); the remaining columns are one block
     per statistic kind, in declared order, with one column per memory
     interval. Memory grows with the number of state changes, not M x N(N-1).
@@ -73,13 +76,14 @@ class StatTensor:
     ``start`` as int32. Its ``rows`` is a view of one run-state buffer,
     compacted in place to the U distinct states, whose memory holds exactly
     U x P entries. Consumers cast rows to float64 one block at a time.
-    Designs built by hand may hold any real dtype.
+    Designs built by hand may hold any real dtype and must carry ``exposure``.
     """
 
     rows: np.ndarray
     ids: np.ndarray
     start: np.ndarray
     realized: np.ndarray
+    exposure: np.ndarray
     labels: tuple[str, ...]
     kinds: tuple[StatisticKind, ...]
     spec: IntervalSpec | None = None
@@ -91,6 +95,30 @@ class StatTensor:
     @property
     def n_columns(self) -> int:
         return self.rows.shape[1]
+
+    def row_sums(self, columns: Iterable[np.ndarray], n_columns: int) -> np.ndarray:
+        """The (M, C) sums, over the runs in force at each event row, of
+        ``n_columns`` per-state columns (each of length U). A column is added at
+        its runs' start rows and taken off at their stop rows, one
+        ``np.bincount`` each, and the differences are summed down the rows; no
+        runs x columns array is formed. Non-finite values give non-finite sums
+        from their first row on."""
+        M = self.n_events
+        runs = (self.ids, self.start, _stops(self.start, M))
+        ids, starts, stops = (np.asarray(a, dtype=np.intp) for a in runs)
+        out = np.empty((M, n_columns))
+        for c, column in enumerate(columns):
+            w = column.take(ids)
+            delta = np.bincount(starts, w, minlength=M + 1) - np.bincount(stops, w, minlength=M + 1)
+            np.cumsum(delta[:M], out=out[:, c])
+        return out
+
+
+def _stops(start: np.ndarray, M: int) -> np.ndarray:
+    """Each run's stop row: the next run's start, or M after a dyad's last run."""
+    stop = np.append(start[1:], start.dtype.type(M))
+    stop[stop == 0] = M
+    return stop
 
 
 def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,7 +326,7 @@ def compute_stepwise_stats(
     are the run's counts; the buffer is then compacted in place to those
     states and trimmed, and becomes ``rows``. So no second states x columns
     array is formed, and no runs x columns array in a type wider than the
-    counts need.
+    counts need. Each state's ``exposure`` pools its runs' waits, last.
     """
     kinds = _distinct_kinds(kinds)
     times = seq.times
@@ -391,11 +419,14 @@ def compute_stepwise_stats(
         buf[col * U : (col + 1) * U] = buf[col * R : (col + 1) * R][first]
     buf.resize(U * P, refcheck=False)
     rows = buf.reshape(P, U).T
+    T = np.concatenate(([seq.t0], times))
+    exposure = np.bincount(ids, weights=T[_stops(start, M)] - T[start], minlength=U)
     return StatTensor(
         rows=rows,
         ids=ids,
         start=start,
         realized=ids[realized],
+        exposure=exposure,
         labels=_labels(kinds, K),
         kinds=kinds,
         spec=spec,

@@ -22,27 +22,32 @@ from remdecay.stats import StatisticKind, StatTensor
 def runs_from_dense(
     values: np.ndarray,
     event_positions: np.ndarray,
+    waits: np.ndarray,
     labels: tuple[str, ...],
     kinds: tuple = (),
     spec: IntervalSpec | None = None,
 ) -> StatTensor:
     """Run-length design of a dense values[m, dyad, column] tensor: each
-    dyad's runs start at row 0 and wherever its statistic vector changes, and
-    the runs' states are told apart by ``np.unique``, so any real values work.
-    ``event_positions[m]`` is the dyad of event m, as ``RiskSet.event_positions``
-    gives it."""
-    M, D, _ = values.shape
+    dyad's runs start at row 0 and wherever its statistic vector changes.
+    The states are the distinct cells, told apart by ``np.unique``, so any
+    real values work, and each cell (m, dyad) adds its row's wait
+    ``waits[m]`` to its state's exposure. ``event_positions[m]`` is the dyad
+    of event m, as ``RiskSet.event_positions`` gives it."""
+    M, D, P = values.shape
     by_dyad = values.swapaxes(0, 1)
     new = np.ones((D, M), dtype=bool)
     new[:, 1:] = (by_dyad[:, 1:] != by_dyad[:, :-1]).any(axis=2)
     dyad, start = np.nonzero(new)
-    rows, ids = np.unique(by_dyad[dyad, start], axis=0, return_inverse=True)
+    rows, cells = np.unique(by_dyad.reshape(D * M, P), axis=0, return_inverse=True)
+    cells = cells.reshape(D, M)
+    ids = cells[dyad, start]
     event_positions = np.asarray(event_positions)
     return StatTensor(
         rows=rows,
         ids=ids,
         start=start,
         realized=ids[event_runs(dyad, start, event_positions)],
+        exposure=np.bincount(cells.ravel(), weights=np.tile(waits, D), minlength=len(rows)),
         labels=labels,
         kinds=kinds,
         spec=spec,
@@ -76,12 +81,15 @@ def to_dense(stats: StatTensor) -> np.ndarray:
     return np.ascontiguousarray(dense.reshape(D, M, -1).swapaxes(0, 1))
 
 
-def one_row_per_run(stats: StatTensor, event_positions: np.ndarray) -> StatTensor:
-    """The same design with every run holding its own row (ids 0..R-1), so
-    the likelihood sums over runs instead of pooling runs that share a state."""
-    dyad, start, _ = run_bounds(stats)
-    runs = event_runs(dyad, start, event_positions)
-    return replace(stats, rows=stats.rows[stats.ids], ids=np.arange(stats.ids.size), realized=runs)
+def one_row_per_run(stats: StatTensor, seq: EventSequence) -> StatTensor:
+    """The same design with every run holding its own row (ids 0..R-1) and its
+    own exposure T[stop] - T[start], with T = (t0, times), so the likelihood
+    sums over runs instead of pooling runs that share a state."""
+    dyad, start, stop = run_bounds(stats)
+    T = np.concatenate(([seq.t0], seq.times))
+    runs = event_runs(dyad, start, RiskSet(seq.n_actors).event_positions(seq))
+    return replace(stats, rows=stats.rows[stats.ids], ids=np.arange(stats.ids.size), realized=runs,
+                   exposure=T[stop] - T[start])
 
 
 def rescan_stepwise_stats(
@@ -131,6 +139,7 @@ def rescan_stepwise_stats(
     return runs_from_dense(
         values,
         rs.event_positions(seq),
+        np.diff(times, prepend=seq.t0),
         labels=("intercept",)
         + tuple(f"{k.value}_k{j + 1}" for k in kinds for j in range(K)),
         kinds=kinds,

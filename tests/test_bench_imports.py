@@ -1,6 +1,7 @@
 """Every name the benchmark imports from remdecay still exists, and every
-keyword the benchmark passes to one is still a parameter, so a change that
-removes either fails here instead of in a benchmark run."""
+call the benchmark makes to one still binds its positional and keyword
+arguments, so a change that removes a name or a parameter fails here
+instead of in a benchmark run."""
 
 import ast
 import importlib
@@ -20,8 +21,9 @@ def bench_imports():
 
 
 def bench_keyword_calls():
-    """(file, line, callee, keywords) for each call in bench/*.py to a name
-    imported from remdecay, or to an attribute of one (``Name.attr(...)``)."""
+    """(file, line, callee, n_positional, keywords) for each call in bench/*.py
+    to a name imported from remdecay, or to an attribute of one
+    (``Name.attr(...)``)."""
     for path in sorted(BENCH.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         imported = {
@@ -42,7 +44,7 @@ def bench_keyword_calls():
             else:
                 continue
             keywords = [kw.arg for kw in node.keywords if kw.arg is not None]  # not **kwargs
-            yield path.name, node.lineno, callee, keywords
+            yield path.name, node.lineno, callee, len(node.args), keywords
 
 
 def test_bench_imports_resolve():
@@ -60,9 +62,9 @@ def test_bench_keywords_are_parameters():
     calls = list(bench_keyword_calls())
     assert any(keywords for *_, keywords in calls)
     unknown = []
-    for path, line, callee, keywords in calls:
+    for path, line, callee, n_positional, keywords in calls:
         try:
-            inspect.signature(callee).bind_partial(**dict.fromkeys(keywords))
+            inspect.signature(callee).bind_partial(*[None] * n_positional, **dict.fromkeys(keywords))
         except TypeError as exc:
             unknown.append(f"{path}:{line}: {callee.__qualname__}: {exc}")
     assert unknown == []

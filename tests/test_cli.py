@@ -138,6 +138,14 @@ class TestGenIntervals:
         assert capsys.readouterr().err == "error: no K values: the bag would have no specs\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("gamma_max", ["nan", "inf"])
+    def test_non_finite_gamma_max_is_error(self, tmp_path, capsys, gamma_max):
+        """A non-finite largest bound fails, naming it, before --out is created."""
+        out = tmp_path / "o"
+        assert main(["gen-intervals", "--gamma-max", gamma_max, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: gamma_K must be finite and > 0, got {gamma_max}\n"
+        assert not out.exists()
+
 
 class TestFitBag:
     def test_small_bag_fast_and_consistent(self, sim_dir, bag_file, tmp_path):
@@ -617,8 +625,10 @@ def test_missing_required_option_named(command_args, tmp_path, capsys, command, 
      {"flag": "invalid literal for int()", "config": "not a list of integers: [3, 'x']"}),
     ("gen-intervals", "k_values", 3.0,
      {"flag": "invalid literal for int()", "config": "not a list of integers: 3.0"}),
+    ("simulate", "effects", {"inertia": {"variant": "weibull", "scale": 1, "shape": 1, "peak": math.nan}},
+     "peak must be finite, got nan"),
 ], ids=["list", "number", "missing field", "not json", "unknown kind", "k-values",
-        "k-values list", "k-values number"])
+        "k-values list", "k-values number", "nan peak"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_unparsable_option_named(command_args, tmp_path, capsys, command, flag, value, detail,
                                  source):

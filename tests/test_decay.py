@@ -32,6 +32,14 @@ class TestLinear:
     def test_validation(self):
         with pytest.raises(DecayError):
             LinearDecay(cutoff=0.0, peak=1.0)
+        for peak in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DecayError, match="peak must be finite"):
+                LinearDecay(cutoff=2.0, peak=peak)
+            with pytest.raises(DecayError, match="peak must be finite"):
+                WeibullDecay(scale=1.0, shape=1.0, peak=peak)
+        for offset in (math.nan, math.inf, -1.0):
+            with pytest.raises(DecayError, match="offset must be finite and >= 0"):
+                CompositeDecay(((WeibullDecay(1.0, 1.0, 1.0), offset),))
 
 
 class TestWeibull:

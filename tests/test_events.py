@@ -139,8 +139,10 @@ class TestEventSequence:
             EventSequence([1.0, 1.0], [0, 1], [1, 0], 2)
 
     def test_t0_before_first_event(self):
-        with pytest.raises(EventDataError, match="t0"):
-            EventSequence([1.0], [0], [1], 2, t0=2.0)
+        # a non-finite t0 would make the first wait, and so exposures, non-finite
+        for t0 in (2.0, np.inf, -np.inf, np.nan):
+            with pytest.raises(EventDataError, match="t0"):
+                EventSequence([1.0], [0], [1], 2, t0=t0)
 
     def test_immutable(self, tiny_seq):
         with pytest.raises(AttributeError):

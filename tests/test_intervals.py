@@ -92,6 +92,11 @@ class TestGenerator:
         with pytest.raises(IntervalSpecError, match="no K values"):
             generate_interval_bag([], 10, 0.05, 10.0, rng_seed=0)
 
+    @pytest.mark.parametrize("gamma_K", [0.0, -1.0, np.nan, np.inf])
+    def test_gamma_k_must_be_finite_and_positive(self, gamma_K):
+        with pytest.raises(IntervalSpecError, match="gamma_K must be finite and > 0"):
+            generate_interval_bag([3], 10, 0.05, gamma_K, rng_seed=0)
+
     def test_seed_reproducibility_bit_exact(self):
         a = generate_interval_bag([3, 4], 40, 0.05, 90.0, rng_seed=123)
         b = generate_interval_bag([3, 4], 40, 0.05, 90.0, rng_seed=123)

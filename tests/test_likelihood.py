@@ -32,7 +32,8 @@ KINDS2 = (StatisticKind.INERTIA, StatisticKind.RECIPROCITY)
 def intercept_only_tensor(seq):
     """A hand-built design with a single always-on dyad (risk set of size 1)."""
     M = len(seq)
-    return runs_from_dense(np.ones((M, 1, 1)), np.zeros(M, dtype=np.int64), labels=("intercept",))
+    return runs_from_dense(np.ones((M, 1, 1)), np.zeros(M, dtype=np.int64),
+                           np.diff(seq.times, prepend=seq.t0), labels=("intercept",))
 
 
 def random_instance(rng, n_actors=4, n_events=30, K=2):
@@ -349,7 +350,7 @@ class TestFit:
             seq = random_sequence(rng, n_actors, n_events)
             span = seq.times[-1] - seq.times[0]
             stats = compute_stepwise_stats(seq, RiskSet(n_actors), kinds, equal_spec(3, 0.8 * span))
-            runs = one_row_per_run(stats, RiskSet(n_actors).event_positions(seq))
+            runs = one_row_per_run(stats, seq)
             assert len(stats.rows) < len(runs.rows)
             pooled, each = fit_mle(stats, seq), fit_mle(runs, seq)
             assert pooled.loglik == pytest.approx(each.loglik, rel=1e-12)
@@ -388,7 +389,8 @@ class TestFit:
         seq, rs, stats = random_instance(rng, n_events=40)
         dense = to_dense(stats)
         dup = np.concatenate([dense, dense[:, :, -1:]], axis=2)
-        bad = runs_from_dense(dup, rs.event_positions(seq), stats.labels + ("dup",), stats.kinds)
+        bad = runs_from_dense(dup, rs.event_positions(seq), np.diff(seq.times, prepend=seq.t0),
+                              stats.labels + ("dup",), stats.kinds)
         with pytest.raises(RankDeficiencyError, match="linearly dependent"):
             fit_mle(bad, seq)
 
@@ -396,7 +398,8 @@ class TestFit:
         seq, rs, stats = random_instance(rng, n_events=30)
         dense = to_dense(stats).astype(np.float64)
         dense[-1, 0, -1] = np.inf
-        bad = runs_from_dense(dense, rs.event_positions(seq), stats.labels, stats.kinds)
+        bad = runs_from_dense(dense, rs.event_positions(seq), np.diff(seq.times, prepend=seq.t0),
+                              stats.labels, stats.kinds)
         with pytest.raises(ValueError, match="non-finite"):
             fit_mle(bad, seq)
 
@@ -404,7 +407,8 @@ class TestFit:
         seq, rs, stats = random_instance(rng, n_events=50)
         dense = to_dense(stats)
         padded = np.concatenate([dense, np.zeros_like(dense[:, :, :1])], axis=2)
-        bad = runs_from_dense(padded, rs.event_positions(seq), stats.labels + ("ghost_stat",), stats.kinds)
+        bad = runs_from_dense(padded, rs.event_positions(seq), np.diff(seq.times, prepend=seq.t0),
+                              stats.labels + ("ghost_stat",), stats.kinds)
         with pytest.raises(RankDeficiencyError, match="ghost_stat"):
             fit_mle(bad, seq)
         base = fit_mle(stats, seq)
@@ -417,7 +421,8 @@ class TestFit:
         perm = rng.permutation(len(rs))
         inv = np.argsort(perm)
         shuffled = runs_from_dense(
-            to_dense(stats)[:, perm, :], inv[rs.event_positions(seq)], stats.labels, stats.kinds
+            to_dense(stats)[:, perm, :], inv[rs.event_positions(seq)],
+            np.diff(seq.times, prepend=seq.t0), stats.labels, stats.kinds
         )
         a = fit_mle(stats, seq)
         b = fit_mle(shuffled, seq)

@@ -129,6 +129,22 @@ class TestClosureMicro:
         np.testing.assert_array_equal(to_dense(st_), loop_stepwise_stats(seq, rs, kinds, spec))
 
 
+def assert_run_fields(got, want):
+    """Each of ``got``'s exposures equals the oracle's cell-wise exposure of the
+    same state, and its row sums of a few per-state columns equal the sums
+    over the dyads of the oracle's dense design."""
+    where = {tuple(row): u for u, row in enumerate(want.rows.tolist())}
+    same = [where[tuple(row)] for row in got.rows.tolist()]
+    assert len(same) == len(want.rows)
+    # the two sum the waits in different orders
+    np.testing.assert_allclose(got.exposure, want.exposure[same], rtol=1e-12)
+    # integer weights keep every sum exact
+    weights = np.random.default_rng(0).integers(-3, 4, size=(got.n_columns, 3))
+    columns = (got.rows @ weights).astype(np.float64).T
+    want_sums = (to_dense(want) @ weights).sum(axis=1)
+    np.testing.assert_array_equal(got.row_sums(columns, len(columns)), want_sums)
+
+
 class TestOracleEquivalence:
     def test_small_random_sequences_loop_oracle(self, rng):
         for _ in range(8):
@@ -153,6 +169,18 @@ class TestOracleEquivalence:
             got = compute_stepwise_stats(seq, rs, ALL_KINDS, spec)
             want = rescan_stepwise_stats(seq, rs, ALL_KINDS, spec)
             np.testing.assert_array_equal(to_dense(got), to_dense(want))
+            assert_run_fields(got, want)
+
+    def test_run_fields_after_a_late_t0_rescan_oracle(self, rng):
+        """With the observation starting at t0 > 0, the first row's wait
+        times[0] - t0 enters every state in force there, on every kind."""
+        for kind in ALL_KINDS:
+            base = random_sequence(rng, 4, 50)
+            t0 = float(rng.uniform(0.1, 0.9) * base.times[0])
+            seq = EventSequence(base.times, base.senders, base.receivers, 4, t0=t0)
+            rs, spec = RiskSet(4), equal_spec(3, 0.6 * (seq.times[-1] - t0))
+            got = compute_stepwise_stats(seq, rs, (kind,), spec)
+            assert_run_fields(got, rescan_stepwise_stats(seq, rs, (kind,), spec))
 
     @pytest.mark.parametrize("K", [2, 5])
     def test_tie_spread_day_times_rescan_oracle(self, K):
@@ -171,6 +199,7 @@ class TestOracleEquivalence:
         got = compute_stepwise_stats(seq, rs, kinds, spec)
         want = rescan_stepwise_stats(seq, rs, kinds, spec)
         np.testing.assert_array_equal(to_dense(got), to_dense(want))
+        assert_run_fields(got, want)
 
     def test_shared_triad_precompute_matches_fresh(self, rng):
         seq = random_sequence(rng, 5, 60)
