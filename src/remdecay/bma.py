@@ -129,24 +129,25 @@ def _check_window(cfg: WaicConfig, M: int) -> None:
 
 
 def waic_pointwise(
-    fit: ModelFit, stats: StatTensor, seq: EventSequence, cfg: WaicConfig
+    fit: ModelFit, stats: StatTensor, cfg: WaicConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lpd_i, p_i) for each scoring point of one model, in closed form.
 
-    Point i in burn_in..M-ahead scores the next ``ahead`` realized events
-    given the history through event i, on the statistics of the full
-    sequence. Under the fit's normal approximation N(beta_hat, cov_hat), the
-    window's log density l_i(beta) has, to second order around beta_hat,
-    log mean density lpd_i = l_i + tr(cov H_i) / 2 + g_i' cov g_i / 2 and
-    variance p_i = g_i' cov g_i, where l_i, g_i and H_i sum the per-event
-    terms, gradients and Hessians of the window's events at beta_hat. This
-    is the second-order form of WAIC, asymptotically equivalent to
-    leave-one-out (Watanabe 2010); it takes no draws, so ``cfg.n_draws``
-    has no effect and the result is deterministic.
+    Point i in burn_in..M-ahead, M = ``stats.n_events``, scores the next
+    ``ahead`` realized events given the history through event i, on the
+    statistics of the full sequence. Under the fit's normal approximation
+    N(beta_hat, cov_hat), the window's log density l_i(beta) has, to second
+    order around beta_hat, log mean density lpd_i = l_i + tr(cov H_i) / 2 +
+    g_i' cov g_i / 2 and variance p_i = g_i' cov g_i, where l_i, g_i and H_i
+    sum the per-event terms, gradients and Hessians of the window's events
+    at beta_hat. This is the second-order form of WAIC, asymptotically
+    equivalent to leave-one-out (Watanabe 2010); it takes no draws, so
+    ``cfg.n_draws`` has no effect and the result is deterministic. Only the
+    design is read.
     """
-    _check_window(cfg, len(seq))
-    M, L, A = len(seq), cfg.burn_in, cfg.ahead
-    terms, grads, curvatures = event_derivatives(stats, seq, fit.beta_hat, fit.cov_hat)
+    M, L, A = stats.n_events, cfg.burn_in, cfg.ahead
+    _check_window(cfg, M)
+    terms, grads, curvatures = event_derivatives(stats, fit.beta_hat, fit.cov_hat)
     points = slice(L, M - A + 1)  # the first row of each point's window
     ll, g, tr_h = terms[points], grads[points], curvatures[points]
     for a in range(1, A):
@@ -169,9 +170,9 @@ def waic_elpd(
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float, float]:
     """(elpd_hat, lpd_hat, p_waic) for one model: lpd_hat sums the per-point
-    log mean densities of ``waic_pointwise``, p_waic their per-point
-    variances, and elpd_hat = lpd_hat - p_waic. ``rng`` has no effect."""
-    return _waic_totals(*waic_pointwise(fit, stats, seq, cfg))
+    log mean densities of ``waic_pointwise``, p_waic their variances, and
+    elpd_hat = lpd_hat - p_waic. ``seq`` is not read; ``rng`` has no effect."""
+    return _waic_totals(*waic_pointwise(fit, stats, cfg))
 
 
 def _converged_scores(fits: Sequence[ModelFit], scores: np.ndarray) -> np.ndarray:
@@ -247,7 +248,7 @@ def _fit_model(seq: EventSequence, kinds: tuple[StatisticKind, ...], waic: WaicC
                        loglik=math.nan, n_params=P, n_events=M, bic=math.nan,
                        converged=False, warnings=(str(exc),), stop="error")
     if waic is not None and fit.converged:
-        lpd_i, p_i = waic_pointwise(fit, stats, seq, waic)
+        lpd_i, p_i = waic_pointwise(fit, stats, waic)
         fit.waic = _waic_totals(lpd_i, p_i)[0]
         fit.n_waic_points = len(p_i)
         fit.n_high_p_waic = int(np.count_nonzero(p_i > P_WAIC_WARN))

@@ -170,7 +170,9 @@ def cmd_fit_bag(cfg: dict) -> dict:
 
         n_converged = sum(f.converged for f in fits)
         if n_converged == 0:
-            raise CliError("no model converged; nothing to weight")
+            # an unconverged fit's last note says why: its error, or why Newton stopped
+            raise CliError(f"no model converged; nothing to weight (model 0: {fits[0].warnings[-1]}; "
+                           f"every model's outcome is in {log_path})")
         weights = bag_weights(fits, weighting)
 
         _write_json(fits_path, {"weighting": weighting, "fits": [f.to_json_dict() for f in fits]})
@@ -323,10 +325,11 @@ def cmd_report(cfg: dict) -> dict:
 
 def _parser(what: str, convert, accepts):
     """An option parser: text becomes ``convert(text)``, as argparse's ``type=`` made it, and
-    any other value (text too, if ``convert`` is None) is kept as given if ``accepts`` it."""
+    any other value (text too, if ``convert`` is None) is kept as given; the result is kept
+    if ``accepts`` it."""
     def parse(value):
         if isinstance(value, str) and convert is not None:
-            return convert(value)
+            value = convert(value)
         if not accepts(value):
             raise ValueError(f"not {what}: {value!r}")
         return value
@@ -338,6 +341,7 @@ def _one_of(values: tuple[str, ...]):
 
 
 _integer = _parser("an integer", int, lambda v: type(v) is int)
+_seed = _parser("a non-negative integer", int, lambda v: type(v) is int and v >= 0)
 _real = _parser("a number", float, lambda v: type(v) in (int, float))
 _text = _parser("text", None, lambda v: type(v) is str)
 _switch = _parser("true or false", None, lambda v: type(v) is bool)
@@ -371,7 +375,7 @@ def _effects(value) -> dict:
 # and the config field's JSON value.
 _COMMON = {
     "config": (_text, False, "flat JSON config; flags override its fields"),
-    "out": (_text, False, "output directory"), "seed": (_integer, False, "master seed"),
+    "out": (_text, False, "output directory"), "seed": (_seed, False, "master seed"),
     "force": (_switch, False, "overwrite existing outputs"),
 }
 

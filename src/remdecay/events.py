@@ -165,12 +165,14 @@ def spread_ties(times: np.ndarray, unit: float = 1.0) -> np.ndarray:
     """Spread each block of n equal times d to d + k*unit/(n+1), k = 1..n.
 
     ``times`` must be nondecreasing; the spread copy keeps the input order
-    within a block and leaves singleton blocks untouched. Raises if a spread
-    block would reach past the next distinct time (unit too large for the
-    data's resolution).
+    within a block and leaves singleton blocks untouched. The unit must be
+    finite and > 0. Raises if a spread block would reach past the next
+    distinct time (unit too large for the data's resolution) or leaves its
+    times tied (unit below the float resolution at d); each error names the
+    unit as ``tie_unit``, the option that sets it.
     """
-    if unit <= 0:
-        raise EventDataError("spread unit must be positive")
+    if not (math.isfinite(unit) and unit > 0):
+        raise EventDataError(f"tie_unit must be finite and > 0, got {unit!r}")
     if np.any(np.diff(times) < 0):
         raise EventDataError("times must be nondecreasing before spreading")
     new_times = np.array(times, dtype=np.float64)
@@ -183,7 +185,11 @@ def spread_ties(times: np.ndarray, unit: float = 1.0) -> np.ndarray:
         nxt = uniq[b + 1] if b + 1 < len(uniq) else np.inf
         if spread[-1] >= nxt:
             raise EventDataError(
-                f"spreading {n} events at t={d} with unit={unit} overlaps next time {nxt}"
+                f"spreading {n} events at t={d} with tie_unit={unit} overlaps next time {nxt}"
+            )
+        if np.any(np.diff(spread) <= 0):
+            raise EventDataError(
+                f"tie_unit={unit} is too small to spread {n} events at t={d}: their times stay tied"
             )
         new_times[start : start + n] = spread
     return new_times

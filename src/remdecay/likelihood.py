@@ -184,28 +184,28 @@ def _reduce(
         return float(s @ beta - w.sum()), w
 
 
-def _require_finite(value: float, stats: StatTensor, seq: EventSequence, beta: np.ndarray) -> None:
+def _require_finite(value: float, stats: StatTensor, beta: np.ndarray) -> None:
     """Raise LikelihoodOverflowError at the first event whose term (from
     ``event_derivatives`` at a zero covariance) is not finite."""
     if not math.isfinite(value):
         P = stats.n_columns
-        terms = event_derivatives(stats, seq, beta, np.zeros((P, P)))[0]
+        terms = event_derivatives(stats, beta, np.zeros((P, P)))[0]
         bad = np.flatnonzero(~np.isfinite(terms))
         raise LikelihoodOverflowError(int(bad[0]))
 
 
 def event_derivatives(
-    stats: StatTensor, seq: EventSequence, beta: np.ndarray, cov: np.ndarray
+    stats: StatTensor, beta: np.ndarray, cov: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-event terms l_m, gradients g_m (M, P) and curvatures tr(cov H_m)
     at ``beta``, with H_m = -dt_m sum e_u u u' over the runs in force at row m.
 
-    They are the ``stats.row_sums`` of the P + 2 per-state columns
-    e_u (1, u, u' cov u), with e_u = exp(u . beta): the total rate, the
-    rate-weighted statistics and the rate-weighted quadratic forms. Each
-    column is made as it is summed, and the quadratic forms are taken one
-    float64 block of distinct states at a time. The waits dt_m are read from
-    ``seq``. Overflow is returned as non-finite values, not raised."""
+    They take off the ``stats.row_sums`` (integrals over the waits dt_m) of
+    the P + 2 per-state columns e_u (1, u, u' cov u), with e_u = exp(u . beta):
+    the total rate, the rate-weighted statistics and the rate-weighted
+    quadratic forms. Each column is made as it is summed, and the quadratic
+    forms are taken one float64 block of distinct states at a time. Overflow
+    is returned as non-finite values, not raised."""
     U, P = stats.rows, stats.n_columns
     eta = log_rates(stats, beta)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -216,17 +216,16 @@ def event_derivatives(
         quad *= e
         columns = itertools.chain([e], (e * U[:, p] for p in range(P)), [quad])
         sums = stats.row_sums(columns, P + 2)
-        dt = np.diff(seq.times, prepend=seq.t0)
-        terms = eta[stats.realized] - dt * sums[:, 0]
-        grads = U[stats.realized] - dt[:, None] * sums[:, 1 : P + 1]
-        return terms, grads, -dt * sums[:, P + 1]
+        terms = eta[stats.realized] - sums[:, 0]
+        grads = U[stats.realized] - sums[:, 1 : P + 1]
+        return terms, grads, -sums[:, P + 1]
 
 
-def log_likelihood(stats: StatTensor, seq: EventSequence, beta: np.ndarray) -> float:
+def log_likelihood(stats: StatTensor, beta: np.ndarray) -> float:
     """Sum over events of realized log-rate minus waiting-time x total rate;
     an overflow raises at its first event."""
     value = _reduce(stats, *_constants(stats), beta)[0]
-    _require_finite(value, stats, seq, beta)
+    _require_finite(value, stats, beta)
     return value
 
 
@@ -243,15 +242,13 @@ def _derivatives(U: np.ndarray, s: np.ndarray, w: np.ndarray) -> tuple[np.ndarra
     return s - np.array([w @ col for col in U.T]), hess
 
 
-def grad_and_hessian(
-    stats: StatTensor, seq: EventSequence, beta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def grad_and_hessian(stats: StatTensor, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Analytic first and second derivatives of the log-likelihood. The Hessian
     is the negated rate-weighted second moment of the statistics, so it is
     negative semidefinite everywhere."""
     W, s = _constants(stats)
     value, w = _reduce(stats, W, s, beta)
-    _require_finite(value, stats, seq, beta)
+    _require_finite(value, stats, beta)
     return _derivatives(stats.rows, s, w)
 
 
@@ -307,7 +304,7 @@ def fit_mle(
     gives the covariance. A column whose realized sum is 0 while its exposure
     sum_u W_u u_p is positive has its MLE at -inf; the fit names such columns
     in a warning on the fit and a RuntimeWarning, and leaves ``converged`` as
-    the stopping rule decided it. ``seq`` only locates an overflow's event.
+    the stopping rule decided it. ``seq`` is not read.
     """
     opts = opts or FitOptions()
     M, P = stats.n_events, stats.n_columns
@@ -321,7 +318,7 @@ def fit_mle(
     if exposure > 0.0:
         beta[0] = math.log(M / exposure)  # column 0 is the intercept
     ll, w = _reduce(stats, W, s, beta)
-    _require_finite(ll, stats, seq, beta)
+    _require_finite(ll, stats, beta)
     grad, hess = _derivatives(U, s, w)
     # where s_p = 0 the gradient is minus the rate-weighted exposure w . u_p,
     # so a negative one marks a column at risk but never realized

@@ -62,12 +62,14 @@ class StatTensor:
     r + 1 starts (at M when that run starts at row 0, or r is the last run).
     ``rows`` holds the distinct statistic vectors, ``ids[r]`` is run r's row
     and ``realized[m]`` the row of the event's own dyad at event row m.
-    ``exposure[u]`` is the summed wait T[stop] - T[start] of the runs in
-    state u, with T = (t0, times): a dyad's rate is constant over a run, so
-    the likelihood reads the runs only through it and ``row_sums``. Column
-    0 is the intercept (identically 1); the remaining columns are one block
-    per statistic kind, in declared order, with one column per memory
-    interval. Memory grows with the number of state changes, not M x N(N-1).
+    ``waits[m]`` = T[m + 1] - T[m], with T = (t0, times), is the wait that
+    ends at event m and ``exposure[u]`` the summed wait T[stop] - T[start] of
+    the runs in state u: a dyad's rate is constant over a run, so the
+    likelihood reads the runs and the waits only through ``exposure`` and
+    ``row_sums``. Column 0 is the intercept (identically 1); the remaining
+    columns are one block per statistic kind, in declared order, with one
+    column per memory interval. Memory grows with the number of state
+    changes, not M x N(N-1).
 
     Every entry is an exact count, so ``compute_stepwise_stats`` stores
     ``rows`` column-major in the smallest unsigned integer type that holds
@@ -76,13 +78,15 @@ class StatTensor:
     ``start`` as int32. Its ``rows`` is a view of one run-state buffer,
     compacted in place to the U distinct states, whose memory holds exactly
     U x P entries. Consumers cast rows to float64 one block at a time.
-    Designs built by hand may hold any real dtype and must carry ``exposure``.
+    Designs built by hand may hold any real dtype; they carry ``waits`` and
+    ``exposure`` too.
     """
 
     rows: np.ndarray
     ids: np.ndarray
     start: np.ndarray
     realized: np.ndarray
+    waits: np.ndarray
     exposure: np.ndarray
     labels: tuple[str, ...]
     kinds: tuple[StatisticKind, ...]
@@ -97,12 +101,13 @@ class StatTensor:
         return self.rows.shape[1]
 
     def row_sums(self, columns: Iterable[np.ndarray], n_columns: int) -> np.ndarray:
-        """The (M, C) sums, over the runs in force at each event row, of
-        ``n_columns`` per-state columns (each of length U). A column is added at
-        its runs' start rows and taken off at their stop rows, one
-        ``np.bincount`` each, and the differences are summed down the rows; no
-        runs x columns array is formed. Non-finite values give non-finite sums
-        from their first row on."""
+        """The (M, C) integrals over each event's wait of ``n_columns``
+        per-state columns (each of length U): row m is the sum over the runs
+        in force at row m, times ``waits[m]``. A column is added at its runs'
+        start rows and taken off at their stop rows, one ``np.bincount`` each,
+        and the differences are summed down the rows; no runs x columns array
+        is formed. Non-finite values give non-finite sums from their first
+        row on."""
         M = self.n_events
         runs = (self.ids, self.start, _stops(self.start, M))
         ids, starts, stops = (np.asarray(a, dtype=np.intp) for a in runs)
@@ -111,6 +116,7 @@ class StatTensor:
             w = column.take(ids)
             delta = np.bincount(starts, w, minlength=M + 1) - np.bincount(stops, w, minlength=M + 1)
             np.cumsum(delta[:M], out=out[:, c])
+        out *= self.waits[:, None]
         return out
 
 
@@ -326,7 +332,7 @@ def compute_stepwise_stats(
     are the run's counts; the buffer is then compacted in place to those
     states and trimmed, and becomes ``rows``. So no second states x columns
     array is formed, and no runs x columns array in a type wider than the
-    counts need. Each state's ``exposure`` pools its runs' waits, last.
+    counts need. Each state's ``exposure`` pools its runs' ``waits``, last.
     """
     kinds = _distinct_kinds(kinds)
     times = seq.times
@@ -426,6 +432,7 @@ def compute_stepwise_stats(
         ids=ids,
         start=start,
         realized=ids[realized],
+        waits=np.diff(T),
         exposure=exposure,
         labels=_labels(kinds, K),
         kinds=kinds,

@@ -30,8 +30,8 @@ def runs_from_dense(
     """Run-length design of a dense values[m, dyad, column] tensor: each
     dyad's runs start at row 0 and wherever its statistic vector changes.
     The states are the distinct cells, told apart by ``np.unique``, so any
-    real values work, and each cell (m, dyad) adds its row's wait
-    ``waits[m]`` to its state's exposure. ``event_positions[m]`` is the dyad
+    real values work; ``waits[m]`` is row m's wait, and each cell (m, dyad)
+    adds it to its state's exposure. ``event_positions[m]`` is the dyad
     of event m, as ``RiskSet.event_positions`` gives it."""
     M, D, P = values.shape
     by_dyad = values.swapaxes(0, 1)
@@ -47,6 +47,7 @@ def runs_from_dense(
         ids=ids,
         start=start,
         realized=ids[event_runs(dyad, start, event_positions)],
+        waits=waits,
         exposure=np.bincount(cells.ravel(), weights=np.tile(waits, D), minlength=len(rows)),
         labels=labels,
         kinds=kinds,
@@ -381,3 +382,10 @@ def random_sequence(rng: np.random.Generator, n_actors: int, n_events: int) -> E
     shift = rng.integers(1, n_actors, size=n_events)
     receivers = (senders + shift) % n_actors
     return EventSequence(times, senders, receivers, n_actors)
+
+
+def late_start(seq: EventSequence, rng: np.random.Generator) -> EventSequence:
+    """The same events observed from a t0 > 0, drawn in (0.1, 0.9) x times[0],
+    so the first wait times[0] - t0 is not times[0]."""
+    t0 = float(rng.uniform(0.1, 0.9) * seq.times[0])
+    return EventSequence(seq.times, seq.senders, seq.receivers, seq.n_actors, t0=t0)

@@ -25,6 +25,7 @@ from remdecay.likelihood import ModelFit, event_derivatives, fit_mle
 from remdecay.stats import StatisticKind, compute_stepwise_stats
 
 from oracle import (
+    late_start,
     loop_log_density,
     loop_window_derivatives,
     oracle_waic,
@@ -95,14 +96,17 @@ class TestBicWeights:
         np.testing.assert_allclose(w, [1.0, 0.0])
 
 
-@pytest.fixture
-def small_fit_setup(rng):
-    seq = random_sequence(rng, 3, 40)
-    rs = RiskSet(3)
+def fit_setup(seq):
+    """(seq, rs, spec, stats, fit) of the K = 2 inertia model on ``seq``."""
+    rs = RiskSet(seq.n_actors)
     spec = equal_spec(2, 0.5 * (seq.times[-1] - seq.times[0]))
     stats = compute_stepwise_stats(seq, rs, [INERTIA], spec)
-    fit = fit_mle(stats, seq)
-    return seq, rs, spec, stats, fit
+    return seq, rs, spec, stats, fit_mle(stats, seq)
+
+
+@pytest.fixture
+def small_fit_setup(rng):
+    return fit_setup(random_sequence(rng, 3, 40))
 
 
 class TestWaic:
@@ -112,9 +116,9 @@ class TestWaic:
         seq, rs, spec, stats, fit = small_fit_setup
         fit.cov_hat = np.zeros_like(fit.cov_hat)
         cfg = WaicConfig(burn_in=10, ahead=1)
-        lpd_i, p_i = bma.waic_pointwise(fit, stats, seq, cfg)
+        lpd_i, p_i = bma.waic_pointwise(fit, stats, cfg)
         assert not p_i.any()
-        terms = event_derivatives(stats, seq, fit.beta_hat, fit.cov_hat)[0]
+        terms = event_derivatives(stats, fit.beta_hat, fit.cov_hat)[0]
         np.testing.assert_array_equal(lpd_i, terms[10:])
         elpd, lpd, p = waic_elpd(fit, stats, seq, cfg)
         assert p == 0.0
@@ -144,20 +148,24 @@ class TestWaic:
         assert p == pytest.approx(p_hand, abs=1e-10)
 
     @pytest.mark.parametrize("ahead", [1, 3])
-    def test_windows_match_oracle_for_each_ahead(self, small_fit_setup, ahead):
+    def test_windows_match_oracle_for_each_ahead(self, small_fit_setup, rng, ahead):
         """Each point's lpd_i and p_i are the second-order form built from
-        the loop oracle's window log density, gradient and Hessian at beta_hat."""
-        seq, rs, spec, stats, fit = small_fit_setup
-        L, M, cov = 12, len(seq), fit.cov_hat
-        lpd_i, p_i = bma.waic_pointwise(fit, stats, seq, WaicConfig(burn_in=L, ahead=ahead))
-        dense, positions = to_dense(stats), rs.event_positions(seq)
-        assert lpd_i.shape == p_i.shape == (M - ahead - L + 1,)
-        for pos, i in enumerate(range(L, M - ahead + 1)):
-            ll, g, H = loop_window_derivatives(dense, positions, seq.times, seq.t0,
-                                               fit.beta_hat, i + 1, i + ahead)
-            p_ref = g @ cov @ g
-            assert p_i[pos] == pytest.approx(p_ref, rel=1e-10)
-            assert lpd_i[pos] == pytest.approx(ll + 0.5 * np.trace(cov @ H) + 0.5 * p_ref, rel=1e-10)
+        the loop oracle's window log density, gradient and Hessian at beta_hat,
+        also for the same events observed from t0 > 0, whose first wait
+        moves beta_hat and cov_hat."""
+        late = fit_setup(late_start(small_fit_setup[0], rng))
+        for seq, rs, spec, stats, fit in (small_fit_setup, late):
+            L, M, cov = 12, len(seq), fit.cov_hat
+            lpd_i, p_i = bma.waic_pointwise(fit, stats, WaicConfig(burn_in=L, ahead=ahead))
+            dense, positions = to_dense(stats), rs.event_positions(seq)
+            assert lpd_i.shape == p_i.shape == (M - ahead - L + 1,)
+            for pos, i in enumerate(range(L, M - ahead + 1)):
+                ll, g, H = loop_window_derivatives(dense, positions, seq.times, seq.t0,
+                                                   fit.beta_hat, i + 1, i + ahead)
+                p_ref = g @ cov @ g
+                assert p_i[pos] == pytest.approx(p_ref, rel=1e-10)
+                assert lpd_i[pos] == pytest.approx(ll + 0.5 * np.trace(cov @ H) + 0.5 * p_ref,
+                                                   rel=1e-10)
 
     @pytest.mark.parametrize("ahead", [1, 3])
     def test_close_to_sampled_reference(self, ahead):
@@ -200,7 +208,7 @@ class TestWaic:
         elpd, _, _ = waic_elpd(fit, stats, seq, cfg, rng=waic_model_rng(cfg.seed, 0))
         assert fits[0].waic == elpd
         # and its count of unreliable points comes from the same per-point terms
-        lpd_i, p_i = bma.waic_pointwise(fit, stats, seq, cfg)
+        lpd_i, p_i = bma.waic_pointwise(fit, stats, cfg)
         assert lpd_i.sum() - p_i.sum() == elpd
         assert fits[0].n_high_p_waic == np.count_nonzero(p_i > bma.P_WAIC_WARN)
         # shift invariance of the softmax over elpds

@@ -335,6 +335,24 @@ class TestFitBag:
         ) in report
         assert "stops: error 22, float_floor 11;" in report
 
+    def test_no_converged_model_names_a_cause(self, bag_file, tmp_path, capsys):
+        """On one event every column but the intercept is identically zero,
+        so every model fails; the error names model 0's cause and the log
+        that holds every model's outcome."""
+        events = tmp_path / "events.csv"
+        events.write_text("time,sender,receiver\n1.0,a,b\n")
+        out = tmp_path / "fits"
+        assert main(["fit-bag", "--events", str(events), "--intervals-file", str(bag_file),
+                     "--out", str(out)]) == 1
+        log = out / "log.ndjson"
+        assert capsys.readouterr().err == (
+            "error: no model converged; nothing to weight (model 0: statistic column(s) "
+            "identically zero: inertia_k1, inertia_k2; drop them or set ridge > 0; "
+            f"every model's outcome is in {log})\n"
+        )
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [r["event"] for r in records] == ["start"] + ["error"] * 3
+
     def test_empty_bag_is_error(self, sim_dir, tmp_path, capsys):
         """A bag without specs fails before --out is created."""
         empty = tmp_path / "intervals.json"
@@ -627,8 +645,10 @@ def test_missing_required_option_named(command_args, tmp_path, capsys, command, 
      {"flag": "invalid literal for int()", "config": "not a list of integers: 3.0"}),
     ("simulate", "effects", {"inertia": {"variant": "weibull", "scale": 1, "shape": 1, "peak": math.nan}},
      "peak must be finite, got nan"),
+    ("simulate", "seed", -1, "not a non-negative integer: -1"),
+    ("trend", "seed", -1, "not a non-negative integer: -1"),
 ], ids=["list", "number", "missing field", "not json", "unknown kind", "k-values",
-        "k-values list", "k-values number", "nan peak"])
+        "k-values list", "k-values number", "nan peak", "negative seed", "negative trend seed"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_unparsable_option_named(command_args, tmp_path, capsys, command, flag, value, detail,
                                  source):

@@ -84,6 +84,15 @@ class TestSpreadTies:
         with pytest.raises(EventDataError, match="overlap"):
             load_events(io.StringIO(csv), tie_policy="spread", tie_unit=1.0)
 
+    @pytest.mark.parametrize("unit", [float("nan"), float("inf"), 0.0, 1e-300])
+    def test_unit_that_cannot_spread_rejected_by_name(self, unit):
+        """A unit that is not finite and > 0, or below the float resolution
+        of the tied time, is an error that names the option, not a later
+        complaint about the times."""
+        csv = "time,sender,receiver\n2,a,b\n2,b,a\n2,a,c\n3,c,a\n"
+        with pytest.raises(EventDataError, match="tie_unit"):
+            load_events(io.StringIO(csv), tie_policy="spread", tie_unit=unit)
+
     def test_order_preserved_within_block(self):
         csv = "time,sender,receiver\n3,a,b\n3,c,a\n4,b,c\n"
         seq = load_events(io.StringIO(csv), tie_policy="spread", tie_unit=1.0)

@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from remdecay.sim import SimConfig, simulate
 from remdecay.stats import StatisticKind, compute_stepwise_stats
 
 from conftest import SIX_KINDS
-from oracle import one_row_per_run, random_sequence, runs_from_dense, to_dense
+from oracle import late_start, one_row_per_run, random_sequence, runs_from_dense, to_dense
 
 KINDS2 = (StatisticKind.INERTIA, StatisticKind.RECIPROCITY)
 
@@ -52,19 +54,19 @@ class TestLogLikelihood:
         T, M = times[-1], 5
         for b0 in (-1.0, 0.0, 0.4):
             expected = M * b0 - T * math.exp(b0)
-            assert log_likelihood(stats, seq, np.array([b0])) == pytest.approx(
+            assert log_likelihood(stats, np.array([b0])) == pytest.approx(
                 expected, rel=1e-12
             )
 
     def test_beta_zero_gives_total_exposure(self, rng):
         seq, rs, stats = random_instance(rng)
-        llo = log_likelihood(stats, seq, np.zeros(stats.n_columns))
+        llo = log_likelihood(stats, np.zeros(stats.n_columns))
         assert llo == pytest.approx(-seq.times[-1] * len(rs), rel=1e-12)
 
     def test_overflow_reports_event(self, rng):
         seq, rs, stats = random_instance(rng, n_events=12)
         with pytest.raises(LikelihoodOverflowError) as err:
-            log_likelihood(stats, seq, np.full(stats.n_columns, 400.0))
+            log_likelihood(stats, np.full(stats.n_columns, 400.0))
         assert 0 <= err.value.event_index < len(seq)
 
     def test_concavity_property(self, rng):
@@ -73,9 +75,9 @@ class TestLogLikelihood:
         for _ in range(20):
             b1 = rng.normal(0, 0.3, P)
             b2 = rng.normal(0, 0.3, P)
-            mid = log_likelihood(stats, seq, 0.5 * (b1 + b2))
+            mid = log_likelihood(stats, 0.5 * (b1 + b2))
             avg = 0.5 * (
-                log_likelihood(stats, seq, b1) + log_likelihood(stats, seq, b2)
+                log_likelihood(stats, b1) + log_likelihood(stats, b2)
             )
             assert mid >= avg - 1e-9
 
@@ -108,21 +110,25 @@ def inertia_design():
 
 class TestRateKernel:
     def test_matches_dense_reference(self, rng):
-        for _ in range(5):
+        """The last input is observed from t0 > 0, so its first wait is
+        times[0] - t0."""
+        for trial in range(6):
             seq = random_sequence(rng, int(rng.integers(2, 6)), int(rng.integers(10, 60)))
+            if trial == 5:
+                seq = late_start(seq, rng)
             rs = RiskSet(seq.n_actors)
             span = seq.times[-1] - seq.times[0]
             stats = compute_stepwise_stats(seq, rs, tuple(StatisticKind), equal_spec(2, 0.5 * span))
             beta = rng.normal(0, 0.1, stats.n_columns)
             terms, grad, hess = dense_reference(stats, seq, beta)
-            g, H = grad_and_hessian(stats, seq, beta)
+            g, H = grad_and_hessian(stats, beta)
             scale = np.abs(terms).max()
             zero_cov = np.zeros((stats.n_columns, stats.n_columns))
-            np.testing.assert_allclose(event_derivatives(stats, seq, beta, zero_cov)[0], terms,
+            np.testing.assert_allclose(event_derivatives(stats, beta, zero_cov)[0], terms,
                                        rtol=1e-12, atol=1e-12 * scale)
             np.testing.assert_allclose(g, grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max())
             np.testing.assert_allclose(H, hess, rtol=1e-12, atol=1e-12 * np.abs(hess).max())
-            assert log_likelihood(stats, seq, beta) == pytest.approx(terms.sum(), rel=1e-12)
+            assert log_likelihood(stats, beta) == pytest.approx(terms.sum(), rel=1e-12)
 
     @pytest.mark.parametrize("ahead", [1, 3])
     def test_waic_holds_no_events_by_draws_array(self, inertia_design, ahead):
@@ -161,11 +167,11 @@ class TestRateKernel:
     def test_hessian_blocks_match_one_block(self, rng, monkeypatch):
         seq, rs, stats = random_instance(rng, n_events=60)
         beta = rng.normal(0, 0.3, stats.n_columns)
-        g1, H1 = grad_and_hessian(stats, seq, beta)
+        g1, H1 = grad_and_hessian(stats, beta)
         # seven rows per block: several full blocks and a partial one
         monkeypatch.setattr(likelihood, "_ROW_BLOCK", 7)
         assert len(stats.rows) > 3 * 7 and len(stats.rows) % 7
-        g2, H2 = grad_and_hessian(stats, seq, beta)
+        g2, H2 = grad_and_hessian(stats, beta)
         np.testing.assert_array_equal(g2, g1)
         np.testing.assert_allclose(H2, H1, rtol=1e-12, atol=1e-12 * np.abs(H1).max())
 
@@ -173,11 +179,11 @@ class TestRateKernel:
         seq, rs, stats = random_instance(rng, n_events=12)
         beta = np.full(stats.n_columns, 400.0)
         # returned without a RuntimeWarning, which the test configuration makes an error
-        terms = event_derivatives(stats, seq, beta, np.eye(stats.n_columns))[0]
+        terms = event_derivatives(stats, beta, np.eye(stats.n_columns))[0]
         bad = np.flatnonzero(~np.isfinite(terms))
         assert bad.size
         with pytest.raises(LikelihoodOverflowError) as err:
-            log_likelihood(stats, seq, beta)
+            log_likelihood(stats, beta)
         assert err.value.event_index == bad[0]
 
 
@@ -190,14 +196,14 @@ class TestDerivatives:
             )
             P = stats.n_columns
             beta = rng.normal(0, 0.2, P)
-            g, _ = grad_and_hessian(stats, seq, beta)
+            g, _ = grad_and_hessian(stats, beta)
             g_fd = np.empty(P)
             for p in range(P):
                 e = np.zeros(P)
                 e[p] = h
                 g_fd[p] = (
-                    log_likelihood(stats, seq, beta + e)
-                    - log_likelihood(stats, seq, beta - e)
+                    log_likelihood(stats, beta + e)
+                    - log_likelihood(stats, beta - e)
                 ) / (2 * h)
             rel = np.abs(g - g_fd) / np.maximum(1.0, np.abs(g))
             assert rel.max() < 1e-6
@@ -206,7 +212,7 @@ class TestDerivatives:
         for _ in range(10):
             seq, rs, stats = random_instance(rng, n_events=int(rng.integers(8, 40)))
             beta = rng.normal(0, 0.3, stats.n_columns)
-            _, H = grad_and_hessian(stats, seq, beta)
+            _, H = grad_and_hessian(stats, beta)
             assert np.linalg.eigvalsh(H).max() < 1e-10
 
     def test_intercept_only_hessian(self):
@@ -214,7 +220,7 @@ class TestDerivatives:
         seq = EventSequence(times, [0, 1, 0], [1, 0, 1], 2)
         stats = intercept_only_tensor(seq)
         b0 = 0.3
-        _, H = grad_and_hessian(stats, seq, np.array([b0]))
+        _, H = grad_and_hessian(stats, np.array([b0]))
         assert H[0, 0] == pytest.approx(-times[-1] * math.exp(b0), rel=1e-12)
 
 
@@ -362,7 +368,7 @@ class TestFit:
     def test_gradient_small_at_solution(self, rng):
         seq, rs, stats = random_instance(rng, n_events=60)
         fit = fit_mle(stats, seq)
-        g, _ = grad_and_hessian(stats, seq, fit.beta_hat)
+        g, _ = grad_and_hessian(stats, fit.beta_hat)
         assert np.max(np.abs(g)) < 1e-6
         assert fit.converged
 
@@ -375,7 +381,7 @@ class TestFit:
         seq, rs, stats = random_instance(rng, n_events=60)
         for ridge in (0.0, 0.5):
             fit = fit_mle(stats, seq, FitOptions(ridge=ridge))
-            _, H = grad_and_hessian(stats, seq, fit.beta_hat)
+            _, H = grad_and_hessian(stats, fit.beta_hat)
             I = np.eye(fit.n_params)
             np.testing.assert_allclose(fit.cov_hat @ (ridge * I - H), I, atol=1e-8)
             np.linalg.cholesky(fit.cov_hat)
@@ -450,3 +456,15 @@ class TestFit:
         fit.n_waic_points, fit.n_high_p_waic = 30, 3
         again = ModelFit.from_json_dict(json.loads(json.dumps(fit.to_json_dict())))
         assert (again.n_waic_points, again.n_high_p_waic) == (30, 3)
+
+
+def test_likelihood_reads_no_event_times():
+    """The likelihood reads the time axis only through the design (its waits
+    and exposures), so no ``.times`` or ``.t0`` attribute appears in it."""
+    path = Path(likelihood.__file__)
+    found = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("times", "t0")
+    ]
+    assert found == []

@@ -17,6 +17,7 @@ from remdecay.stats import StatisticKind, build_triad_pairs, compute_stepwise_st
 from conftest import SIX_KINDS
 from oracle import (
     brute_triad_pairs,
+    late_start,
     loop_continuous_stats,
     loop_stepwise_stats,
     random_sequence,
@@ -130,18 +131,20 @@ class TestClosureMicro:
 
 
 def assert_run_fields(got, want):
-    """Each of ``got``'s exposures equals the oracle's cell-wise exposure of the
-    same state, and its row sums of a few per-state columns equal the sums
-    over the dyads of the oracle's dense design."""
+    """``got``'s waits are the oracle's, bit for bit; each of its exposures
+    equals the oracle's cell-wise exposure of the same state, and its row sums
+    of a few per-state columns equal the sums over the dyads of the oracle's
+    dense design times each row's wait."""
     where = {tuple(row): u for u, row in enumerate(want.rows.tolist())}
     same = [where[tuple(row)] for row in got.rows.tolist()]
     assert len(same) == len(want.rows)
+    np.testing.assert_array_equal(got.waits, want.waits)
     # the two sum the waits in different orders
     np.testing.assert_allclose(got.exposure, want.exposure[same], rtol=1e-12)
     # integer weights keep every sum exact
     weights = np.random.default_rng(0).integers(-3, 4, size=(got.n_columns, 3))
     columns = (got.rows @ weights).astype(np.float64).T
-    want_sums = (to_dense(want) @ weights).sum(axis=1)
+    want_sums = (to_dense(want) @ weights).sum(axis=1) * want.waits[:, None]
     np.testing.assert_array_equal(got.row_sums(columns, len(columns)), want_sums)
 
 
@@ -175,10 +178,8 @@ class TestOracleEquivalence:
         """With the observation starting at t0 > 0, the first row's wait
         times[0] - t0 enters every state in force there, on every kind."""
         for kind in ALL_KINDS:
-            base = random_sequence(rng, 4, 50)
-            t0 = float(rng.uniform(0.1, 0.9) * base.times[0])
-            seq = EventSequence(base.times, base.senders, base.receivers, 4, t0=t0)
-            rs, spec = RiskSet(4), equal_spec(3, 0.6 * (seq.times[-1] - t0))
+            seq = late_start(random_sequence(rng, 4, 50), rng)
+            rs, spec = RiskSet(4), equal_spec(3, 0.6 * (seq.times[-1] - seq.t0))
             got = compute_stepwise_stats(seq, rs, (kind,), spec)
             assert_run_fields(got, rescan_stepwise_stats(seq, rs, (kind,), spec))
 
