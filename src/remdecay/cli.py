@@ -13,7 +13,8 @@ creates ``--out``, so a command that fails there leaves nothing behind.
 Config comes from an optional flat JSON file, whose fields the flags of the
 same name override; one parser per option, in ``_COMMANDS``, reads a flag's
 text and a config field alike. An option given neither way takes the default
-of the library function it is passed to.
+of the library function it is passed to, except where a command function
+below sets its own (``cfg.get(name, default)``).
 """
 
 from __future__ import annotations

@@ -196,7 +196,7 @@ class _HistoryState:
                 pos, w = self.pair_pos[kind][pairs], w[outer - lo]
                 if not dominating:
                     t_outer = self.times[outer]
-                    inside = t_outer - (t - t_outer) <= self.pair_inner_time[pairs]
+                    inside = 2.0 * t_outer - self.pair_inner_time[pairs] <= t
                     pos, w = pos[inside], w[inside]
             np.add.at(expo, pos, w)
         return expo

@@ -6,13 +6,15 @@ event at t_m and the survival increment over the waiting time. The design
 stores them as per-dyad runs of rows over which a dyad's statistics do not
 change, held as their distinct statistic vectors (see ``StatTensor``).
 
-All age arithmetic uses the canonical expressions
-
-    age(e, m)        = times[m] - times[e]
-    window_lo(e, m)  = times[e] - (times[m] - times[e])
-
-so that this engine and any straightforward rescan implementation agree
-bit-for-bit on boundary membership.
+A past event changes a dyad's statistics at a crossing time: t_e + g when
+its age passes the bound g, and 2 t_outer - t_inner when a closure pair
+switches on (the outer event's backward window reaches the inner event).
+Each crossing takes effect at the row whose wait holds its time, found by
+one ``np.searchsorted`` over the event times: ``side="right"`` for a bound
+(an age equal to g is still inside g) and ``side="left"`` for an activation
+(a window that reaches the inner time holds it). So with T = (t0, times),
+T[row] <= crossing time <= T[row + 1], and any rescan that applies the same
+two rules agrees with this engine bit for bit.
 """
 
 from __future__ import annotations
@@ -148,39 +150,6 @@ def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, index
 
 
-def _first_rows(times: np.ndarray, idx: np.ndarray, reached) -> np.ndarray:
-    """Nudge searchsorted seeds ``idx`` to the first row m where ``reached(m)``
-    holds, entry by entry (M where it never does). ``reached`` is the
-    subtraction-form predicate, monotone in the row; the seeds come from its
-    addition form and can be off by an ulp."""
-    M = times.size
-    while True:
-        dec = (idx > 0) & reached(np.maximum(idx - 1, 0))
-        if not dec.any():
-            break
-        idx[dec] -= 1
-    while True:
-        inc = (idx < M) & ~reached(np.minimum(idx, M - 1))
-        if not inc.any():
-            break
-        idx[inc] += 1
-    return idx
-
-
-def _threshold_rows(times: np.ndarray, bounds) -> np.ndarray:
-    """rows[e, j]: for every event e, the first row m with times[m] - times[e] > bounds[j]."""
-    bounds = np.asarray(bounds, dtype=np.float64)
-    idx = np.searchsorted(times, times[:, None] + bounds, side="right")
-    return _first_rows(times, idx, lambda j: times[j] - times[:, None] > bounds)
-
-
-def _activation_rows(times: np.ndarray, t_outer: np.ndarray, t_inner: np.ndarray) -> np.ndarray:
-    """First row m where the inner-search window of each outer event reaches
-    back to its inner time: t_outer - (times[m] - t_outer) <= t_inner."""
-    idx = np.searchsorted(times, 2.0 * t_outer - t_inner, side="left")
-    return _first_rows(times, idx, lambda j: t_outer - (times[j] - t_outer) <= t_inner)
-
-
 def _closes(senders: np.ndarray, receivers: np.ndarray, inner, outer) -> np.ndarray:
     """The closure rule: inner event pairs with outer event when the inner
     receiver is the outer sender and the inner sender is not the outer
@@ -236,10 +205,9 @@ class TriadPairs:
 
     One entry per pair of events (inner, outer) that ``closure_partners``
     pairs: the pair starts counting toward its ``closure_positions`` of each
-    closure kind once the evaluation row ``act_row`` is late enough that the
-    backward search window of the outer event covers the inner one. Pairs
-    that could only activate after the outer event leaves the horizon are
-    dropped at build time.
+    closure kind at ``act_row``, the row of its activation time
+    2 t_outer - t_inner. Pairs that activate only after the outer event
+    leaves the horizon are dropped at build time.
     """
 
     horizon: float
@@ -258,16 +226,20 @@ def build_triad_pairs(seq: EventSequence, rs: RiskSet, horizon: float) -> TriadP
     Each outer event e searches the inner window [lo, e) that its backward
     search reaches by the last row before e leaves the horizon. Events are
     grouped by receiver, so the candidates of e are one contiguous slice of
-    its sender's group; the slices are expanded with ``np.repeat`` and
-    filtered by the closure rule, and one ``_first_rows`` nudge finds every
-    pair's activation row.
+    its sender's group; the slices are expanded with ``np.repeat``, and a
+    candidate is kept when it pairs under the closure rule and its
+    activation row is at most e's last row.
     """
     times, S, R = seq.times, seq.senders, seq.receivers
     M = times.size
-    last_row = _threshold_rows(times, [float(horizon)])[:, 0] - 1
+    last_row = np.searchsorted(times, times + float(horizon), side="right") - 1
     e = np.flatnonzero(last_row > np.arange(M))
     te = times[e]
-    lo = np.searchsorted(times, te - (times[last_row[e]] - te), side="left")
+    # 2 te - t_inner rounds down onto times[last_row] from up to half an ulp
+    # above it, where t_inner < 2 te - times[last_row]: so the window starts
+    # one ulp of times[last_row] further back, and the candidates that
+    # activate after the last row are dropped below
+    lo = np.searchsorted(times, 2.0 * te - np.nextafter(times[last_row[e]], np.inf), side="left")
     # events keyed by (receiver, index): the inner candidates of e are the
     # keys in [S[e] * M + lo, S[e] * M + e)
     by_receiver = np.argsort(R, kind="stable")
@@ -277,9 +249,9 @@ def build_triad_pairs(seq: EventSequence, rs: RiskSet, horizon: float) -> TriadP
     outer = np.repeat(e, count)
     slot = np.arange(outer.size) - np.repeat(np.cumsum(count) - count - left, count)
     inner = by_receiver[slot]
-    keep = _closes(S, R, inner, outer)
-    inner, outer = inner[keep], outer[keep]
-    act = _activation_rows(times, times[outer], times[inner])
+    act = np.searchsorted(times, 2.0 * times[outer] - times[inner], side="left")
+    keep = _closes(S, R, inner, outer) & (act <= last_row[outer])
+    inner, outer, act = inner[keep], outer[keep], act[keep]
     positions = {kind: closure_positions(rs, kind, S[inner], R[outer]) for kind in SECOND_ORDER}
     return TriadPairs(horizon=float(horizon), outer=outer, act_row=act, positions=positions)
 
@@ -338,7 +310,7 @@ def compute_stepwise_stats(
     times = seq.times
     M, D, K = times.size, len(rs), spec.size
     P = 1 + K * len(kinds)
-    ends = _threshold_rows(times, np.concatenate(([0.0], spec.gamma)))
+    ends = np.searchsorted(times, times[:, None] + np.concatenate(([0.0], spec.gamma)), side="right")
 
     needs_triads = any(k in SECOND_ORDER for k in kinds)
     if needs_triads:

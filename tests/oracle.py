@@ -107,9 +107,10 @@ def rescan_stepwise_stats(
 
     for m in range(M):
         t = times[m]
-        ages = t - times[:m]
-        in_h = ages <= gamma[-1]
-        k_of = np.searchsorted(gamma, ages, side="left")
+        # event e has crossed bound g at row m when t > times[e] + g
+        crossed = t > times[:m, None] + gamma
+        in_h = ~crossed[:, -1]
+        k_of = crossed.sum(axis=1)
         # one table per row: counts by (sender, receiver, interval)
         sel = np.flatnonzero(in_h)
         tab = np.bincount(
@@ -150,7 +151,8 @@ def rescan_stepwise_stats(
 
 def _closure_row(seq, rs, kind, m, K, k_of, in_h):
     """Closure counts at row m: for every in-horizon outer event, scan the
-    whole earlier history for inner partners inside the backward window."""
+    whole earlier history for inner partners whose activation time
+    2 t_outer - t_inner the row has reached."""
     times, S, R = seq.times, seq.senders, seq.receivers
     t = times[m]
     block = np.zeros((len(rs), K))
@@ -158,9 +160,8 @@ def _closure_row(seq, rs, kind, m, K, k_of, in_h):
         if not in_h[e]:
             continue
         te = times[e]
-        lo = te - (t - te)
         prior = np.arange(m)
-        window = (times[prior] >= lo) & (times[prior] < te)
+        window = (2 * te - times[prior] <= t) & (times[prior] < te)
         partner = R[prior] == S[e]  # inner receiver must equal outer sender
         for e_star in prior[window & partner]:
             if kind is StatisticKind.TRANSITIVITY:
@@ -178,17 +179,17 @@ def brute_triad_pairs(seq, rs, horizon):
 
     For each outer event e and each earlier event i whose receiver is e's
     sender and whose sender is not e's receiver, scan every row for the first
-    one whose backward window t_e - (t_m - t_e) reaches t_i. The pair is kept
-    when the outer event's age at that row is still within the horizon. Pairs
-    come out by outer event, then by inner event."""
+    one at or after the activation time 2 t_e - t_i. The pair is kept when
+    that row has not passed t_e + horizon. Pairs come out by outer event,
+    then by inner event."""
     times, S, R = seq.times, seq.senders, seq.receivers
     outer, act, trans, cyc = [], [], [], []
     for e in range(len(seq)):
         for i in range(e):
             if R[i] != S[e] or S[i] == R[e]:
                 continue
-            rows = [m for m in range(len(seq)) if times[e] - (times[m] - times[e]) <= times[i]]
-            if not rows or times[rows[0]] - times[e] > horizon:
+            rows = [m for m in range(len(seq)) if times[m] >= 2 * times[e] - times[i]]
+            if not rows or times[rows[0]] > times[e] + horizon:
                 continue
             outer.append(e)
             act.append(rows[0])
@@ -209,11 +210,9 @@ def loop_stepwise_stats(seq, rs, kinds, spec):
     values = np.zeros((M, D, 1 + K * len(kinds)))
     values[:, :, 0] = 1.0
 
-    def bucket(age):
-        if age > gamma[-1]:
-            return None
+    def bucket(t, te):
         for k, g in enumerate(gamma):
-            if age <= g:
+            if t <= te + g:
                 return k
         return None
 
@@ -224,7 +223,7 @@ def loop_stepwise_stats(seq, rs, kinds, spec):
             col = 1
             for kind in kinds:
                 for e in range(m):
-                    k = bucket(t - times[e])
+                    k = bucket(t, times[e])
                     if k is None:
                         continue
                     se, re = int(S[e]), int(R[e])
@@ -247,10 +246,9 @@ def loop_stepwise_stats(seq, rs, kinds, spec):
                         else:
                             outer_ok = (re == i) and (se != i) and (se != j)
                         if outer_ok:
-                            lo = times[e] - (t - times[e])
                             inner = 0
                             for e2 in range(m):
-                                if not (lo <= times[e2] < times[e]):
+                                if not (2 * times[e] - times[e2] <= t and times[e2] < times[e]):
                                     continue
                                 if kind is StatisticKind.TRANSITIVITY:
                                     if S[e2] == i and R[e2] == se:
@@ -297,12 +295,11 @@ def loop_continuous_stats(seq, rs, kinds, decay_per_kind):
                     elif kind is StatisticKind.TRANSITIVITY:
                         w = 0.0
                         if re == j and se not in (i, j):
-                            lo = times[e] - (t - times[e])
                             w = float(
                                 sum(
                                     1
                                     for e2 in range(m)
-                                    if lo <= times[e2] < times[e]
+                                    if 2 * times[e] - times[e2] <= t and times[e2] < times[e]
                                     and S[e2] == i
                                     and R[e2] == se
                                 )
@@ -310,12 +307,11 @@ def loop_continuous_stats(seq, rs, kinds, decay_per_kind):
                     else:
                         w = 0.0
                         if re == i and se not in (i, j):
-                            lo = times[e] - (t - times[e])
                             w = float(
                                 sum(
                                     1
                                     for e2 in range(m)
-                                    if lo <= times[e2] < times[e]
+                                    if 2 * times[e] - times[e2] <= t and times[e2] < times[e]
                                     and S[e2] == j
                                     and R[e2] == se
                                 )

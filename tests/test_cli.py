@@ -185,6 +185,24 @@ class TestFitBag:
         assert sha(fitted_dir / "weights.csv") == sha(out2 / "weights.csv")
         assert sha(fitted_dir / "fits.json") == sha(out2 / "fits.json")
 
+    def test_day_stamped_events_spread_and_rerun_byte_identical(self, sim_dir, bag_file, tmp_path):
+        """Times floored to whole days tie; --tie-policy spread fits them, and
+        a rerun writes the same bytes."""
+        header, *rows = (sim_dir / "events.csv").read_text().splitlines()
+        days = [f"{math.floor(float(t))},{rest}" for t, rest in (r.split(",", 1) for r in rows)]
+        assert len({d.split(",")[0] for d in days}) < len(days)
+        events = tmp_path / "days.csv"
+        events.write_text("\n".join([header, *days]) + "\n")
+        outs = [tmp_path / name for name in ("first", "again")]
+        for out in outs:
+            run([
+                "fit-bag", "--events", str(events), "--out", str(out), "--kinds",
+                "inertia,transitivity_closure", "--intervals-file", str(bag_file),
+                "--tie-policy", "spread", "--tie-unit", "1", "--jobs", "1",
+            ])
+        for name in ("fits.json", "weights.csv"):
+            assert sha(outs[0] / name) == sha(outs[1] / name)
+
     def test_intervals_file_reuse(self, sim_dir, tmp_path):
         iv = tmp_path / "iv"
         run([

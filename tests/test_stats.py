@@ -185,9 +185,8 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("K", [2, 5])
     def test_tie_spread_day_times_rescan_oracle(self, K):
-        """Spread day-rounded times put many ages an ulp from a bound or from
-        a closure's activation, where the searchsorted seeds of the design
-        build are off and only the subtraction-form nudges find the rows."""
+        """Spread day-rounded times put many crossing times an ulp from an
+        event time, where a crossing's row depends on how its time rounds."""
         sim = simulate(SimConfig(n_actors=4, beta0=-2.0,
                                  effects={StatisticKind.INERTIA: WeibullDecay(4.0, 1.0, 0.3)},
                                  horizon=20.0, n_events=200, seed=1))
@@ -201,6 +200,50 @@ class TestOracleEquivalence:
         want = rescan_stepwise_stats(seq, rs, kinds, spec)
         np.testing.assert_array_equal(to_dense(got), to_dense(want))
         assert_run_fields(got, want)
+
+    def test_bound_crossing_takes_the_row_after_its_time(self):
+        """0.1 + 0.2 rounds to 0.30000000000000004, so the first event has not
+        crossed g = 0.2 at the second event, whose time is that sum (the
+        subtraction 0.30000000000000004 - 0.1 is above 0.2)."""
+        seq = EventSequence([0.1, 0.30000000000000004], [0, 0], [1, 1], 2)
+        rs, spec = RiskSet(2), IntervalSpec(np.array([0.2, 5.0]))
+        kinds = (StatisticKind.INERTIA,)
+        got = to_dense(compute_stepwise_stats(seq, rs, kinds, spec))
+        np.testing.assert_array_equal(got[1, rs.index_of(0, 1)], [1.0, 1.0, 0.0])
+        np.testing.assert_array_equal(got, to_dense(rescan_stepwise_stats(seq, rs, kinds, spec)))
+        np.testing.assert_array_equal(got, loop_stepwise_stats(seq, rs, kinds, spec))
+
+    @pytest.mark.parametrize("horizon", [5.0, 0.9])
+    def test_closure_activates_at_the_row_of_its_time(self, horizon):
+        """Inner 0 -> 1 at 1.2 and outer 1 -> 2 at 2.1 switch on at
+        2 * 2.1 - 1.2, which rounds to 3.0: the pair counts at the event at
+        3.0 (the window 2.1 - (3.0 - 2.1) rounds above 1.2). With horizon
+        0.9, 2.1 + 0.9 rounds to 3.0 too, so 3.0 is the outer event's last
+        row and the pair counts there."""
+        seq = EventSequence([1.2, 2.1, 3.0], [0, 1, 2], [1, 2, 0], 3)
+        rs, spec = RiskSet(3), IntervalSpec(np.array([horizon]))
+        pairs = build_triad_pairs(seq, rs, horizon)
+        np.testing.assert_array_equal(pairs.act_row, [2])
+        outer, act, _ = brute_triad_pairs(seq, rs, horizon)
+        np.testing.assert_array_equal(act, [2])
+        kinds = (StatisticKind.TRANSITIVITY,)
+        got = to_dense(compute_stepwise_stats(seq, rs, kinds, spec))
+        assert got[2, rs.index_of(0, 2), 1] == 1.0
+        np.testing.assert_array_equal(got, to_dense(rescan_stepwise_stats(seq, rs, kinds, spec)))
+        np.testing.assert_array_equal(got, loop_stepwise_stats(seq, rs, kinds, spec))
+
+    def test_simulator_counts_a_closure_at_its_time(self):
+        """The simulator's intensity at 3.0 counts the closure pair that the
+        design counts at its row at 3.0, as the dominating rate does."""
+        kind = StatisticKind.TRANSITIVITY
+        cfg = SimConfig(n_actors=3, beta0=0.0, n_events=1, horizon=5.0,
+                        effects={kind: WeibullDecay(scale=3.0, shape=1.0, peak=0.5)})
+        rs = RiskSet(3)
+        state = _HistoryState(cfg, rs)
+        state.append(1.2, 0, 1)
+        state.append(2.1, 1, 2)
+        d = rs.index_of(0, 2)
+        assert state.log_rates(3.0)[d] == state.log_rates(3.0, dominating=True)[d] > 0.0
 
     def test_shared_triad_precompute_matches_fresh(self, rng):
         seq = random_sequence(rng, 5, 60)
