@@ -10,7 +10,6 @@ turns a bag of step functions into a smooth decay estimate.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import functools
 import math
@@ -299,6 +298,8 @@ def _run_bag(args: tuple, tasks: list[tuple[int, IntervalSpec]], workers: int
     if workers <= 1:
         yield from map(run, tasks)
         return
+    import concurrent.futures  # a serial run never loads the pool
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(run, tasks, chunksize=max(1, len(tasks) // (8 * workers)))
 
@@ -350,10 +351,28 @@ def sample_posterior(bag: ModelBag, n_draws: int, seed: int = 0) -> PosteriorDra
     return PosteriorDraws(model_indices=qs, blocks=blocks)
 
 
+def _quantile(s: np.ndarray, q: float) -> float:
+    """The q-quantile of the sorted sample ``s`` by the linear rule that
+    ``kde_mode`` states, with the arithmetic of ``np.percentile``."""
+    v = (s.size - 1) * q
+    i = math.floor(v)
+    g = v - i
+    a, b = float(s[i]), float(s[min(i + 1, s.size - 1)])
+    d = b - a
+    return a + d * g if g < 0.5 else b - d * (1.0 - g)
+
+
 def kde_mode(values: np.ndarray, n_grid: int = 512) -> float:
     """Argmax of a Gaussian KDE evaluated on an n_grid-point grid spanning
     the sample range; bandwidth by Silverman's rule on the smaller of the
-    standard deviation and the normalized interquartile range."""
+    standard deviation and the normalized interquartile range.
+
+    The quartiles are read off one sort s of the n values by NumPy's default
+    linear rule, type 7 of Hyndman & Fan (1996): for q = 0.25 and 0.75,
+    v = (n - 1) q, i = floor(v), g = v - i, a = s[i], b = s[min(i + 1, n - 1)]
+    and d = b - a give a + d g when g < 0.5, else b - d (1 - g). They equal
+    ``np.percentile(values, [25, 75])`` bit for bit, up to the sign of a zero
+    quartile from a tie of 0.0 and -0.0."""
     x = np.asarray(values, dtype=np.float64)
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:
@@ -361,8 +380,8 @@ def kde_mode(values: np.ndarray, n_grid: int = 512) -> float:
     counts, edges = np.histogram(x, bins=n_grid, range=(lo, hi))
     centers = 0.5 * (edges[:-1] + edges[1:])
     sd = float(x.std(ddof=1))
-    q25, q75 = np.percentile(x, [25.0, 75.0])
-    iqr = float(q75 - q25)
+    s = np.sort(x)
+    iqr = _quantile(s, 0.75) - _quantile(s, 0.25)
     a = min(sd, iqr / 1.34) if iqr > 0 else sd
     if a <= 0:
         return centers[int(np.argmax(counts))]
@@ -377,8 +396,15 @@ def kde_mode(values: np.ndarray, n_grid: int = 512) -> float:
     return float(centers[int(np.argmax(dens))])
 
 
+def _check_level(level: float) -> None:
+    if not 0.0 < level <= 1.0:
+        raise ValueError(f"level must be in (0, 1], got {level!r}")
+
+
 def hpd_interval(values: np.ndarray, level: float = 0.95) -> tuple[float, float]:
-    """Shortest interval containing ceil(level * n) of the sorted values."""
+    """Shortest interval containing ceil(level * n) of the sorted values;
+    ``level`` must be in (0, 1]."""
+    _check_level(level)
     x = np.sort(np.asarray(values, dtype=np.float64))
     n = x.size
     w = min(n, int(math.ceil(level * n)))
@@ -471,8 +497,7 @@ def extract_trend(
         raise ValueError(f"need at least 10 draws, got {draws.n_draws}")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    if not 0.0 < level <= 1.0:
-        raise ValueError(f"level must be in (0, 1], got {level!r}")
+    _check_level(level)
     if gamma_max is not None and not (math.isfinite(gamma_max) and gamma_max > 0):
         raise ValueError(f"gamma_max must be finite and > 0, got {gamma_max!r}")
     fits = bag.fits

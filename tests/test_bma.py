@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -265,7 +266,7 @@ class TestFitBagJobs:
     def test_pool_sized_by_bag(self, small_fit_setup, monkeypatch):
         seq, _, spec, _, _ = small_fit_setup
         specs = [spec, equal_spec(3, spec.horizon), equal_spec(4, spec.horizon)]
-        monkeypatch.setattr(bma.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(FakePool, "seen", [])
         serial = list(fit_bag(seq, specs, [INERTIA], jobs=1))
         assert FakePool.seen == []
@@ -286,7 +287,7 @@ class TestFitBagJobs:
         span = seq.times[-1] - seq.times[0]
         kinds = (INERTIA, StatisticKind.TRANSITIVITY)
         specs = [equal_spec(K, frac * span) for K in (2, 3) for frac in (0.3, 0.6)]
-        monkeypatch.setattr(bma.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(FakePool, "seen", [])
         for jobs in (1, 2):
             runs = list(fit_bag(seq, specs, kinds, jobs=jobs))
@@ -395,6 +396,25 @@ class TestSummaries:
                 assert centers[j] == mode
                 assert dens[j] == pytest.approx(dens.max(), rel=1e-12)
         assert wide > 0
+
+    def test_kde_mode_quartiles_match_numpy(self, rng):
+        """kde_mode's quartiles equal np.percentile's default ones on
+        continuous, tied and constant samples: bit for bit, except that a
+        zero quartile from a tie of 0.0 and -0.0 may take either sign, since
+        sort and partition may order the tie either way (an IQR of zero is
+        not used)."""
+        for n in [*range(2, 61), 10_000]:
+            for x in (rng.normal(size=n), np.round(rng.normal(size=n), 1),
+                      np.repeat(rng.normal(size=max(1, n // 3)), 3)[:n], np.full(n, 0.3)):
+                s = np.sort(x)
+                got = np.array([bma._quantile(s, 0.25), bma._quantile(s, 0.75)])
+                want = np.percentile(x, [25.0, 75.0])
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("level", [1.5, 0.0, -0.5, math.nan, math.inf])
+    def test_hpd_level_outside_unit_interval_rejected(self, level):
+        with pytest.raises(ValueError, match=r"level must be in \(0, 1\]"):
+            hpd_interval(np.arange(10.0), level)
 
     def test_hpd_mass_between_94_and_96(self, rng):
         for _ in range(10):

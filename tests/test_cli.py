@@ -772,13 +772,18 @@ def test_config_field_of_wrong_type_named(command_args, tmp_path, monkeypatch, c
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
-def test_cli_import_loads_no_scipy(sim_dir, bag_file, tmp_path):
-    """Every command pays the CLI's import, so it loads no scipy module, and
-    neither does a BIC or a WAIC fit-bag run."""
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports the remdecay under test."""
     import remdecay
 
     src = os.path.dirname(os.path.dirname(remdecay.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_loads_no_scipy(sim_dir, bag_file, tmp_path):
+    """Every command pays the CLI's import, so it loads no scipy module, and
+    neither does a BIC or a WAIC fit-bag run."""
+    env = _child_env()
     loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     fit_bag = [
         "fit-bag", "--events", str(sim_dir / "events.csv"),
@@ -796,6 +801,33 @@ def test_cli_import_loads_no_scipy(sim_dir, bag_file, tmp_path):
         assert out.splitlines()[-1] == "[]"
     assert (tmp_path / "bic" / "weights.csv").exists()
     assert (tmp_path / "waic" / "weights.csv").exists()
+
+
+def test_commands_load_no_masked_arrays_or_process_pool(tmp_path):
+    """Each command of a serial pipeline, in its own process, ends with
+    neither ``numpy.ma`` nor ``concurrent.futures`` loaded: both cost memory
+    that no command needs (``fit-bag --jobs 2`` loads the pool; see
+    ``TestBagRunner::test_parallel_matches_serial``)."""
+    env = _child_env()
+    sim, iv, fit = (str(tmp_path / d) for d in ("sim", "iv", "fit"))
+    pipeline = [
+        ["simulate", "--out", sim, "--n-actors", "4", "--beta0", str(math.log(0.05)),
+         "--effects", EFFECTS, "--horizon", "12", "--n-events", "50", "--seed", "5"],
+        ["gen-intervals", "--out", iv, "--k-values", "2", "--per-kind-count", "1",
+         "--min-size", "0.05", "--gamma-max", "12", "--seed", "7"],
+        ["fit-bag", "--events", f"{sim}/events.csv", "--intervals-file", f"{iv}/intervals.json",
+         "--out", fit, "--kinds", "inertia", "--jobs", "1"],
+        ["trend", "--fits", f"{fit}/fits.json", "--out", fit, "--n-draws", "500", "--seed", "4"],
+        ["report", "--fits", f"{fit}/fits.json", "--out", fit],
+    ]
+    for argv in pipeline:
+        code = ("import sys; from remdecay.cli import main; "
+                f"assert main({argv!r}) == 0; "
+                "print([m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == "[]", argv[0]
+    assert (tmp_path / "fit" / "report.md").exists()
 
 
 def _without_halvings(fitted_dir, tmp_path):
