@@ -224,7 +224,7 @@ def load_events(
         raise EventDataError(f"unknown tie_policy {tie_policy!r}")
 
     own = isinstance(source, (str, os.PathLike))
-    f = open(source, "r", newline="", encoding="utf-8") if own else source
+    f = open(source, "r", newline="", encoding="utf-8-sig") if own else source
 
     times: list[float] = []
     senders: list[int] = []

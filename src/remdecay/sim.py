@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .decay import DecayFn, decay_from_json, decay_to_json
+from .decay import DecayFn, StepwiseDecay, decay_from_json, decay_to_json
 from .events import EventSequence, RiskSet
 from .stats import (
     SECOND_ORDER,
@@ -28,6 +28,7 @@ from .stats import (
 __all__ = ["SimConfig", "SimulationError", "simulate"]
 
 _GRID = 1000
+_CAPACITY = 1024  # initial history rows; grown by doubling
 
 
 class SimulationError(RuntimeError):
@@ -68,7 +69,14 @@ class SimConfig:
         grid_hi = self.horizon if np.isfinite(self.horizon) else 1e4
         grid = np.linspace(0.0, grid_hi, _GRID)
         for kind, fn in effects.items():
-            vals = np.asarray(fn(grid), dtype=np.float64)
+            if not isinstance(fn, DecayFn):
+                raise SimulationError(f"decay for {kind.value} is a {type(fn).__name__}, not a DecayFn")
+            ages = grid
+            if isinstance(fn, StepwiseDecay):
+                # also just past each bound, so a level narrower than the grid step is seen
+                g = fn.spec.gamma
+                ages = np.union1d(grid, np.nextafter(g[g < grid_hi], np.inf))
+            vals = np.asarray(fn(ages), dtype=np.float64)
             if np.any(vals < 0):
                 raise SimulationError(f"decay for {kind.value} is negative on [0, horizon]")
             if np.any(np.diff(vals) > 1e-12 * max(1.0, np.abs(vals).max())):
@@ -97,71 +105,57 @@ class SimConfig:
         return cls(**kw)
 
 
-def _room(a: np.ndarray, n: int) -> np.ndarray:
-    """``a`` if it has room for n rows, else a copy with room for at least
-    twice its rows."""
-    if n <= len(a):
-        return a
-    grown = np.empty((max(n, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
-    grown[: len(a)] = a
-    return grown
+def _room(obj, n: int, *names: str) -> None:
+    """Give each named array of ``obj`` room for n entries: a short one grows
+    to at least twice its length."""
+    for name in names:
+        a = getattr(obj, name)
+        if n > a.size:
+            setattr(obj, name, np.concatenate((a, np.empty(max(n, a.size), a.dtype))))
 
 
 class _HistoryState:
-    """Growing event history, stored with the risk-set positions that each
-    effect counts every event toward.
+    """Growing event history: each event's time, actors and risk-set dyad.
 
-    First-order positions come from the per-dyad maps of ``touched_dyads``.
-    Closure pairs are recorded as each outer event is appended, from
-    ``closure_partners`` over the inner events within the horizon; which of
-    them count at a given time is decided when the rates are evaluated.
+    Closure pairs are recorded as each outer event is appended, as the
+    (outer, inner) event indices that ``closure_partners`` pairs within the
+    horizon. Positions are looked up when the rates are evaluated: a
+    first-order kind reads its ``touched_dyads`` map at each event's dyad, a
+    closure kind the ``closure_positions`` of the pairs that count at the
+    evaluation time.
     """
 
-    def __init__(self, config: SimConfig, rs: RiskSet, capacity: int = 1024):
+    def __init__(self, config: SimConfig, rs: RiskSet):
         self.cfg = config
         self.rs = rs
         self.n = 0
         self.left = 0  # oldest event still within the horizon
-        self.times = np.empty(capacity)
-        self.senders = np.empty(capacity, dtype=np.int64)
-        self.receivers = np.empty(capacity, dtype=np.int64)
+        self.times = np.empty(_CAPACITY)
+        self.senders = np.empty(_CAPACITY, dtype=np.int64)
+        self.receivers = np.empty(_CAPACITY, dtype=np.int64)
+        self.dyads = np.empty(_CAPACITY, dtype=np.int64)
         self.maps: dict[StatisticKind, np.ndarray] = {}  # width 1 kept 1-D: faster np.add.at
-        self.pos: dict[StatisticKind, np.ndarray] = {}
-        self.pair_pos: dict[StatisticKind, np.ndarray] = {}
         for kind in config.effects:
-            if kind in SECOND_ORDER:
-                self.pair_pos[kind] = np.empty(capacity, dtype=np.int64)
-            else:
+            if kind not in SECOND_ORDER:
                 dyad_map = touched_dyads(rs, kind, rs.senders, rs.receivers)
                 self.maps[kind] = dyad_map[:, 0] if dyad_map.shape[1] == 1 else dyad_map
-                self.pos[kind] = np.empty((capacity,) + self.maps[kind].shape[1:], dtype=np.int64)
+        self.closure = any(kind in SECOND_ORDER for kind in config.effects)
         self.n_pairs = 0
-        self.pair_outer = np.empty(capacity, dtype=np.int64)  # ascending
-        self.pair_inner_time = np.empty(capacity)
+        self.pair_outer = np.empty(_CAPACITY, dtype=np.int64)  # ascending
+        self.pair_inner = np.empty(_CAPACITY, dtype=np.int64)
 
     def append(self, t: float, s: int, r: int) -> None:
         i = self.n
-        if i == self.times.size:
-            for name in ("times", "senders", "receivers"):
-                setattr(self, name, _room(getattr(self, name), i + 1))
-            self.pos = {kind: _room(a, i + 1) for kind, a in self.pos.items()}
-        self.times[i] = t
-        self.senders[i] = s
-        self.receivers[i] = r
-        d = self.rs.index_of(s, r)
-        for kind, dyad_map in self.maps.items():
-            self.pos[kind][i] = dyad_map[d]
-        if self.pair_pos:
+        _room(self, i + 1, "times", "senders", "receivers", "dyads")
+        self.times[i], self.senders[i], self.receivers[i] = t, s, r
+        self.dyads[i] = self.rs.index_of(s, r)
+        if self.closure:
             lo = int(np.searchsorted(self.times[:i], t - self.cfg.horizon, side="left"))
             inner = closure_partners(self.senders, self.receivers, lo, i)
             a, b = self.n_pairs, self.n_pairs + inner.size
-            self.pair_outer = _room(self.pair_outer, b)
-            self.pair_inner_time = _room(self.pair_inner_time, b)
+            _room(self, b, "pair_outer", "pair_inner")
             self.pair_outer[a:b] = i
-            self.pair_inner_time[a:b] = self.times[inner]
-            for kind, pos in self.pair_pos.items():
-                self.pair_pos[kind] = pos = _room(pos, b)
-                pos[a:b] = closure_positions(self.rs, kind, self.senders[inner], r)
+            self.pair_inner[a:b] = inner
             self.n_pairs = b
         self.n += 1
 
@@ -183,21 +177,25 @@ class _HistoryState:
         lo, hi = self.left, self.n
         if lo == hi or not cfg.effects:
             return expo
+        if self.closure:  # the pairs whose outer event is within the horizon
+            first = np.searchsorted(self.pair_outer[: self.n_pairs], lo)
+            outer = self.pair_outer[first : self.n_pairs]
+            inner = self.pair_inner[first : self.n_pairs]
+            if not dominating:
+                t_outer, t_inner = self.times[outer], self.times[inner]
+                inside = 2.0 * t_outer - t_inner <= t
+                outer, inner = outer[inside], inner[inside]
+            inner_senders, outer_receivers = self.senders[inner], self.receivers[outer]
         ages = t - self.times[lo:hi]
         for kind, decay in cfg.effects.items():
             w = decay._eval(ages)  # t >= every history time: no sign check
-            if kind in self.pos:
-                pos = self.pos[kind][lo:hi]
+            if kind in self.maps:
+                pos = self.maps[kind][self.dyads[lo:hi]]
                 if pos.ndim == 2:
                     w = w[:, None]  # broadcast along the trailing axis only
             else:
-                pairs = slice(np.searchsorted(self.pair_outer[: self.n_pairs], lo), self.n_pairs)
-                outer = self.pair_outer[pairs]
-                pos, w = self.pair_pos[kind][pairs], w[outer - lo]
-                if not dominating:
-                    t_outer = self.times[outer]
-                    inside = 2.0 * t_outer - self.pair_inner_time[pairs] <= t
-                    pos, w = pos[inside], w[inside]
+                pos = closure_positions(self.rs, kind, inner_senders, outer_receivers)
+                w = w[outer - lo]
             np.add.at(expo, pos, w)
         return expo
 
@@ -237,20 +235,18 @@ def simulate(config: SimConfig) -> EventSequence:
             raise SimulationError(
                 "intensity exceeded its thinning envelope; a decay function is not nonincreasing"
             )
-        if rng.uniform() <= ratio:
+        accepted = rng.uniform() <= ratio
+        if accepted:
             p = lam_prop / total_prop
             d = int(rng.choice(len(rs), p=p / p.sum()))
-            s, r = int(rs.senders[d]), int(rs.receivers[d])
-            state.append(t_prop, s, r)
-            t_cur = t_prop
-            bound_cur = float(np.exp(state.log_rates(t_cur, dominating=True)).sum())
-        else:
-            t_cur = t_prop
-            bound_cur = (
-                float(np.exp(state.log_rates(t_cur, dominating=True)).sum())
-                if state.pair_pos  # closure windows grow between events
-                else total_prop
-            )
+            state.append(t_prop, int(rs.senders[d]), int(rs.receivers[d]))
+        t_cur = t_prop
+        # closure windows grow between events, so a rejection moves their bound too
+        bound_cur = (
+            float(np.exp(state.log_rates(t_cur, dominating=True)).sum())
+            if accepted or state.closure
+            else total_prop
+        )
 
     n = state.n
     return EventSequence(

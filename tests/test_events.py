@@ -63,6 +63,16 @@ class TestLoadEvents:
             assert np.array_equal(again.senders, seq.senders)
             assert np.array_equal(again.receivers, seq.receivers)
 
+    def test_utf8_bom_path_loads_like_plain(self, tmp_path):
+        # spreadsheet exports start the file with a BOM; a path is decoded as utf-8-sig
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(CSV3.encode())
+        bom.write_bytes(b"\xef\xbb\xbf" + CSV3.encode())
+        want, got = load_events(plain), load_events(bom)
+        for name in ("times", "senders", "receivers"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert got.labels == want.labels == ("a", "b", "c")
+
 
 class TestSpreadTies:
     def test_single_event_unchanged(self):

@@ -47,6 +47,29 @@ class TestConfigValidation:
                 effects={StatisticKind.INERTIA: bad},
             )
 
+    @pytest.mark.parametrize("bounds", [(1.0, 1.000001, 20.0), (1.0, 1.001, 20.0)])
+    def test_rise_narrower_than_the_grid_step_rejected(self, bounds):
+        # the grid step is 20/999 > 0.001: only the ages just past each bound
+        # see the middle level
+        bad = StepwiseDecay(IntervalSpec(np.array(bounds)), (0.1, 2.0, 0.05))
+        with pytest.raises(SimulationError, match="increases"):
+            SimConfig(
+                n_actors=3, beta0=0.0, n_events=5, horizon=20.0,
+                effects={StatisticKind.INERTIA: bad},
+            )
+
+    def test_narrow_falling_level_accepted(self):
+        fine = StepwiseDecay(IntervalSpec(np.array([1.0, 1.000001, 20.0])), (2.0, 1.0, 0.05))
+        SimConfig(n_actors=3, beta0=0.0, n_events=5, horizon=20.0,
+                  effects={StatisticKind.INERTIA: fine})
+
+    @pytest.mark.parametrize("effect", [lambda age: 0.0 * age, 0.5], ids=["function", "float"])
+    def test_effect_that_is_not_a_decay_named(self, effect):
+        match = r"^decay for reciprocity is a (function|float), not a DecayFn$"
+        with pytest.raises(SimulationError, match=match):
+            SimConfig(n_actors=3, beta0=0.0, n_events=5,
+                      effects={StatisticKind.RECIPROCITY: effect})
+
     def test_json_roundtrip(self):
         cfg = SimConfig(
             n_actors=4,

@@ -492,6 +492,13 @@ def continuous_stats(seq, rs, kinds, decay_per_kind):
     return values
 
 
+# every other kind Weibull, the rest linear
+MIXED_DECAYS = {
+    k: WeibullDecay(scale=3.0, shape=1.0, peak=0.5) if i % 2 == 0 else LinearDecay(6.0, 1.0)
+    for i, k in enumerate(ALL_KINDS)
+}
+
+
 class TestContinuous:
     def test_unit_weight_equals_single_interval_counts(self, rng):
         seq = random_sequence(rng, 4, 40)
@@ -530,13 +537,26 @@ class TestContinuous:
     def test_matches_loop_oracle_all_kinds(self, rng):
         seq = random_sequence(rng, 4, 18)
         rs = RiskSet(4)
-        decays = {
-            k: WeibullDecay(scale=3.0, shape=1.0, peak=0.5) if i % 2 == 0 else LinearDecay(6.0, 1.0)
-            for i, k in enumerate(ALL_KINDS)
-        }
-        cont = continuous_stats(seq, rs, ALL_KINDS, decays)
-        want = loop_continuous_stats(seq, rs, ALL_KINDS, decays)
+        cont = continuous_stats(seq, rs, ALL_KINDS, MIXED_DECAYS)
+        want = loop_continuous_stats(seq, rs, ALL_KINDS, MIXED_DECAYS)
         np.testing.assert_allclose(cont, want, rtol=1e-12, atol=1e-12)
+
+    def test_one_history_serves_every_kind(self, rng):
+        # all eight kinds read the same event dyads and closure pairs; with
+        # beta0 = 0 the log rate is the sum of the weighted statistics
+        seq = random_sequence(rng, 4, 18)
+        rs = RiskSet(4)
+        want = loop_continuous_stats(seq, rs, ALL_KINDS, MIXED_DECAYS)[:, :, 1:].sum(axis=2)
+        cfg = SimConfig(n_actors=4, beta0=0.0, n_events=1, effects=MIXED_DECAYS)
+        state = _HistoryState(cfg, rs)
+        env = state.log_rates(seq.times[0], dominating=True)
+        events = zip(seq.times.tolist(), seq.senders.tolist(), seq.receivers.tolist())
+        for m, (t, s, r) in enumerate(events):
+            got = state.log_rates(t)
+            np.testing.assert_allclose(got, want[m], rtol=1e-12, atol=1e-12)
+            assert np.all(got <= env)  # the envelope taken at the previous event
+            state.append(t, s, r)
+            env = state.log_rates(t, dominating=True)
 
     def test_negative_decay_rejected(self, rng):
         seq = random_sequence(rng, 3, 8)
