@@ -36,7 +36,7 @@ class DecayFn:
 
     def __call__(self, age):
         age = np.asarray(age, dtype=np.float64)
-        if np.any(age < 0):
+        if not np.all(age >= 0):
             raise DecayError("transpired time must be nonnegative")
         out = self._eval(age)
         return float(out) if out.ndim == 0 else out

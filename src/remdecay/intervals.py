@@ -88,6 +88,8 @@ class IntervalSpec:
 
 
 def equal_spec(n_intervals: int, gamma_max: float) -> IntervalSpec:
+    if n_intervals < 1:
+        raise IntervalSpecError(f"need at least 1 interval, got {n_intervals}")
     g = np.arange(1, n_intervals + 1, dtype=np.float64) * (gamma_max / n_intervals)
     g[-1] = gamma_max
     return IntervalSpec(g, kind="equal")
@@ -100,7 +102,7 @@ def locate_intervals(spec: IntervalSpec, ages: np.ndarray) -> np.ndarray:
     belongs to the earlier interval, and age 0 belongs to interval 1.
     """
     ages = np.asarray(ages, dtype=np.float64)
-    if np.any(ages < 0):
+    if not np.all(ages >= 0):
         raise IntervalSpecError(f"transpired time must be nonnegative, got {ages.min()}")
     k = np.searchsorted(spec.gamma, ages, side="left").astype(np.int64) + 1
     k[ages > spec.horizon] = 0

@@ -168,30 +168,28 @@ def log_rates(stats: StatTensor, beta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _constants(stats: StatTensor) -> tuple[np.ndarray, np.ndarray]:
-    """The pooled exposures W_u and s, the summed realized statistics (as float64)."""
-    return stats.exposure, stats.rows[stats.realized].sum(axis=0, dtype=np.float64)
-
-
-def _reduce(
-    stats: StatTensor, W: np.ndarray, s: np.ndarray, beta: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """The log-likelihood s . beta - sum_u W_u e_u and the state weights
-    w_u = W_u e_u, the weight of state u in every derivative."""
+def _reduce(stats: StatTensor, s: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray]:
+    """The log-likelihood s . beta - sum_u W_u e_u, W = ``stats.exposure``,
+    and the state weights w_u = W_u e_u, the weight of state u in every derivative."""
     eta = log_rates(stats, beta)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.multiply(W, np.exp(eta, out=eta), out=eta)
+        w = np.multiply(stats.exposure, np.exp(eta, out=eta), out=eta)
         return float(s @ beta - w.sum()), w
 
 
-def _require_finite(value: float, stats: StatTensor, beta: np.ndarray) -> None:
-    """Raise LikelihoodOverflowError at the first event whose term (from
+def _point(stats: StatTensor, beta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The log-likelihood at ``beta``, the realized sums s (as float64) and
+    the state weights. An overflow raises LikelihoodOverflowError at the
+    first event where the running sum of the per-event terms (from
     ``event_derivatives`` at a zero covariance) is not finite."""
+    s = stats.rows[stats.realized].sum(axis=0, dtype=np.float64)
+    value, w = _reduce(stats, s, beta)
     if not math.isfinite(value):
         P = stats.n_columns
-        terms = event_derivatives(stats, beta, np.zeros((P, P)))[0]
-        bad = np.flatnonzero(~np.isfinite(terms))
-        raise LikelihoodOverflowError(int(bad[0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            running = np.cumsum(event_derivatives(stats, beta, np.zeros((P, P)))[0])
+        raise LikelihoodOverflowError(int(np.flatnonzero(~np.isfinite(running))[0]))
+    return value, s, w
 
 
 def event_derivatives(
@@ -223,10 +221,8 @@ def event_derivatives(
 
 def log_likelihood(stats: StatTensor, beta: np.ndarray) -> float:
     """Sum over events of realized log-rate minus waiting-time x total rate;
-    an overflow raises at its first event."""
-    value = _reduce(stats, *_constants(stats), beta)[0]
-    _require_finite(value, stats, beta)
-    return value
+    an overflow raises at the first event whose running sum is not finite."""
+    return _point(stats, beta)[0]
 
 
 def _derivatives(U: np.ndarray, s: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,9 +242,7 @@ def grad_and_hessian(stats: StatTensor, beta: np.ndarray) -> tuple[np.ndarray, n
     """Analytic first and second derivatives of the log-likelihood. The Hessian
     is the negated rate-weighted second moment of the statistics, so it is
     negative semidefinite everywhere."""
-    W, s = _constants(stats)
-    value, w = _reduce(stats, W, s, beta)
-    _require_finite(value, stats, beta)
+    _, s, w = _point(stats, beta)
     return _derivatives(stats.rows, s, w)
 
 
@@ -312,13 +306,11 @@ def fit_mle(
     if U.dtype.kind == "f" and not np.isfinite(U).all():
         raise ValueError("statistics design contains non-finite values")
 
-    W, s = _constants(stats)
-    exposure = W.sum()
+    exposure = stats.exposure.sum()
     beta = np.zeros(P)
     if exposure > 0.0:
         beta[0] = math.log(M / exposure)  # column 0 is the intercept
-    ll, w = _reduce(stats, W, s, beta)
-    _require_finite(ll, stats, beta)
+    ll, s, w = _point(stats, beta)
     grad, hess = _derivatives(U, s, w)
     # where s_p = 0 the gradient is minus the rate-weighted exposure w . u_p,
     # so a negative one marks a column at risk but never realized
@@ -339,7 +331,7 @@ def fit_mle(
         for _ in range(LINE_SEARCH_STEPS):
             cand = beta + alpha * step
             # an overflow gives -inf or nan and fails the comparison
-            cand_ll, w = _reduce(stats, W, s, cand)
+            cand_ll, w = _reduce(stats, s, cand)
             if cand_ll >= ll:
                 beta, ll = cand, cand_ll
                 grad, hess = _derivatives(U, s, w)

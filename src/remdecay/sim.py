@@ -53,6 +53,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n_actors, (int, np.integer)):
+            raise SimulationError(f"n_actors must be an integer, got {self.n_actors!r}")
+        if not isinstance(self.n_events, (int, np.integer, type(None))):
+            raise SimulationError(f"n_events must be an integer, got {self.n_events!r}")
         if self.n_actors < 2:
             raise SimulationError("need at least 2 actors")
         if (self.n_events is None) == (self.end_time is None):
@@ -115,7 +119,7 @@ def _room(obj, n: int, *names: str) -> None:
 
 
 class _HistoryState:
-    """Growing event history: each event's time, actors and risk-set dyad.
+    """Growing event history: each event's time and risk-set dyad.
 
     Closure pairs are recorded as each outer event is appended, as the
     (outer, inner) event indices that ``closure_partners`` pairs within the
@@ -131,8 +135,6 @@ class _HistoryState:
         self.n = 0
         self.left = 0  # oldest event still within the horizon
         self.times = np.empty(_CAPACITY)
-        self.senders = np.empty(_CAPACITY, dtype=np.int64)
-        self.receivers = np.empty(_CAPACITY, dtype=np.int64)
         self.dyads = np.empty(_CAPACITY, dtype=np.int64)
         self.maps: dict[StatisticKind, np.ndarray] = {}  # width 1 kept 1-D: faster np.add.at
         for kind in config.effects:
@@ -144,14 +146,14 @@ class _HistoryState:
         self.pair_outer = np.empty(_CAPACITY, dtype=np.int64)  # ascending
         self.pair_inner = np.empty(_CAPACITY, dtype=np.int64)
 
-    def append(self, t: float, s: int, r: int) -> None:
+    def append(self, t: float, d: int) -> None:
         i = self.n
-        _room(self, i + 1, "times", "senders", "receivers", "dyads")
-        self.times[i], self.senders[i], self.receivers[i] = t, s, r
-        self.dyads[i] = self.rs.index_of(s, r)
+        _room(self, i + 1, "times", "dyads")
+        self.times[i], self.dyads[i] = t, d
         if self.closure:
             lo = int(np.searchsorted(self.times[:i], t - self.cfg.horizon, side="left"))
-            inner = closure_partners(self.senders, self.receivers, lo, i)
+            window = self.rs.dyads[self.dyads[lo : i + 1]]
+            inner = lo + closure_partners(window[:, 0], window[:, 1], 0, i - lo)
             a, b = self.n_pairs, self.n_pairs + inner.size
             _room(self, b, "pair_outer", "pair_inner")
             self.pair_outer[a:b] = i
@@ -185,7 +187,8 @@ class _HistoryState:
                 t_outer, t_inner = self.times[outer], self.times[inner]
                 inside = 2.0 * t_outer - t_inner <= t
                 outer, inner = outer[inside], inner[inside]
-            inner_senders, outer_receivers = self.senders[inner], self.receivers[outer]
+            inner_senders = self.rs.senders[self.dyads[inner]]
+            outer_receivers = self.rs.receivers[self.dyads[outer]]
         ages = t - self.times[lo:hi]
         for kind, decay in cfg.effects.items():
             w = decay._eval(ages)  # t >= every history time: no sign check
@@ -239,7 +242,7 @@ def simulate(config: SimConfig) -> EventSequence:
         if accepted:
             p = lam_prop / total_prop
             d = int(rng.choice(len(rs), p=p / p.sum()))
-            state.append(t_prop, int(rs.senders[d]), int(rs.receivers[d]))
+            state.append(t_prop, d)
         t_cur = t_prop
         # closure windows grow between events, so a rejection moves their bound too
         bound_cur = (
@@ -249,10 +252,5 @@ def simulate(config: SimConfig) -> EventSequence:
         )
 
     n = state.n
-    return EventSequence(
-        state.times[:n].copy(),
-        state.senders[:n].copy(),
-        state.receivers[:n].copy(),
-        config.n_actors,
-        t0=0.0,
-    )
+    senders, receivers = rs.dyads[state.dyads[:n]].T
+    return EventSequence(state.times[:n].copy(), senders, receivers, config.n_actors, t0=0.0)

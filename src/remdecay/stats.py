@@ -220,6 +220,11 @@ class TriadPairs:
         return self.outer.size
 
 
+def _check_actors(seq: EventSequence, rs: RiskSet) -> None:
+    if rs.n_actors != seq.n_actors:
+        raise ValueError(f"risk set has {rs.n_actors} actors, the sequence {seq.n_actors}")
+
+
 def build_triad_pairs(seq: EventSequence, rs: RiskSet, horizon: float) -> TriadPairs:
     """Every (inner, outer) pair of ``closure_partners`` in one vectorized pass.
 
@@ -230,6 +235,7 @@ def build_triad_pairs(seq: EventSequence, rs: RiskSet, horizon: float) -> TriadP
     candidate is kept when it pairs under the closure rule and its
     activation row is at most e's last row.
     """
+    _check_actors(seq, rs)
     times, S, R = seq.times, seq.senders, seq.receivers
     M = times.size
     last_row = np.searchsorted(times, times + float(horizon), side="right") - 1
@@ -306,6 +312,7 @@ def compute_stepwise_stats(
     array is formed, and no runs x columns array in a type wider than the
     counts need. Each state's ``exposure`` pools its runs' ``waits``, last.
     """
+    _check_actors(seq, rs)
     kinds = _distinct_kinds(kinds)
     times = seq.times
     M, D, K = times.size, len(rs), spec.size

@@ -127,3 +127,9 @@ class TestJson:
     def test_negative_age_rejected(self):
         with pytest.raises(DecayError):
             LinearDecay(2.0, 3.0)(-0.1)
+
+    def test_nan_age_rejected(self):
+        for fn in (StepwiseDecay(equal_spec(2, 10.0), (0.2, 0.1)), WeibullDecay(1.0, 1.0, 1.0)):
+            for age in (np.nan, [0.0, np.nan]):
+                with pytest.raises(DecayError, match="nonnegative"):
+                    fn(age)

@@ -34,6 +34,11 @@ class TestIntervalSpec:
             IntervalSpec(np.array([4.0, 6.0, 7.0]), kind="increasing")
         IntervalSpec(np.array([4.0, 6.0, 7.0]), kind="decreasing")
 
+    @pytest.mark.parametrize("n_intervals", [0, -1])
+    def test_equal_spec_needs_an_interval(self, n_intervals):
+        with pytest.raises(IntervalSpecError, match=f"need at least 1 interval, got {n_intervals}"):
+            equal_spec(n_intervals, 10.0)
+
     def test_json_roundtrip_bitexact(self):
         bag = generate_interval_bag([3, 4], 5, 0.05, 180.0, rng_seed=11)
         again = bag_from_json(json.loads(json.dumps(bag_to_json(bag))))
@@ -59,6 +64,11 @@ class TestLocate:
 
     def test_negative_age_rejected(self):
         for ages in ([-0.5], [-0.5, 0.0, 5.0, 11.0], [3.0, -1e-300]):
+            with pytest.raises(IntervalSpecError, match="nonnegative"):
+                locate_intervals(equal_spec(2, 10.0), ages)
+
+    def test_nan_age_rejected(self):
+        for ages in ([np.nan], [0.0, np.nan, 5.0]):
             with pytest.raises(IntervalSpecError, match="nonnegative"):
                 locate_intervals(equal_spec(2, 10.0), ages)
 

@@ -69,6 +69,17 @@ class TestLogLikelihood:
             log_likelihood(stats, np.full(stats.n_columns, 400.0))
         assert 0 <= err.value.event_index < len(seq)
 
+    @pytest.mark.parametrize("b0", [705.0, 709.0])
+    def test_overflow_of_finite_terms_reports_event(self, b0):
+        # every per-event term is finite, but their sum overflows
+        M = 200
+        seq = EventSequence(np.arange(1.0, M + 1), [m % 2 for m in range(M)],
+                            [(m + 1) % 2 for m in range(M)], 2)
+        stats = compute_stepwise_stats(seq, RiskSet(2), (StatisticKind.INERTIA,), equal_spec(1, 1000.0))
+        with pytest.raises(LikelihoodOverflowError) as err:
+            log_likelihood(stats, np.array([b0, 0.0]))
+        assert 0 <= err.value.event_index < M
+
     def test_concavity_property(self, rng):
         seq, rs, stats = random_instance(rng)
         P = stats.n_columns
@@ -326,8 +337,8 @@ class TestFit:
         reduce, derivatives = likelihood._reduce, likelihood._derivatives
         evaluated, accepted = [], []
 
-        def recording_reduce(stats, W, s, beta):
-            evaluated.append(reduce(stats, W, s, beta))
+        def recording_reduce(stats, s, beta):
+            evaluated.append(reduce(stats, s, beta))
             return evaluated[-1]
 
         def recording_derivatives(U, s, w):

@@ -31,6 +31,18 @@ class TestConfigValidation:
         with pytest.raises(SimulationError, match=f"^{field} must be finite"):
             SimConfig(**kw)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_actors", 2.5), ("n_actors", 3.0), ("n_events", 3.5), ("n_events", 4.0),
+    ])
+    def test_non_integer_count_named(self, field, value):
+        kw = dict(n_actors=3, beta0=-1.0, n_events=3) | {field: value}
+        with pytest.raises(SimulationError, match=f"^{field} must be an integer"):
+            SimConfig(**kw)
+
+    def test_numpy_integer_counts_accepted(self):
+        seq = simulate(SimConfig(n_actors=np.int64(3), beta0=-1.0, n_events=np.int32(4)))
+        assert (len(seq), seq.n_actors) == (4, 3)
+
     def test_negative_decay_rejected(self):
         bad = StepwiseDecay(IntervalSpec(np.array([10.0])), (-0.5,))
         with pytest.raises(SimulationError, match="negative"):
@@ -161,7 +173,7 @@ class TestThinningEnvelope:
                 state = _HistoryState(cfg, rs)
                 for t, s, r in zip(seq.times[:m].tolist(), seq.senders[:m].tolist(),
                                    seq.receivers[:m].tolist()):
-                    state.append(t, s, r)
+                    state.append(t, rs.index_of(s, r))
                 t = seq.times[m - 1]
                 env = state.log_rates(t, dominating=True)
                 # increasing query times: log_rates drops events past the horizon

@@ -240,8 +240,8 @@ class TestOracleEquivalence:
                         effects={kind: WeibullDecay(scale=3.0, shape=1.0, peak=0.5)})
         rs = RiskSet(3)
         state = _HistoryState(cfg, rs)
-        state.append(1.2, 0, 1)
-        state.append(2.1, 1, 2)
+        state.append(1.2, rs.index_of(0, 1))
+        state.append(2.1, rs.index_of(1, 2))
         d = rs.index_of(0, 2)
         assert state.log_rates(3.0)[d] == state.log_rates(3.0, dominating=True)[d] > 0.0
 
@@ -270,6 +270,14 @@ class TestOracleEquivalence:
             for kind in positions:
                 np.testing.assert_array_equal(pairs.positions[kind], positions[kind])
             assert pairs.n_pairs == outer.size
+
+    @pytest.mark.parametrize("n_actors", [3, 6])
+    def test_risk_set_of_another_actor_count_rejected(self, rng, n_actors):
+        seq = random_sequence(rng, 4, 20)
+        with pytest.raises(ValueError, match=f"risk set has {n_actors} actors, the sequence 4"):
+            compute_stepwise_stats(seq, RiskSet(n_actors), [StatisticKind.INERTIA], equal_spec(2, 5.0))
+        with pytest.raises(ValueError, match=f"risk set has {n_actors} actors, the sequence 4"):
+            build_triad_pairs(seq, RiskSet(n_actors), 5.0)
 
     def test_horizon_mismatch_rejected(self, rng):
         seq = random_sequence(rng, 3, 10)
@@ -488,7 +496,7 @@ def continuous_stats(seq, rs, kinds, decay_per_kind):
         events = zip(seq.times.tolist(), seq.senders.tolist(), seq.receivers.tolist())
         for m, (t, s, r) in enumerate(events):
             values[m, :, 1 + c] = state.log_rates(t)
-            state.append(t, s, r)
+            state.append(t, rs.index_of(s, r))
     return values
 
 
@@ -555,7 +563,7 @@ class TestContinuous:
             got = state.log_rates(t)
             np.testing.assert_allclose(got, want[m], rtol=1e-12, atol=1e-12)
             assert np.all(got <= env)  # the envelope taken at the previous event
-            state.append(t, s, r)
+            state.append(t, rs.index_of(s, r))
             env = state.log_rates(t, dominating=True)
 
     def test_negative_decay_rejected(self, rng):
